@@ -10,10 +10,8 @@ integration), cli (command-line front end).
 
 from .constants import (
     BOHR_RADIUS_ANGSTROM,
-    CODATA2018,
     DIPOLAR_PREFACTOR_MHZ_A3,
     GAMMA_E_MHZ_PER_MT,
-    PhysicalConstants,
 )
 from .errors import (
     ConfigError,

@@ -573,7 +573,9 @@ def read_calibration(path) -> CalibrationSeries:
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            if not isinstance(meta, dict):
+                raise TypeError("expected a JSON object")
+        except (json.JSONDecodeError, TypeError) as exc:
             raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
         control_unit = meta.get("control_unit", "")
         label = meta.get("label", "")

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +102,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "method": {"enum": ["convolution", "direct"]},
                 "cutoff_angstrom": {"type": ["number", "null"]},
             },
         },
@@ -229,12 +227,18 @@ def _cmd_simulate(args, config: dict) -> int:
     control_value = _pick(args.control_value, section, "control_value", None)
     control_unit = _pick(args.control_unit, section, "control_unit", None)
     seed = _resolve(args.seed, "ODMRSENSE_SEED", config.get("seed"), None)
+    if not step > 0:
+        raise InvalidParameterError(f"step must be positive, got {step!r}")
 
     transitions = spin.transitions_from_zfs(spin.ZfsParameters(d_mhz, e_mhz))
     if args.amplitudes is not None:
-        amps = [float(v) for v in args.amplitudes.split(",")]
+        try:
+            amps = [float(v) for v in args.amplitudes.split(",")]
+        except ValueError:
+            amps = []
         if len(amps) != 3:
-            raise InvalidParameterError("--amplitudes needs three comma-separated values")
+            raise InvalidParameterError("--amplitudes needs three comma-separated numbers, "
+                                        f"got {args.amplitudes!r}")
     elif section.get("amplitudes") is not None:
         amps = [float(v) for v in section["amplitudes"]]
     else:
@@ -324,13 +328,12 @@ def _stats_dict(stats: volumetric.OrbitalStats) -> dict:
     }
 
 
-def _analyse_phase(homo_path, lumo_path, method, cutoff, threads) -> dict:
+def _analyse_phase(homo_path, lumo_path, cutoff, threads) -> dict:
     homo = volumetric.load_cube(homo_path)
     lumo = volumetric.load_cube(lumo_path)
     homo_stats = volumetric.orbital_stats(homo)
     lumo_stats = volumetric.orbital_stats(lumo)
-    tensor = dipolar.zfs_pair_tensor(homo, lumo, method=method,
-                                     cutoff_angstrom=cutoff, threads=threads)
+    tensor = dipolar.zfs_pair_tensor(homo, lumo, cutoff_angstrom=cutoff, threads=threads)
     eigenvalues, _ = spin.ordered_eigensystem(tensor)
     params, _ = spin.tensor_to_parameters(tensor)
     return {
@@ -347,7 +350,6 @@ def _analyse_phase(homo_path, lumo_path, method, cutoff, threads) -> dict:
 
 def _cmd_zfs(args, config: dict) -> int:
     section = _section(config, "zfs")
-    method = _pick(args.method, section, "method", "convolution")
     cutoff = _pick(args.cutoff, section, "cutoff_angstrom", None)
     threads = _resolve(args.threads, "ODMRSENSE_THREADS", config.get("threads"), 1)
 
@@ -356,18 +358,8 @@ def _cmd_zfs(args, config: dict) -> int:
         if not (args.homo_b and args.lumo_b):
             raise InvalidParameterError("--homo-b and --lumo-b must come together")
         jobs.append(("b", args.homo_b, args.lumo_b))
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(_analyse_phase, h, l, method, cutoff, threads)
-                       for _, h, l in jobs]
-            results = [f.result() for f in futures]
-    else:
-        results = [_analyse_phase(h, l, method, cutoff, threads) for _, h, l in jobs]
-
-    phases = {name: result for (name, _, _), result in zip(jobs, results)}
+    phases = {name: _analyse_phase(h, l, cutoff, threads) for name, h, l in jobs}
     payload: dict = {
-        "method": method,
         "cutoff_angstrom": cutoff,
         "phases": phases,
         "comparison": None,
@@ -408,9 +400,6 @@ def _cmd_sensitivity(args, config: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, help="RNG seed (overrides ODMRSENSE_SEED)")
-    common.add_argument("--threads", type=int,
-                        help="worker threads (overrides ODMRSENSE_THREADS)")
 
     parser = argparse.ArgumentParser(
         prog="odmrsense",
@@ -420,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="synthesize a three-line ODMR spectrum")
+    p.add_argument("--seed", type=int, help="RNG seed (overrides ODMRSENSE_SEED)")
     p.add_argument("--d-mhz", type=float)
     p.add_argument("--e-mhz", type=float)
     p.add_argument("--linewidth", type=float, help="FWHM in MHz")
@@ -464,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lumo", required=True, help="LUMO cube file")
     p.add_argument("--homo-b", help="second-phase HOMO cube")
     p.add_argument("--lumo-b", help="second-phase LUMO cube")
-    p.add_argument("--method", choices=["convolution", "direct"])
+    p.add_argument("--threads", type=int,
+                   help="FFT worker threads (overrides ODMRSENSE_THREADS)")
     p.add_argument("--cutoff", type=float, help="kernel cutoff in angstrom")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.add_argument("--table", help="optional eigenvalue CSV path")

@@ -7,7 +7,6 @@ MHz, times in microseconds, magnetic fields in mT, lengths in angstrom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # CODATA 2018
 G_ELECTRON = 2.00231930436256          # electron g-factor (dimensionless)
@@ -19,33 +18,8 @@ BOHR_RADIUS_ANGSTROM = 0.529177210903  # angstrom per bohr
 # Electron gyromagnetic ratio expressed for lab use: MHz per mT.
 GAMMA_E_MHZ_PER_MT = G_ELECTRON * BOHR_MAGNETON / PLANCK * 1e-9
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the constants entering the dipolar coupling prefactor.
-
-    Kept as an explicit value object so alternative constant sets (older
-    CODATA releases, unit-system experiments) can be threaded through the
-    integration routines without touching module globals.
-    """
-
-    mu0_over_4pi: float = MU0 / (4.0 * math.pi)  # T m / A
-    g_e: float = G_ELECTRON
-    mu_b: float = BOHR_MAGNETON                  # J/T
-    h: float = PLANCK                            # J s
-
-    def dipolar_prefactor_mhz_a3(self) -> float:
-        """(mu0/4pi) (g_e mu_B)^2 / h in MHz * angstrom^3.
-
-        The SI value carries m^3; the 1e30 converts to angstrom^3 and the
-        1e-6 converts Hz to MHz.
-        """
-        si = self.mu0_over_4pi * (self.g_e * self.mu_b) ** 2 / self.h
-        return si * 1e30 * 1e-6
-
-
-CODATA2018 = PhysicalConstants()
-
 # (mu0/4pi) (g_e mu_B)^2 / h = 52041.016 MHz A^3; the scale that turns
 # 1/r^3 integrals over angstrom-gridded densities into MHz couplings.
-DIPOLAR_PREFACTOR_MHZ_A3 = CODATA2018.dipolar_prefactor_mhz_a3()
+# The SI value carries m^3; 1e30 converts to angstrom^3 and 1e-6 Hz to MHz.
+DIPOLAR_PREFACTOR_MHZ_A3 = (MU0 / (4.0 * math.pi) * (G_ELECTRON * BOHR_MAGNETON) ** 2
+                            / PLANCK * 1e30 * 1e-6)

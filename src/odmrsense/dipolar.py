@@ -11,21 +11,24 @@ electrons), scaled by (mu0/4pi) (g_e mu_B)^2 / (2 h).
 
 On a regular grid the kernel only depends on the index offset between
 voxels, so it is sampled once on the (2n-1)^3 displacement lattice with
-a short-range cutoff zeroing the singular voxels.  Two summation routes
-share that identical kernel table: an FFT convolution (fast, the default)
-and a literal voxel-pair double sum (slow, for cross-checking the
-convolution mechanics).  Tracelessness is exact per displacement, so the
-result is traceless to roundoff by construction.
+a short-range cutoff zeroing the singular voxels, and both sums are
+evaluated as FFT convolutions with that table.  The transformed kernel
+depends only on the mesh and the cutoff, so it is cached: a second
+orbital pair on the same mesh reuses it.  The test suite cross-checks
+the convolution against a literal voxel-pair double sum over the same
+kernel table.  Tracelessness is exact per displacement, so the result
+is traceless to roundoff by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import DIPOLAR_PREFACTOR_MHZ_A3
 from .errors import InvalidParameterError
 from .spin import AXIS_LABELS, ZfsParameters, ZfsTensor, ordered_eigensystem, tensor_to_parameters
 from .volumetric import OrbitalGrid, assert_commensurate
@@ -56,17 +59,37 @@ def _kernel_table(dims, axes: np.ndarray, cutoff: float) -> list[np.ndarray]:
     return tables
 
 
-def _pair_sums_fft(rho_i, rho_j, overlap, tables, threads) -> tuple[np.ndarray, np.ndarray]:
+def _padded_shape(dims) -> list[int]:
+    return [sp_fft.next_fast_len(2 * n - 1) for n in dims]
+
+
+@lru_cache(maxsize=1)
+def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float,
+                       threads: int) -> tuple[np.ndarray, ...]:
+    """Real FFTs of the six kernel tables on the padded convolution shape.
+
+    Keyed on the mesh and cutoff (axes as a tuple of row tuples, so the
+    key is hashable); the arrays are read-only because they are shared
+    between calls.
+    """
+    shape = _padded_shape(dims)
+    transforms = tuple(sp_fft.rfftn(table, s=shape, workers=threads)
+                       for table in _kernel_table(dims, np.array(axes), cutoff))
+    for table_f in transforms:
+        table_f.flags.writeable = False
+    return transforms
+
+
+def _pair_sums_fft(rho_i, rho_j, overlap, transforms, threads) -> tuple[np.ndarray, np.ndarray]:
     """(sum rho_i K rho_j, sum g K g) for all six components via FFT."""
     dims = rho_i.shape
-    shape = [sp_fft.next_fast_len(2 * n - 1) for n in dims]
+    shape = _padded_shape(dims)
     window = tuple(slice(n - 1, 2 * n - 1) for n in dims)
     rho_j_f = sp_fft.rfftn(rho_j, s=shape, workers=threads)
     overlap_f = sp_fft.rfftn(overlap, s=shape, workers=threads)
     direct = np.zeros(6)
     exchange = np.zeros(6)
-    for comp, table in enumerate(tables):
-        table_f = sp_fft.rfftn(table, s=shape, workers=threads)
+    for comp, table_f in enumerate(transforms):
         field = sp_fft.irfftn(table_f * rho_j_f, s=shape, workers=threads)[window]
         direct[comp] = np.sum(rho_i * field)
         field = sp_fft.irfftn(table_f * overlap_f, s=shape, workers=threads)[window]
@@ -74,40 +97,11 @@ def _pair_sums_fft(rho_i, rho_j, overlap, tables, threads) -> tuple[np.ndarray, 
     return direct, exchange
 
 
-def _pair_sums_direct(rho_i, rho_j, overlap, tables,
-                      chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Same sums as the FFT route by explicit voxel-pair iteration.
-
-    Looks the kernel up through index offsets so both routes see bitwise
-    identical kernel samples; quadratic cost, intended for small grids.
-    """
-    dims = rho_i.shape
-    nx, ny, nz = dims
-    idx = np.indices(dims).reshape(3, -1).T  # (N, 3)
-    ri = rho_i.reshape(-1)
-    rj = rho_j.reshape(-1)
-    ov = overlap.reshape(-1)
-    shift = np.array([nx - 1, ny - 1, nz - 1])
-    direct = np.zeros(6)
-    exchange = np.zeros(6)
-    for start in range(0, idx.shape[0], chunk):
-        rows = idx[start:start + chunk]
-        off = rows[:, None, :] - idx[None, :, :] + shift  # (c, N, 3)
-        o0, o1, o2 = off[..., 0], off[..., 1], off[..., 2]
-        for comp, table in enumerate(tables):
-            kmat = table[o0, o1, o2]
-            direct[comp] += ri[start:start + chunk] @ (kmat @ rj)
-            exchange[comp] += ov[start:start + chunk] @ (kmat @ ov)
-    return direct, exchange
-
-
 def zfs_pair_tensor(
     phi_i: OrbitalGrid,
     phi_j: OrbitalGrid,
-    method: str = "convolution",
     cutoff_angstrom: float | None = None,
     threads: int = 1,
-    constants: PhysicalConstants = CODATA2018,
 ) -> ZfsTensor:
     """Dipolar fine-structure tensor (MHz) of two orbitals on one grid.
 
@@ -115,11 +109,9 @@ def zfs_pair_tensor(
     cutoff_angstrom regularizes the kernel by zeroing displacements
     shorter than the cutoff and defaults to the smallest grid step;
     anything below one grid step would keep the singular self-terms and
-    is rejected.  method is "convolution" (FFT, default) or "direct"
-    (explicit double sum over voxel pairs).
+    is rejected.  threads sets the FFT workers and never changes the
+    result.
     """
-    if method not in ("convolution", "direct"):
-        raise InvalidParameterError(f"unknown method {method!r}")
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     assert_commensurate(phi_i, phi_j)
@@ -136,14 +128,12 @@ def zfs_pair_tensor(
     rho_j = phi_j.values ** 2
     overlap = phi_i.values * phi_j.values
 
-    tables = _kernel_table(phi_i.dims, phi_i.axes, cutoff_angstrom)
-    if method == "convolution":
-        direct, exchange = _pair_sums_fft(rho_i, rho_j, overlap, tables, threads)
-    else:
-        direct, exchange = _pair_sums_direct(rho_i, rho_j, overlap, tables)
+    transforms = _kernel_transforms(phi_i.dims, tuple(map(tuple, phi_i.axes)),
+                                    float(cutoff_angstrom), threads)
+    direct, exchange = _pair_sums_fft(rho_i, rho_j, overlap, transforms, threads)
 
     dv = phi_i.voxel_volume
-    scale = 0.5 * constants.dipolar_prefactor_mhz_a3() * dv * dv
+    scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
     comps = scale * (direct - exchange)
     tensor = np.empty((3, 3))
     for value, (a, b) in zip(comps, _COMPONENTS):
@@ -152,10 +142,7 @@ def zfs_pair_tensor(
     return ZfsTensor(tensor)
 
 
-def point_dipole_tensor(
-    separation_angstrom,
-    constants: PhysicalConstants = CODATA2018,
-) -> ZfsTensor:
+def point_dipole_tensor(separation_angstrom) -> ZfsTensor:
     """Analytic tensor for two point spins at a fixed separation vector."""
     r_vec = np.asarray(separation_angstrom, dtype=float)
     if r_vec.shape != (3,) or not np.all(np.isfinite(r_vec)):
@@ -164,7 +151,7 @@ def point_dipole_tensor(
     if r2 <= 0:
         raise InvalidParameterError("separation must be non-zero")
     kernel = (r2 * np.eye(3) - 3.0 * np.outer(r_vec, r_vec)) / r2 ** 2.5
-    return ZfsTensor(0.5 * constants.dipolar_prefactor_mhz_a3() * kernel)
+    return ZfsTensor(0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * kernel)
 
 
 @dataclass(frozen=True)
@@ -209,11 +196,7 @@ def compare_phases(tensor_a: ZfsTensor, tensor_b: ZfsTensor) -> PhaseComparison:
     return PhaseComparison(eig_a, eig_b, delta, dominant, params_a, params_b)
 
 
-def delta_d_estimate(
-    delta_r_pm: float,
-    distance_angstrom: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
+def delta_d_estimate(delta_r_pm: float, distance_angstrom: float) -> float:
     """Order-of-magnitude fine-structure shift from a pm-scale bond change.
 
     Linearizing the 1/r^3 point-dipole coupling, a separation change
@@ -225,5 +208,4 @@ def delta_d_estimate(
     if not np.isfinite(distance_angstrom) or distance_angstrom <= 0:
         raise InvalidParameterError("distance_angstrom must be positive")
     delta_r_angstrom = delta_r_pm * 0.01
-    return (0.5 * constants.dipolar_prefactor_mhz_a3()
-            * delta_r_angstrom / distance_angstrom ** 4)
+    return 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * delta_r_angstrom / distance_angstrom ** 4

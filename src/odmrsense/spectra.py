@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
 from scipy.signal import find_peaks, peak_widths
-from scipy.stats import median_abs_deviation
 
 from .errors import (
     DataFormatError,
@@ -198,8 +197,13 @@ def robust_noise_sigma(spectrum: Spectrum) -> float:
     spectral structure contributes only through its curvature; white
     noise of std sigma gives second differences of std sqrt(6) sigma.
     """
-    return float(median_abs_deviation(np.diff(spectrum.signal, n=2), scale="normal")
-                 / np.sqrt(6.0))
+    return _noise_sigma(spectrum.signal)
+
+
+def _noise_sigma(signal: np.ndarray) -> float:
+    # 0.6744897501960817 = Phi^-1(3/4) turns the MAD into a normal std
+    d = np.diff(signal, n=2)
+    return float(np.median(np.abs(d - np.median(d))) / 0.6744897501960817 / np.sqrt(6.0))
 
 
 def auto_guesses(spectrum: Spectrum) -> list[LineModel]:
@@ -390,7 +394,7 @@ def steep_edge_center(spectrum: Spectrum, window: tuple[float, float]) -> float:
     grad = np.gradient(s, f)
     mag = np.abs(grad)
     step = float(np.median(np.diff(f)))
-    sigma = float(median_abs_deviation(np.diff(s, n=2), scale="normal") / np.sqrt(6.0))
+    sigma = _noise_sigma(s)
     # noise slope floor: std of a differenced-noise slope, sigma sqrt(2)/step;
     # the eps term absorbs np.gradient roundoff leakage on constant signals
     floor = max(3.0 * sigma * np.sqrt(2.0) / step,
@@ -461,7 +465,10 @@ def read_spectrum(path) -> Spectrum:
     sidecar = _meta_path(path)
     if sidecar.exists():
         try:
-            meta = SpectrumMeta.from_dict(json.loads(sidecar.read_text(encoding="utf-8")))
+            data = json.loads(sidecar.read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise TypeError("expected a JSON object")
+            meta = SpectrumMeta.from_dict(data)
         except (json.JSONDecodeError, TypeError) as exc:
             raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
     try:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from odmrsense import gaussian_orbital, make_grid, save_cube
+from odmrsense import dipolar, gaussian_orbital, make_grid, save_cube
 from odmrsense.cli import main
 
 
@@ -166,6 +166,29 @@ class TestZfs:
         table_text = outs[0][1].decode()
         assert table_text.splitlines()[0].startswith("phase,eig_x_mhz")
 
+    def test_kernel_built_once_per_mesh(self, tmp_path, monkeypatch):
+        homo, lumo = write_cubes(tmp_path)
+        homo_b, lumo_b = write_cubes(tmp_path, shifted=True)
+        builds = []
+        kernel_table = dipolar._kernel_table
+        monkeypatch.setattr(dipolar, "_kernel_table",
+                            lambda *a: builds.append(a) or kernel_table(*a))
+        dipolar._kernel_transforms.cache_clear()
+        two_phase = ("zfs", "--homo", homo, "--lumo", lumo,
+                     "--homo-b", homo_b, "--lumo-b", lumo_b,
+                     "--out", tmp_path / "zfs.json")
+        assert run(*two_phase) == 0
+        assert len(builds) == 1
+        assert run(*two_phase, "--cutoff", "0.8") == 0
+        assert len(builds) == 2
+        dims = (8, 8, 8)
+        origin, axes = make_grid(dims, (10.0, 8.0, 6.0))
+        small = tmp_path / "small.cube"
+        save_cube(gaussian_orbital(origin, axes, dims, (0, 0, 0), (1, 1, 1)), small)
+        assert run("zfs", "--homo", small, "--lumo", small,
+                   "--out", tmp_path / "small.json") == 0
+        assert len(builds) == 3
+
     def test_unpaired_phase_b(self, tmp_path):
         homo, lumo = write_cubes(tmp_path)
         assert run("zfs", "--homo", homo, "--lumo", lumo,
@@ -194,6 +217,54 @@ class TestSensitivity:
     def test_missing_inputs(self, capsys):
         assert run("sensitivity", "--sigma", "2e-4") == 2
         assert "tau" in capsys.readouterr().err
+
+    def test_threads_flag_belongs_to_zfs(self):
+        with pytest.raises(SystemExit) as exc:
+            run("sensitivity", "--threads", "0")
+        assert exc.value.code == 2
+
+
+def write_spectrum_with_sidecar(tmp_path, sidecar):
+    path = tmp_path / "spec.csv"
+    rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(16))
+    path.write_text("frequency_mhz,signal\n" + rows + "\n")
+    (tmp_path / "spec.meta.json").write_text(sidecar)
+    return ("fit", "--input", path)
+
+
+def write_calibration_with_sidecar(tmp_path, sidecar):
+    path = tmp_path / "cal.csv"
+    rows = "\n".join(f"{float(i)},{1400.0 - i}" for i in range(8))
+    path.write_text("control_value,frequency_mhz\n" + rows + "\n")
+    (tmp_path / "cal.meta.json").write_text(sidecar)
+    return ("calibrate", "--input", path)
+
+
+def write_zfs_method_config(tmp_path):
+    homo, lumo = write_cubes(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"zfs": {"method": "direct"}}))
+    return ("zfs", "--config", cfg, "--homo", homo, "--lumo", lumo)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ("simulate", "--amplitudes", "0.01,x,0.01", "--windows",
+                 "--out", tmp / "x.csv"),
+    lambda tmp: ("simulate", "--step", "0", "--out", tmp / "x.csv"),
+    lambda tmp: write_spectrum_with_sidecar(tmp, "[1, 2]"),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '"seed"'),
+    lambda tmp: write_calibration_with_sidecar(tmp, "[1, 2]"),
+    lambda tmp: write_calibration_with_sidecar(tmp, '"label"'),
+    write_zfs_method_config,
+], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
+        "spectrum-sidecar-string", "calibration-sidecar-list",
+        "calibration-sidecar-string", "zfs-method-config"])
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    assert run(*argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 class TestConfig:

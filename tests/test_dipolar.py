@@ -1,10 +1,10 @@
 """Dipolar fine-structure tensor tests.
 
 Physical oracle: two well-separated tight orbitals must reproduce the
-analytic point-dipole tensor.  Algebraic oracles: the convolution and
-direct-sum routes evaluate the same lattice sums, and a pair built from
-one orbital twice has identical direct and exchange terms, so the tensor
-cancels exactly.
+analytic point-dipole tensor.  Algebraic oracles: the library's
+convolution and the direct sum in dipolar_oracle evaluate the same
+lattice sums, and a pair built from one orbital twice has identical
+direct and exchange terms, so the tensor cancels exactly.
 """
 
 import numpy as np
@@ -26,6 +26,8 @@ from odmrsense import (
     point_dipole_tensor,
     zfs_pair_tensor,
 )
+
+from dipolar_oracle import direct_pair_tensor
 
 
 def tight_pair(dims=24, length=18.0, width=0.75, offset=5.0):
@@ -72,8 +74,8 @@ class TestPairTensor:
 
     def test_direct_route_agrees_with_convolution(self):
         a, b = tight_pair(dims=12, length=12.0, width=1.0, offset=3.0)
-        conv = zfs_pair_tensor(a, b, method="convolution").tensor
-        direct = zfs_pair_tensor(a, b, method="direct").tensor
+        conv = zfs_pair_tensor(a, b).tensor
+        direct = direct_pair_tensor(a, b).tensor
         norm = np.linalg.norm(conv)
         assert np.linalg.norm(conv - direct) / norm < 1e-9
 
@@ -106,11 +108,6 @@ class TestPairTensor:
         a, b = tight_pair(dims=12, length=12.0)
         with pytest.raises(InvalidParameterError):
             zfs_pair_tensor(a, b, cutoff_angstrom=0.1)
-
-    def test_bad_method(self):
-        a, b = tight_pair(dims=12, length=12.0)
-        with pytest.raises(InvalidParameterError):
-            zfs_pair_tensor(a, b, method="magic")
 
 
 class TestPhaseComparison:
