@@ -31,6 +31,11 @@ from .errors import (
     OdmrSenseError,
 )
 
+# Largest frequency grid simulate builds (a run at the limit with --svg
+# peaks near 290 MB RSS); larger grids are refused before anything is
+# allocated.
+MAX_GRID_SAMPLES = 1_000_000
+
 _KINETICS_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -249,15 +254,21 @@ def _cmd_simulate(args, config: dict) -> int:
     lines = [spectra.LineModel.symmetric(c, fwhm, a, mix)
              for c, a in zip(centers, amps)]
     if windows:
-        grids = [np.arange(c - window_half, c + window_half + step / 2.0, step)
-                 for c in sorted(centers)]
-        freqs = np.unique(np.concatenate(grids))
+        spans = [(c - window_half, c + window_half) for c in sorted(centers)]
     else:
         fmin = _pick(args.fmin, section, "fmin", 50.0)
         fmax = _pick(args.fmax, section, "fmax", 1500.0)
         if fmax <= fmin:
             raise InvalidParameterError("fmax must exceed fmin")
-        freqs = np.arange(fmin, fmax + step / 2.0, step)
+        spans = [(fmin, fmax)]
+    # count before allocating: a mistyped step must not reach np.arange
+    n_samples = sum((hi - lo) / step + 1.0 for lo, hi in spans)
+    if not n_samples <= MAX_GRID_SAMPLES:
+        raise InvalidParameterError(
+            f"frequency grid would hold {n_samples:.4g} samples, "
+            f"above the limit of {MAX_GRID_SAMPLES:,}")
+    freqs = np.unique(np.concatenate(
+        [np.arange(lo, hi + step / 2.0, step) for lo, hi in spans]))
 
     spectrum = spectra.synthesize(lines, freqs, noise_sigma=noise, seed=seed,
                                   control_value=control_value,
@@ -274,7 +285,11 @@ def _cmd_fit(args, config: dict) -> int:
     spectrum = spectra.read_spectrum(args.input)
     centers = section.get("centers")
     if args.centers is not None:
-        centers = [float(v) for v in args.centers.split(",")]
+        try:
+            centers = [float(v) for v in args.centers.split(",")]
+        except ValueError:
+            raise InvalidParameterError("--centers needs comma-separated numbers, "
+                                        f"got {args.centers!r}") from None
     fwhm_guess = _pick(args.fwhm_guess, section, "fwhm_guess", 4.0)
     mix_guess = _pick(args.mix_guess, section, "mix_guess", 0.5)
 

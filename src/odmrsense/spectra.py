@@ -73,12 +73,7 @@ class LineModel:
         return self.width_left + self.width_right
 
     def evaluate(self, freqs_mhz) -> np.ndarray:
-        f = np.asarray(freqs_mhz, dtype=float)
-        width = np.where(f < self.center, self.width_left, self.width_right)
-        u2 = ((f - self.center) / width) ** 2
-        profile = (self.shape_mix / (1.0 + u2)
-                   + (1.0 - self.shape_mix) * np.exp(-_LN2 * u2))
-        return self.amplitude * profile
+        return evaluate_lines([self], freqs_mhz)
 
     def max_abs_slope(self) -> float:
         """Largest |dS/df| in signal units per MHz.
@@ -109,10 +104,42 @@ def _profile_peak_slope(mix: float) -> float:
 def evaluate_lines(lines, freqs_mhz) -> np.ndarray:
     """Sum of line profiles on a frequency grid."""
     f = np.asarray(freqs_mhz, dtype=float)
-    total = np.zeros_like(f)
-    for line in lines:
-        total += line.evaluate(f)
-    return total
+    return _profile(_pack(lines), f.ravel()).reshape(f.shape)
+
+
+def _pack(lines) -> np.ndarray:
+    """Rows of (center, width_left, width_right, amplitude, shape_mix)."""
+    return np.array([[ln.center, ln.width_left, ln.width_right, ln.amplitude, ln.shape_mix]
+                     for ln in lines], dtype=float).reshape(-1, 5)
+
+
+def _profile(params: np.ndarray, f: np.ndarray, jac: bool = False):
+    """Summed asymmetric pseudo-Voigt of the lines in the rows of params.
+
+    params is a (n_lines, 5) array in _pack's column order and f a 1-D
+    grid.  With jac=True the analytic (f.size, 5 * n_lines) Jacobian with
+    respect to params.ravel() is returned too.  The profile keeps the
+    operation order m / (1 + u2) + (1 - m) exp(-ln2 u2), times amplitude,
+    summed over lines, so synthesized spectra do not change by a bit.
+    """
+    c, wl, wr, a, m = (col[:, None] for col in params.T)
+    left = f < c
+    width = np.where(left, wl, wr)
+    u = (f - c) / width
+    u2 = u ** 2
+    gauss = np.exp(-_LN2 * u2)
+    profile = m / (1.0 + u2) + (1.0 - m) * gauss
+    total = (a * profile).sum(axis=0)
+    if not jac:
+        return total
+    lor = 1.0 / (1.0 + u2)
+    # g = -2 (dS/du2) / w, so dS/dcenter = g u and dS/dwidth = g u2
+    g = a * (m * lor ** 2 + (1.0 - m) * _LN2 * gauss) * (2.0 / width)
+    d_width = g * u2
+    columns = (g * u, np.where(left, d_width, 0.0), np.where(left, 0.0, d_width),
+               profile, a * (lor - gauss))
+    # (n_lines, 5, n_samples) in memory: the transpose is a Fortran-ordered view
+    return total, np.stack(columns, axis=1).reshape(-1, f.size).T
 
 
 @dataclass(frozen=True)
@@ -285,13 +312,6 @@ class PeakFit:
         }
 
 
-def _pack(lines) -> np.ndarray:
-    return np.concatenate([
-        [ln.center, ln.width_left, ln.width_right, ln.amplitude, ln.shape_mix]
-        for ln in lines
-    ])
-
-
 def _unpack(vec: np.ndarray) -> list[LineModel]:
     out = []
     for k in range(0, vec.size, 5):
@@ -336,13 +356,16 @@ def fit_peaks(
         upper += [min(fmax, ln.center + box), span, span, amp_bound, 1.0]
     lower = np.asarray(lower)
     upper = np.asarray(upper)
-    x0 = np.clip(_pack(guesses), lower, upper)
+    x0 = np.clip(_pack(guesses).ravel(), lower, upper)
 
     def residuals(vec):
-        return evaluate_lines(_unpack(vec), f) - s
+        return _profile(vec.reshape(-1, 5), f) - s
+
+    def jacobian(vec):
+        return _profile(vec.reshape(-1, 5), f, jac=True)[1]
 
     result = least_squares(
-        residuals, x0, bounds=(lower, upper), method="trf",
+        residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
         xtol=1e-8, ftol=1e-8, gtol=1e-8,
         max_nfev=max_iter * (x0.size + 1),
     )

@@ -240,6 +240,13 @@ def write_calibration_with_sidecar(tmp_path, sidecar):
     return ("calibrate", "--input", path)
 
 
+def write_fit_centers(tmp_path, centers):
+    path = tmp_path / "spec.csv"
+    rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(16))
+    path.write_text("frequency_mhz,signal\n" + rows + "\n")
+    return ("fit", "--input", path, "--centers", centers)
+
+
 def write_zfs_method_config(tmp_path):
     homo, lumo = write_cubes(tmp_path)
     cfg = tmp_path / "run.json"
@@ -256,9 +263,16 @@ def write_zfs_method_config(tmp_path):
     lambda tmp: write_calibration_with_sidecar(tmp, "[1, 2]"),
     lambda tmp: write_calibration_with_sidecar(tmp, '"label"'),
     write_zfs_method_config,
+    lambda tmp: write_fit_centers(tmp, "1339,abc"),
+    lambda tmp: write_fit_centers(tmp, ",,"),
+    lambda tmp: ("simulate", "--fmin", "0", "--fmax", "1e9", "--step", "1e-9",
+                 "--out", tmp / "x.csv"),
+    lambda tmp: ("simulate", "--windows", "--step", "1e-9", "--out", tmp / "x.csv"),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
-        "calibration-sidecar-string", "zfs-method-config"])
+        "calibration-sidecar-string", "zfs-method-config",
+        "centers-not-a-number", "centers-empty", "grid-too-large",
+        "window-grid-too-large"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

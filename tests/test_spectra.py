@@ -30,6 +30,7 @@ from odmrsense import (
     synthesize,
     write_spectrum,
 )
+from odmrsense.spectra import _profile
 
 
 class TestLineModel:
@@ -72,6 +73,55 @@ class TestLineModel:
             LineModel(0.0, -1.0, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             LineModel(0.0, 1.0, 1.0, 1.0, shape_mix=1.5)
+
+
+def reference_line(line, f):
+    """Per-line pseudo-Voigt in the operation order synthesized spectra pin."""
+    width = np.where(f < line.center, line.width_left, line.width_right)
+    u2 = ((f - line.center) / width) ** 2
+    profile = (line.shape_mix / (1.0 + u2)
+               + (1.0 - line.shape_mix) * np.exp(-np.log(2.0) * u2))
+    return line.amplitude * profile
+
+
+class TestProfile:
+    @pytest.mark.parametrize("mix", [0.0, 0.37, 1.0])
+    def test_jacobian_matches_central_differences(self, mix):
+        params = np.array([[100.0, 1.3, 2.9, 0.8, mix],
+                           [104.5, 2.2, 0.7, -0.45, mix],
+                           [111.0, 1.0, 1.6, 0.3, mix]])
+        # the appended centres put a sample exactly on each line centre
+        f = np.concatenate([np.linspace(90.0, 120.0, 601) + 0.013, params[:, 0]])
+        _, jac = _profile(params, f, jac=True)
+        assert jac.shape == (f.size, params.size)
+        flat = params.ravel()
+        numeric = np.empty_like(jac)
+        h = 1e-7
+        for k in range(flat.size):
+            up, down = flat.copy(), flat.copy()
+            up[k] += h
+            down[k] -= h
+            numeric[:, k] = (_profile(up.reshape(-1, 5), f)
+                             - _profile(down.reshape(-1, 5), f)) / (2.0 * h)
+        # relative to each column's largest entry
+        scale = np.abs(numeric).max(axis=0)
+        assert np.all(scale > 0)
+        assert np.all(np.abs(jac - numeric) <= 1e-6 * scale)
+
+    def test_bit_identical_to_per_line_formula(self):
+        rng = np.random.default_rng(2000)
+        for _ in range(300):
+            f = np.sort(rng.uniform(0.0, 200.0, int(rng.integers(8, 2000))))
+            lines = [LineModel(rng.uniform(0.0, 200.0), rng.uniform(0.1, 10.0),
+                               rng.uniform(0.1, 10.0), rng.uniform(-1.0, 1.0),
+                               float(rng.choice([0.0, 1.0, rng.uniform()])))
+                     for _ in range(int(rng.integers(1, 5)))]
+            total = np.zeros_like(f)
+            for line in lines:
+                expected = reference_line(line, f)
+                assert np.array_equal(line.evaluate(f), expected)
+                total += expected
+            assert np.array_equal(evaluate_lines(lines, f), total)
 
 
 class TestSynthesis:
