@@ -217,48 +217,6 @@ class PiecewiseLinearFit:
         )
 
 
-def _span_cost_matrix(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """cost[i, j] = weighted SSE of the best line on samples i..j inclusive.
-
-    Built from prefix sums of centered variables so every span cost is
-    O(1); centering keeps the sums well conditioned even when the raw
-    second moments dwarf the residuals.
-    """
-    n = x.size
-    xc = x - np.average(x, weights=w)
-    yc = y - np.average(y, weights=w)
-
-    def prefix(v):
-        out = np.zeros(n + 1)
-        np.cumsum(v, out=out[1:])
-        return out
-
-    pw = prefix(w)
-    px = prefix(w * xc)
-    py = prefix(w * yc)
-    pxx = prefix(w * xc * xc)
-    pxy = prefix(w * xc * yc)
-    pyy = prefix(w * yc * yc)
-
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    sw = pw[j + 1] - pw[i]
-    sx = px[j + 1] - px[i]
-    sy = py[j + 1] - py[i]
-    sxx = pxx[j + 1] - pxx[i]
-    sxy = pxy[j + 1] - pxy[i]
-    syy = pyy[j + 1] - pyy[i]
-
-    valid = j >= i + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = sw * sxx - sx * sx
-        slope = (sw * sxy - sx * sy) / det
-        intercept = (sy - slope * sx) / sw
-        sse = syy - intercept * sy - slope * sxy
-    cost = np.where(valid, np.maximum(sse, 0.0), np.inf)
-    return np.where(np.isfinite(cost), cost, np.inf)
-
-
 def _weighted_line_fit(x, y, w, known_sigma: bool):
     """Slope/intercept with covariance for one segment (lstsq refit)."""
     sqw = np.sqrt(w)
@@ -282,8 +240,8 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
 
     Dynamic programming over all breakpoint placements (each segment gets
     at least two samples), so the returned SSE is the exact minimum for
-    the requested segment count.  O(n^2) time and memory in the series
-    length.
+    the requested segment count.  O(k n^2) time and O(k n) memory for k
+    segments of an n-point series.
     """
     if n_segments < 1:
         raise InvalidParameterError("n_segments must be >= 1")
@@ -297,20 +255,37 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     known_sigma = asc.freq_sigma is not None
     w = 1.0 / asc.freq_sigma ** 2 if known_sigma else np.ones(n)
 
-    cost = _span_cost_matrix(x, y, w)
+    # prefix sums of the centred, weighted moments make every span sum
+    # O(1); centring keeps them well conditioned even when the raw second
+    # moments dwarf the residuals
+    xc = x - np.average(x, weights=w)
+    yc = y - np.average(y, weights=w)
+    sums = np.zeros((6, n + 1))
+    np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
+              axis=1, out=sums[:, 1:])
 
-    # dp[k, j]: best SSE covering samples 0..j with k segments
+    # dp[k, j]: best SSE covering samples 0..j with k segments; parent[k, j]
+    # is the first sample of the last of them.  Row k-1 is final for every
+    # end before j, so one span-cost column serves all k.
     dp = np.full((n_segments + 1, n), np.inf)
     parent = np.zeros((n_segments + 1, n), dtype=int)
-    dp[1, :] = cost[0, :]
-    for k in range(2, n_segments + 1):
-        first_j = 2 * k - 1
-        for j in range(first_j, n):
-            starts = np.arange(2 * (k - 1), j)
-            cand = dp[k - 1, starts - 1] + cost[starts, j]
+    for j in range(1, n):
+        # cost[i]: weighted SSE of the best line on samples i..j, for i < j
+        sw, sx, sy, sxx, sxy, syy = sums[:, j + 1, None] - sums[:, :j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = sw * sxx - sx * sx
+            slope = (sw * sxy - sx * sy) / det
+            intercept = (sy - slope * sx) / sw
+            cost = np.maximum(syy - intercept * sy - slope * sxy, 0.0)
+        cost[np.isnan(cost)] = np.inf
+        dp[1, j] = cost[0]
+        # k segments of at least two samples each need j >= 2k - 1
+        for k in range(2, min(n_segments, (j + 1) // 2) + 1):
+            lo = 2 * (k - 1)
+            cand = dp[k - 1, lo - 1:j - 1] + cost[lo:j]
             best = int(np.argmin(cand))
             dp[k, j] = cand[best]
-            parent[k, j] = starts[best]
+            parent[k, j] = lo + best
 
     # recover segment start indices
     bounds = [n]
@@ -539,7 +514,7 @@ def read_calibration(path) -> CalibrationSeries:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     rows = raw.splitlines()
     # the sigma column is optional so hand-written two-column files load too
@@ -575,7 +550,8 @@ def read_calibration(path) -> CalibrationSeries:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
             if not isinstance(meta, dict):
                 raise TypeError("expected a JSON object")
-        except (json.JSONDecodeError, TypeError) as exc:
+        # ValueError: undecodable bytes or malformed JSON
+        except (OSError, ValueError, RecursionError, TypeError) as exc:
             raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
         control_unit = meta.get("control_unit", "")
         label = meta.get("label", "")

@@ -26,6 +26,7 @@ from . import calibration, dipolar, kinetics, spectra, spin, volumetric
 from .errors import (
     DataFormatError,
     ConfigError,
+    DivisionDomainError,
     GridMismatchError,
     InvalidParameterError,
     OdmrSenseError,
@@ -130,9 +131,9 @@ def load_config(path) -> dict:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
         jsonschema.validate(data, CONFIG_SCHEMA)
@@ -232,8 +233,8 @@ def _cmd_simulate(args, config: dict) -> int:
     control_value = _pick(args.control_value, section, "control_value", None)
     control_unit = _pick(args.control_unit, section, "control_unit", None)
     seed = _resolve(args.seed, "ODMRSENSE_SEED", config.get("seed"), None)
-    if not step > 0:
-        raise InvalidParameterError(f"step must be positive, got {step!r}")
+    if not 0 < step < np.inf:
+        raise InvalidParameterError(f"step must be finite and positive, got {step!r}")
 
     transitions = spin.transitions_from_zfs(spin.ZfsParameters(d_mhz, e_mhz))
     if args.amplitudes is not None:
@@ -407,7 +408,11 @@ def _cmd_sensitivity(args, config: dict) -> int:
                                       ("calib-slope", calib_slope)) if val is None]
     if missing:
         raise InvalidParameterError(f"missing sensitivity inputs: {', '.join(missing)}")
-    report = calibration.sensitivity(sigma, tau_s, signal_slope, calib_slope, unit)
+    try:
+        report = calibration.sensitivity(sigma, tau_s, signal_slope, calib_slope, unit)
+    except DivisionDomainError as exc:
+        # the config schema rejects a zero slope; a flag gets the same exit code
+        raise InvalidParameterError(str(exc)) from exc
     _dump_json(report.to_dict(), args.out)
     return 0
 

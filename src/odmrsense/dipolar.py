@@ -118,6 +118,8 @@ def zfs_pair_tensor(
     min_step = float(np.min(np.linalg.norm(phi_i.axes, axis=1)))
     if cutoff_angstrom is None:
         cutoff_angstrom = min_step
+    if not np.isfinite(cutoff_angstrom):
+        raise InvalidParameterError(f"cutoff must be finite, got {cutoff_angstrom!r}")
     if cutoff_angstrom < min_step * (1.0 - 1e-12):
         raise InvalidParameterError(
             "cutoff below one grid step keeps the kernel singularity")

@@ -151,6 +151,12 @@ class SpectrumMeta:
     control_value: float | None = None
     control_unit: str | None = None
 
+    def __post_init__(self):
+        # a comparison, unlike np.isfinite, accepts ints too large for a float
+        if self.control_value is not None and not -np.inf < self.control_value < np.inf:
+            raise InvalidParameterError(
+                f"control_value must be finite, got {self.control_value!r}")
+
     def to_dict(self) -> dict:
         return {
             "noise_sigma": self.noise_sigma,
@@ -467,7 +473,7 @@ def read_spectrum(path) -> Spectrum:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     rows = raw.splitlines()
     if not rows or rows[0].strip() != "frequency_mhz,signal":
@@ -492,7 +498,8 @@ def read_spectrum(path) -> Spectrum:
             if not isinstance(data, dict):
                 raise TypeError("expected a JSON object")
             meta = SpectrumMeta.from_dict(data)
-        except (json.JSONDecodeError, TypeError) as exc:
+        # ValueError: undecodable bytes, malformed JSON or an invalid field
+        except (OSError, ValueError, RecursionError, TypeError) as exc:
             raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
     try:
         return Spectrum(freqs, signal, meta)

@@ -175,7 +175,7 @@ def load_cube(path) -> OrbitalGrid:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CubeParseError(f"cannot read file: {exc}", str(path)) from exc
     lines = text.splitlines()
     if len(lines) < 6:

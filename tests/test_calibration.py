@@ -8,6 +8,7 @@ regression formulas.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,14 +32,20 @@ from odmrsense import (
 )
 
 
-def brute_force_sse(x, y, n_segments):
-    """Oracle: minimum SSE over all breakpoint placements (>= 2 pts each)."""
+def brute_force_sse(x, y, n_segments, sigma=None):
+    """Oracle: minimum SSE over all breakpoint placements (>= 2 pts each).
+
+    With per-point sigmas the SSE is weighted by 1/sigma^2.  Spans follow
+    the order given, so a descending control needs no sorting: reversing
+    a series maps its partitions onto each other one to one.
+    """
     n = len(x)
+    inv = np.ones(n) if sigma is None else 1.0 / np.asarray(sigma)
 
     def span_sse(i, j):
-        xs, ys = x[i:j + 1], y[i:j + 1]
-        slope, intercept = np.polyfit(xs, ys, 1)
-        return float(np.sum((ys - intercept - slope * xs) ** 2))
+        xs, ys, ws = x[i:j + 1], y[i:j + 1], inv[i:j + 1]
+        slope, intercept = np.polyfit(xs, ys, 1, w=ws)
+        return float(np.sum((ws * (ys - intercept - slope * xs)) ** 2))
 
     best = np.inf
     # choose segment start indices (first is always 0)
@@ -108,10 +115,27 @@ class TestSegmentedFit:
         rng = np.random.default_rng(3)
         x = np.linspace(0, 1, 14)
         y = rng.normal(0, 1, 14)
-        for k in (1, 2, 3):
-            fit = segmented_fit(CalibrationSeries(x, y), k)
-            oracle = brute_force_sse(x, y, k)
-            assert fit.total_sse == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        sigma = rng.uniform(0.05, 2.0, 14)
+        for ctrl in (x, x[::-1]):
+            for sig in (None, sigma):
+                for k in (1, 2, 3, 4):
+                    fit = segmented_fit(CalibrationSeries(ctrl, y, sig), k)
+                    oracle = brute_force_sse(ctrl, y, k, sig)
+                    assert fit.total_sse == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    def test_memory_linear_in_length(self):
+        # one span-cost column at a time: a 2,000-point fit allocates
+        # kilobytes per column, where a full cost matrix is 32 MB per array
+        t = np.linspace(77.0, 330.0, 2000)
+        rng = np.random.default_rng(5)
+        series = CalibrationSeries(t, 1445.0 - 0.1 * t + rng.normal(0, 0.05, t.size))
+        tracemalloc.start()
+        try:
+            segmented_fit(series, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"segmented_fit peaked at {peak / 1e6:.1f} MB"
 
     def test_sse_monotone_in_segments(self):
         series = temperature_series(seed=1)

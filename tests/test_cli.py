@@ -247,11 +247,24 @@ def write_fit_centers(tmp_path, centers):
     return ("fit", "--input", path, "--centers", centers)
 
 
-def write_zfs_method_config(tmp_path):
-    homo, lumo = write_cubes(tmp_path)
+def write_config(tmp_path, config):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"zfs": {"method": "direct"}}))
-    return ("zfs", "--config", cfg, "--homo", homo, "--lumo", lumo)
+    cfg.write_text(json.dumps(config))  # NaN and Infinity go in as JSON literals
+    return ("--config", cfg)
+
+
+def cube_flags(tmp_path):
+    homo, lumo = write_cubes(tmp_path)
+    return ("--homo", homo, "--lumo", lumo)
+
+
+def overwrite(tmp_path, argv, name, data=b"\xff\xfe not UTF-8\n"):
+    """Replace one input of an invocation with raw bytes (default: not UTF-8)."""
+    (tmp_path / name).write_bytes(data)
+    return argv
+
+
+SENSITIVITY = ("sensitivity", "--sigma", "2e-4", "--tau", "1.0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,17 +275,45 @@ def write_zfs_method_config(tmp_path):
     lambda tmp: write_spectrum_with_sidecar(tmp, '"seed"'),
     lambda tmp: write_calibration_with_sidecar(tmp, "[1, 2]"),
     lambda tmp: write_calibration_with_sidecar(tmp, '"label"'),
-    write_zfs_method_config,
+    lambda tmp: ("zfs", *write_config(tmp, {"zfs": {"method": "direct"}}),
+                 *cube_flags(tmp)),
     lambda tmp: write_fit_centers(tmp, "1339,abc"),
     lambda tmp: write_fit_centers(tmp, ",,"),
     lambda tmp: ("simulate", "--fmin", "0", "--fmax", "1e9", "--step", "1e-9",
                  "--out", tmp / "x.csv"),
     lambda tmp: ("simulate", "--windows", "--step", "1e-9", "--out", tmp / "x.csv"),
+    lambda tmp: overwrite(tmp, write_spectrum_with_sidecar(tmp, "{}"), "spec.csv"),
+    lambda tmp: overwrite(tmp, write_spectrum_with_sidecar(tmp, "{}"), "spec.meta.json"),
+    lambda tmp: overwrite(tmp, write_calibration_with_sidecar(tmp, "{}"), "cal.csv"),
+    lambda tmp: overwrite(tmp, write_calibration_with_sidecar(tmp, "{}"), "cal.meta.json"),
+    lambda tmp: overwrite(tmp, ("zfs", "--homo", tmp / "o.cube", "--lumo", tmp / "o.cube"),
+                      "o.cube"),
+    lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json"),
+    lambda tmp: ("zfs", *cube_flags(tmp), "--cutoff", "nan"),
+    lambda tmp: ("zfs", *cube_flags(tmp), "--cutoff", "inf"),
+    lambda tmp: ("zfs", *write_config(tmp, {"zfs": {"cutoff_angstrom": float("nan")}}),
+                 *cube_flags(tmp)),
+    lambda tmp: ("simulate", "--step", "inf", "--out", tmp / "x.csv"),
+    lambda tmp: ("simulate", *write_config(tmp, {"simulate": {"step": float("inf")}}),
+                 "--out", tmp / "x.csv"),
+    lambda tmp: ("simulate", "--windows", "--control-value", "nan", "--out", tmp / "x.csv"),
+    lambda tmp: ("simulate", *write_config(tmp, {"simulate": {"control_value": float("nan")}}),
+                 "--windows", "--out", tmp / "x.csv"),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '{"control_value": NaN}'),
+    lambda tmp: (*SENSITIVITY, "--signal-slope", "0", "--calib-slope", "1.8"),
+    lambda tmp: (*SENSITIVITY, "--signal-slope", "1.6e-3", "--calib-slope", "0"),
+    lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json",
+                          b"[" * 100_000),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
         "centers-not-a-number", "centers-empty", "grid-too-large",
-        "window-grid-too-large"])
+        "window-grid-too-large", "spectrum-not-utf8", "spectrum-sidecar-not-utf8",
+        "calibration-not-utf8", "calibration-sidecar-not-utf8", "cube-not-utf8",
+        "config-not-utf8", "cutoff-nan", "cutoff-inf", "cutoff-config-nan", "step-inf",
+        "step-config-inf", "control-value-nan", "control-value-config-nan",
+        "spectrum-sidecar-control-value-nan", "signal-slope-zero", "calib-slope-zero",
+        "config-nested-too-deep"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
