@@ -269,7 +269,8 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     # end before j, so one span-cost column serves all k.
     dp = np.full((n_segments + 1, n), np.inf)
     parent = np.zeros((n_segments + 1, n), dtype=int)
-    for j in range(1, n):
+    # one segment spans every sample, so k = 1 has no breakpoint to search
+    for j in range(1, n) if n_segments > 1 else ():
         # cost[i]: weighted SSE of the best line on samples i..j, for i < j
         sw, sx, sy, sxx, sxy, syy = sums[:, j + 1, None] - sums[:, :j]
         with np.errstate(divide="ignore", invalid="ignore"):

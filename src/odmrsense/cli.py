@@ -5,16 +5,22 @@ Subcommands: simulate (synthetic spectra), fit (peak fitting), calibrate
 from orbital cubes), sensitivity (shot-noise figure).
 
 Every output is byte-deterministic: JSON is dumped with sorted keys,
-floats go through repr, and nothing timestamps itself.  Parameters come
-from CLI flags, the ODMRSENSE_* environment, or a JSON config file, in
-that order of precedence.  Exit codes: 0 success, 1 computation failure
-(e.g. a fit that did not converge), 2 bad input or configuration.
+floats go through repr, and nothing timestamps itself.  CONFIG_SCHEMA
+declares each parameter once, with its type, bounds and default; every
+flag stores into its config key.  A flag overrides the config file,
+which overrides the default, and the merged values are checked against
+the same schema whether they came from a flag or a file.  Non-finite
+numbers (NaN, infinities, integers too large for a float) are refused.
+seed and threads read ODMRSENSE_SEED / ODMRSENSE_THREADS between flag
+and config.  Exit codes: 0 success, 1 computation failure (e.g. a fit
+that did not converge), 2 bad input or configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +32,6 @@ from . import calibration, dipolar, kinetics, spectra, spin, volumetric
 from .errors import (
     DataFormatError,
     ConfigError,
-    DivisionDomainError,
     GridMismatchError,
     InvalidParameterError,
     OdmrSenseError,
@@ -61,28 +66,28 @@ CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "seed": {"type": ["integer", "null"]},
-        "threads": {"type": "integer", "minimum": 1},
+        "seed": {"type": ["integer", "null"], "minimum": 0, "default": None},
+        "threads": {"type": "integer", "minimum": 1, "default": 1},
         "kinetics": _KINETICS_SCHEMA,
         "simulate": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "d_mhz": {"type": "number"},
-                "e_mhz": {"type": "number"},
-                "linewidth_fwhm": {"type": "number", "exclusiveMinimum": 0},
-                "shape_mix": {"type": "number", "minimum": 0, "maximum": 1},
-                "noise_sigma": {"type": "number", "minimum": 0},
-                "mw_rate": {"type": "number", "exclusiveMinimum": 0},
+                "d_mhz": {"type": "number", "default": 1392.0},
+                "e_mhz": {"type": "number", "default": 53.0},
+                "linewidth_fwhm": {"type": "number", "exclusiveMinimum": 0, "default": 4.3},
+                "shape_mix": {"type": "number", "minimum": 0, "maximum": 1, "default": 1.0},
+                "noise_sigma": {"type": "number", "minimum": 0, "default": 0.0},
+                "mw_rate": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "amplitudes": {
                     "type": ["array", "null"], "items": {"type": "number"},
                     "minItems": 3, "maxItems": 3,
                 },
-                "fmin": {"type": "number"},
-                "fmax": {"type": "number"},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "windows": {"type": "boolean"},
-                "window_half": {"type": "number", "exclusiveMinimum": 0},
+                "fmin": {"type": "number", "default": 50.0},
+                "fmax": {"type": "number", "default": 1500.0},
+                "step": {"type": "number", "exclusiveMinimum": 0, "default": 0.5},
+                "windows": {"type": "boolean", "default": False},
+                "window_half": {"type": "number", "exclusiveMinimum": 0, "default": 25.0},
                 "control_value": {"type": ["number", "null"]},
                 "control_unit": {"type": ["string", "null"]},
             },
@@ -92,15 +97,15 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "centers": {"type": ["array", "null"], "items": {"type": "number"}},
-                "fwhm_guess": {"type": "number", "exclusiveMinimum": 0},
-                "mix_guess": {"type": "number", "minimum": 0, "maximum": 1},
+                "fwhm_guess": {"type": "number", "exclusiveMinimum": 0, "default": 4.0},
+                "mix_guess": {"type": "number", "minimum": 0, "maximum": 1, "default": 0.5},
             },
         },
         "calibrate": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "segments": {"type": "integer", "minimum": 1},
+                "segments": {"type": "integer", "minimum": 1, "default": 1},
                 "invert_frequency": {"type": ["number", "null"]},
             },
         },
@@ -119,7 +124,7 @@ CONFIG_SCHEMA = {
                 "tau_s": {"type": "number", "exclusiveMinimum": 0},
                 "signal_slope": {"type": "number", "exclusiveMinimum": 0},
                 "calib_slope": {"type": "number", "exclusiveMinimum": 0},
-                "unit": {"type": "string"},
+                "unit": {"type": "string", "default": ""},
             },
         },
     },
@@ -133,7 +138,7 @@ def load_config(path) -> dict:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
         jsonschema.validate(data, CONFIG_SCHEMA)
@@ -153,29 +158,66 @@ def _env_int(name: str) -> int | None:
         raise ConfigError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
-def _resolve(flag_value, env_name: str | None, config_value, default):
-    """Precedence: explicit flag > environment > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    if env_name is not None:
-        env_value = _env_int(env_name)
-        if env_value is not None:
-            return env_value
-    if config_value is not None:
-        return config_value
-    return default
+def _setting(args, config: dict, key: str):
+    """Top-level seed or threads: flag, else ODMRSENSE_<KEY>, else config, else default."""
+    env = f"ODMRSENSE_{key.upper()}"
+    spec = CONFIG_SCHEMA["properties"][key]
+    value = getattr(args, key)
+    if value is None:
+        value = _env_int(env)
+    if value is None:
+        value = config.get(key, spec.get("default"))
+    try:
+        jsonschema.Draft202012Validator(spec).validate(value)
+    except jsonschema.ValidationError as exc:
+        raise InvalidParameterError(f"--{key}/{env}: {exc.message}") from None
+    return value
 
 
-def _section(config: dict, name: str) -> dict:
-    return config.get(name) or {}
+def _finite(value) -> bool:
+    """False for NaN, infinities and integers too large for a float."""
+    try:
+        return all(math.isfinite(v) for v in (value if isinstance(value, list) else [value])
+                   if isinstance(v, (int, float)))
+    except OverflowError:
+        return False
 
 
-def _pick(args_value, section: dict, key: str, default):
-    if args_value is not None:
-        return args_value
-    if key in section and section[key] is not None:
-        return section[key]
-    return default
+def _flag(args, key: str, spec: dict):
+    value = getattr(args, key, None)
+    if isinstance(value, str) and "array" in spec.get("type", ()):
+        try:
+            return [float(v) for v in value.split(",")]
+        except ValueError:
+            raise InvalidParameterError(f"--{key} needs comma-separated numbers, "
+                                        f"got {value!r}") from None
+    return value
+
+
+def _params(args, config: dict, section: str) -> dict:
+    """One section's parameters: schema default, then config value, then flag.
+
+    A null config value counts as absent, and keys with no default and no
+    value are left out.  The merged values are checked against the
+    section's schema; args=None reads no flags.
+    """
+    schema = CONFIG_SCHEMA["properties"][section]
+    params = {}
+    for key, spec in schema["properties"].items():
+        for value in (spec.get("default"), config.get(section, {}).get(key),
+                      _flag(args, key, spec)):
+            if value is not None:
+                params[key] = value
+    for key, value in params.items():
+        if not _finite(value):
+            raise InvalidParameterError(f"{section}.{key} must be a finite number")
+    try:
+        jsonschema.Draft202012Validator(schema).validate(params)
+    except jsonschema.ValidationError as exc:
+        # the config passed this schema when it was loaded: a flag is at fault
+        raise InvalidParameterError(
+            f"flag for {section}.{exc.absolute_path[0]}: {exc.message}") from None
+    return params
 
 
 def _dump_json(payload: dict, path) -> None:
@@ -209,59 +251,29 @@ def write_svg(path, x, y, width: int = 640, height: int = 360,
     Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
 
 
-def _kinetics_params(config: dict) -> kinetics.KineticsParams:
-    section = _section(config, "kinetics")
-    kwargs = dict(section)
-    if "isc_branching" in kwargs:
-        kwargs["isc_branching"] = tuple(kwargs["isc_branching"])
-    if "triplet_decay" in kwargs:
-        kwargs["triplet_decay"] = tuple(kwargs["triplet_decay"])
-    return kinetics.KineticsParams(**kwargs)
-
-
 def _cmd_simulate(args, config: dict) -> int:
-    section = _section(config, "simulate")
-    d_mhz = _pick(args.d_mhz, section, "d_mhz", 1392.0)
-    e_mhz = _pick(args.e_mhz, section, "e_mhz", 53.0)
-    fwhm = _pick(args.linewidth, section, "linewidth_fwhm", 4.3)
-    mix = _pick(args.shape_mix, section, "shape_mix", 1.0)
-    noise = _pick(args.noise, section, "noise_sigma", 0.0)
-    mw_rate = _pick(args.mw_rate, section, "mw_rate", 0.05)
-    step = _pick(args.step, section, "step", 0.5)
-    windows = args.windows or bool(section.get("windows", False))
-    window_half = _pick(args.window_half, section, "window_half", 25.0)
-    control_value = _pick(args.control_value, section, "control_value", None)
-    control_unit = _pick(args.control_unit, section, "control_unit", None)
-    seed = _resolve(args.seed, "ODMRSENSE_SEED", config.get("seed"), None)
-    if not 0 < step < np.inf:
-        raise InvalidParameterError(f"step must be finite and positive, got {step!r}")
+    p = _params(args, config, "simulate")
+    seed = _setting(args, config, "seed")
+    step = p["step"]
 
-    transitions = spin.transitions_from_zfs(spin.ZfsParameters(d_mhz, e_mhz))
-    if args.amplitudes is not None:
-        try:
-            amps = [float(v) for v in args.amplitudes.split(",")]
-        except ValueError:
-            amps = []
-        if len(amps) != 3:
-            raise InvalidParameterError("--amplitudes needs three comma-separated numbers, "
-                                        f"got {args.amplitudes!r}")
-    elif section.get("amplitudes") is not None:
-        amps = [float(v) for v in section["amplitudes"]]
-    else:
-        contrast = kinetics.contrast_spectrum_amplitudes(_kinetics_params(config), mw_rate)
+    transitions = spin.transitions_from_zfs(spin.ZfsParameters(p["d_mhz"], p["e_mhz"]))
+    amps = p.get("amplitudes")
+    if amps is None:
+        rates = {key: tuple(v) if isinstance(v, list) else v
+                 for key, v in _params(None, config, "kinetics").items()}
+        contrast = kinetics.contrast_spectrum_amplitudes(kinetics.KineticsParams(**rates),
+                                                         p["mw_rate"])
         amps = [contrast["xy"], contrast["yz"], contrast["xz"]]
 
     centers = [transitions.f_xy, transitions.f_yz, transitions.f_xz]
-    lines = [spectra.LineModel.symmetric(c, fwhm, a, mix)
+    lines = [spectra.LineModel.symmetric(c, p["linewidth_fwhm"], a, p["shape_mix"])
              for c, a in zip(centers, amps)]
-    if windows:
-        spans = [(c - window_half, c + window_half) for c in sorted(centers)]
+    if p["windows"]:
+        spans = [(c - p["window_half"], c + p["window_half"]) for c in sorted(centers)]
     else:
-        fmin = _pick(args.fmin, section, "fmin", 50.0)
-        fmax = _pick(args.fmax, section, "fmax", 1500.0)
-        if fmax <= fmin:
+        if p["fmax"] <= p["fmin"]:
             raise InvalidParameterError("fmax must exceed fmin")
-        spans = [(fmin, fmax)]
+        spans = [(p["fmin"], p["fmax"])]
     # count before allocating: a mistyped step must not reach np.arange
     n_samples = sum((hi - lo) / step + 1.0 for lo, hi in spans)
     if not n_samples <= MAX_GRID_SAMPLES:
@@ -271,9 +283,9 @@ def _cmd_simulate(args, config: dict) -> int:
     freqs = np.unique(np.concatenate(
         [np.arange(lo, hi + step / 2.0, step) for lo, hi in spans]))
 
-    spectrum = spectra.synthesize(lines, freqs, noise_sigma=noise, seed=seed,
-                                  control_value=control_value,
-                                  control_unit=control_unit)
+    spectrum = spectra.synthesize(lines, freqs, noise_sigma=p["noise_sigma"], seed=seed,
+                                  control_value=p.get("control_value"),
+                                  control_unit=p.get("control_unit"))
     spectra.write_spectrum(spectrum, args.out)
     if args.svg:
         write_svg(args.svg, spectrum.freqs_mhz, spectrum.signal,
@@ -282,18 +294,9 @@ def _cmd_simulate(args, config: dict) -> int:
 
 
 def _cmd_fit(args, config: dict) -> int:
-    section = _section(config, "fit")
+    p = _params(args, config, "fit")
     spectrum = spectra.read_spectrum(args.input)
-    centers = section.get("centers")
-    if args.centers is not None:
-        try:
-            centers = [float(v) for v in args.centers.split(",")]
-        except ValueError:
-            raise InvalidParameterError("--centers needs comma-separated numbers, "
-                                        f"got {args.centers!r}") from None
-    fwhm_guess = _pick(args.fwhm_guess, section, "fwhm_guess", 4.0)
-    mix_guess = _pick(args.mix_guess, section, "mix_guess", 0.5)
-
+    centers = p.get("centers")
     guesses = None
     if centers:
         baseline = float(np.median(spectrum.signal))
@@ -301,7 +304,8 @@ def _cmd_fit(args, config: dict) -> int:
         for center in centers:
             k = int(np.argmin(np.abs(spectrum.freqs_mhz - center)))
             amp = float(spectrum.signal[k] - baseline) or 1e-6
-            guesses.append(spectra.LineModel.symmetric(center, fwhm_guess, amp, mix_guess))
+            guesses.append(spectra.LineModel.symmetric(center, p["fwhm_guess"], amp,
+                                                       p["mix_guess"]))
     fits = spectra.fit_peaks(spectrum, guesses)
     payload = {
         "peaks": [f.to_dict() for f in fits],
@@ -316,12 +320,11 @@ def _cmd_fit(args, config: dict) -> int:
 
 
 def _cmd_calibrate(args, config: dict) -> int:
-    section = _section(config, "calibrate")
+    p = _params(args, config, "calibrate")
     series = calibration.read_calibration(args.input)
-    n_segments = _pick(args.segments, section, "segments", 1)
-    fit = calibration.segmented_fit(series, n_segments)
+    fit = calibration.segmented_fit(series, p["segments"])
     payload = fit.to_dict()
-    invert = _pick(args.invert_frequency, section, "invert_frequency", None)
+    invert = p.get("invert_frequency")
     if invert is not None:
         control, sigma = calibration.invert_readout(fit, invert)
         payload["readout"] = {
@@ -365,9 +368,8 @@ def _analyse_phase(homo_path, lumo_path, cutoff, threads) -> dict:
 
 
 def _cmd_zfs(args, config: dict) -> int:
-    section = _section(config, "zfs")
-    cutoff = _pick(args.cutoff, section, "cutoff_angstrom", None)
-    threads = _resolve(args.threads, "ODMRSENSE_THREADS", config.get("threads"), 1)
+    cutoff = _params(args, config, "zfs").get("cutoff_angstrom")
+    threads = _setting(args, config, "threads")
 
     jobs = [("a", args.homo, args.lumo)]
     if args.homo_b or args.lumo_b:
@@ -397,23 +399,12 @@ def _cmd_zfs(args, config: dict) -> int:
 
 
 def _cmd_sensitivity(args, config: dict) -> int:
-    section = _section(config, "sensitivity")
-    sigma = _pick(args.sigma, section, "sigma", None)
-    tau_s = _pick(args.tau, section, "tau_s", None)
-    signal_slope = _pick(args.signal_slope, section, "signal_slope", None)
-    calib_slope = _pick(args.calib_slope, section, "calib_slope", None)
-    unit = _pick(args.unit, section, "unit", "")
-    missing = [name for name, val in (("sigma", sigma), ("tau", tau_s),
-                                      ("signal-slope", signal_slope),
-                                      ("calib-slope", calib_slope)) if val is None]
+    p = _params(args, config, "sensitivity")
+    missing = [key for key in CONFIG_SCHEMA["properties"]["sensitivity"]["properties"]
+               if key not in p]
     if missing:
         raise InvalidParameterError(f"missing sensitivity inputs: {', '.join(missing)}")
-    try:
-        report = calibration.sensitivity(sigma, tau_s, signal_slope, calib_slope, unit)
-    except DivisionDomainError as exc:
-        # the config schema rejects a zero slope; a flag gets the same exit code
-        raise InvalidParameterError(str(exc)) from exc
-    _dump_json(report.to_dict(), args.out)
+    _dump_json(calibration.sensitivity(**p).to_dict(), args.out)
     return 0
 
 
@@ -432,16 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed (overrides ODMRSENSE_SEED)")
     p.add_argument("--d-mhz", type=float)
     p.add_argument("--e-mhz", type=float)
-    p.add_argument("--linewidth", type=float, help="FWHM in MHz")
+    p.add_argument("--linewidth", dest="linewidth_fwhm", type=float, help="FWHM in MHz")
     p.add_argument("--shape-mix", type=float)
     p.add_argument("--amplitudes", help="three comma-separated line amplitudes")
     p.add_argument("--mw-rate", type=float,
                    help="microwave rate for kinetics-derived amplitudes (1/us)")
-    p.add_argument("--noise", type=float)
+    p.add_argument("--noise", dest="noise_sigma", type=float)
     p.add_argument("--fmin", type=float)
     p.add_argument("--fmax", type=float)
     p.add_argument("--step", type=float)
-    p.add_argument("--windows", action="store_true",
+    p.add_argument("--windows", action="store_true", default=None,
                    help="sample only windows around each line")
     p.add_argument("--window-half", type=float)
     p.add_argument("--control-value", type=float)
@@ -476,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lumo-b", help="second-phase LUMO cube")
     p.add_argument("--threads", type=int,
                    help="FFT worker threads (overrides ODMRSENSE_THREADS)")
-    p.add_argument("--cutoff", type=float, help="kernel cutoff in angstrom")
+    p.add_argument("--cutoff", dest="cutoff_angstrom", type=float,
+                   help="kernel cutoff in angstrom")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.add_argument("--table", help="optional eigenvalue CSV path")
     p.set_defaults(func=_cmd_zfs)
@@ -484,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", parents=[common],
                        help="shot-noise sensitivity figure")
     p.add_argument("--sigma", type=float, help="per-shot signal noise")
-    p.add_argument("--tau", type=float, help="shot duration in seconds")
+    p.add_argument("--tau", dest="tau_s", type=float, help="shot duration in seconds")
     p.add_argument("--signal-slope", type=float, help="signal change per MHz")
     p.add_argument("--calib-slope", type=float, help="MHz per control unit")
     p.add_argument("--unit", help="label for the resulting eta unit")

@@ -8,6 +8,7 @@ regression formulas.
 """
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,19 @@ class TestSegmentedFit:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, f"segmented_fit peaked at {peak / 1e6:.1f} MB"
+
+    def test_single_segment_skips_the_search(self):
+        # k = 1 is one line through every sample: no O(n^2) breakpoint
+        # search, so a 20,000-point log fits in milliseconds
+        t = np.linspace(77.0, 330.0, 20_000)
+        rng = np.random.default_rng(6)
+        series = CalibrationSeries(t, 1445.0 - 0.1 * t + rng.normal(0, 0.05, t.size))
+        start = time.perf_counter()
+        fit = segmented_fit(series, 1)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"k = 1 at n = 20,000 took {elapsed:.2f} s"
+        assert fit.segments[0].index_range == (0, 20_000)
+        assert fit.breakpoints.size == 0
 
     def test_sse_monotone_in_segments(self):
         series = temperature_series(seed=1)

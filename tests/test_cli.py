@@ -9,8 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from odmrsense import dipolar, gaussian_orbital, make_grid, save_cube
-from odmrsense.cli import main
+from odmrsense import dipolar, gaussian_orbital, make_grid, save_cube, volumetric
+from odmrsense.cli import CONFIG_SCHEMA, build_parser, main
 
 
 def run(*argv):
@@ -189,6 +189,19 @@ class TestZfs:
                    "--out", tmp_path / "small.json") == 0
         assert len(builds) == 3
 
+    @pytest.mark.parametrize("flag, env", [(("--threads", "0"), None), ((), "0")],
+                             ids=["flag", "env"])
+    def test_bad_threads_refused_before_reading_cubes(self, tmp_path, monkeypatch, capsys,
+                                                      flag, env):
+        homo, lumo = write_cubes(tmp_path)
+        loads = []
+        monkeypatch.setattr(volumetric, "load_cube", lambda path: loads.append(path))
+        if env is not None:
+            monkeypatch.setenv("ODMRSENSE_THREADS", env)
+        assert run("zfs", "--homo", homo, "--lumo", lumo, *flag) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert loads == []
+
     def test_unpaired_phase_b(self, tmp_path):
         homo, lumo = write_cubes(tmp_path)
         assert run("zfs", "--homo", homo, "--lumo", lumo,
@@ -265,6 +278,7 @@ def overwrite(tmp_path, argv, name, data=b"\xff\xfe not UTF-8\n"):
 
 
 SENSITIVITY = ("sensitivity", "--sigma", "2e-4", "--tau", "1.0")
+BIG = 10 ** 400  # a JSON integer no float can hold
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,6 +318,18 @@ SENSITIVITY = ("sensitivity", "--sigma", "2e-4", "--tau", "1.0")
     lambda tmp: (*SENSITIVITY, "--signal-slope", "1.6e-3", "--calib-slope", "0"),
     lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json",
                           b"[" * 100_000),
+    lambda tmp: ("simulate", *write_config(tmp, {"simulate": {"d_mhz": BIG}}),
+                 "--windows", "--out", tmp / "x.csv"),
+    lambda tmp: (*write_calibration_with_sidecar(tmp, "{}"),
+                 *write_config(tmp, {"calibrate": {"invert_frequency": BIG}})),
+    lambda tmp: ("simulate", *write_config(tmp, {"kinetics": {"pump_rate": BIG}}),
+                 "--windows", "--out", tmp / "x.csv"),
+    lambda tmp: ("sensitivity", *write_config(tmp, {"sensitivity": {"sigma": BIG}}),
+                 "--tau", "1.0", "--signal-slope", "1.6e-3", "--calib-slope", "1.8"),
+    lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json",
+                          b'{"seed": 1' + b"0" * 5000 + b"}"),
+    lambda tmp: ("simulate", "--seed", "-1", "--noise", "0.001", "--windows",
+                 "--out", tmp / "x.csv"),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
@@ -313,7 +339,9 @@ SENSITIVITY = ("sensitivity", "--sigma", "2e-4", "--tau", "1.0")
         "config-not-utf8", "cutoff-nan", "cutoff-inf", "cutoff-config-nan", "step-inf",
         "step-config-inf", "control-value-nan", "control-value-config-nan",
         "spectrum-sidecar-control-value-nan", "signal-slope-zero", "calib-slope-zero",
-        "config-nested-too-deep"])
+        "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",
+        "pump-rate-config-too-big", "sigma-config-too-big", "config-int-too-many-digits",
+        "seed-negative"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -346,3 +374,24 @@ class TestConfig:
         cfg.write_text("{not json")
         assert run("simulate", "--config", cfg,
                    "--out", tmp_path / "x.csv") == 2
+
+    def test_flag_overrides_config(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", *write_config(tmp_path, {"simulate": {"noise_sigma": 0.001}}),
+                   "--noise", "0", "--windows", "--out", a) == 0
+        assert run("simulate", "--windows", "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+# flags that name files or resolve outside a subcommand's config section
+NOT_SECTION_FLAGS = {"help", "config", "seed", "threads", "out", "svg", "input", "table",
+                     "homo", "lumo", "homo_b", "lumo_b"}
+
+
+def test_every_flag_is_a_schema_key():
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    for command, parser in subparsers.choices.items():
+        keys = CONFIG_SCHEMA["properties"][command]["properties"]
+        dests = {a.dest for a in parser._actions} - NOT_SECTION_FLAGS
+        assert dests <= set(keys), f"{command}: {sorted(dests - set(keys))}"
+        assert dests, command
