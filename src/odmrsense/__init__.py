@@ -1,17 +1,16 @@
 """Simulation, fitting and calibration toolkit for photoexcited-triplet
 ODMR sensors.
 
-Subpackage map: spin (Hamiltonian and fine-structure algebra), kinetics
-(five-level optical pumping model), spectra (lineshapes and peak
-fitting), calibration (segmented calibration fits and sensitivity),
-volumetric (orbital grids and cube files), dipolar (spin-spin tensor
-integration), cli (command-line front end).
+Subpackage map: spin (zero-field levels and fine-structure algebra),
+kinetics (five-level optical pumping model), spectra (lineshapes and
+peak fitting), calibration (segmented calibration fits and
+sensitivity), volumetric (orbital grids and cube files), dipolar
+(spin-spin tensor integration), cli (command-line front end).
 """
 
 from .constants import (
     BOHR_RADIUS_ANGSTROM,
     DIPOLAR_PREFACTOR_MHZ_A3,
-    GAMMA_E_MHZ_PER_MT,
 )
 from .errors import (
     ConfigError,
@@ -22,26 +21,18 @@ from .errors import (
     FitConvergenceError,
     GridMismatchError,
     InvalidParameterError,
-    NoEdgeError,
     OdmrSenseError,
     ReadoutAmbiguityError,
     ReadoutError,
     ReadoutRangeError,
 )
 from .spin import (
-    MagneticField,
     TransitionSet,
-    TripletHamiltonian,
-    TripletLevels,
     ZfsParameters,
     ZfsTensor,
-    build_hamiltonian,
-    eigenlevels,
     ordered_eigensystem,
     parameters_to_tensor,
-    spin1_operators,
     tensor_to_parameters,
-    transition_frequencies,
     transitions_from_zfs,
     zfs_from_transitions,
 )
@@ -50,7 +41,6 @@ from .kinetics import (
     PopulationState,
     contrast_spectrum_amplitudes,
     evolve,
-    fluorescence,
     odmr_contrast,
     rate_matrix,
     steady_state,
@@ -63,10 +53,8 @@ from .spectra import (
     auto_guesses,
     evaluate_lines,
     fit_peaks,
-    max_signal_slope,
     read_spectrum,
     robust_noise_sigma,
-    steep_edge_center,
     synthesize,
     write_spectrum,
 )
@@ -75,13 +63,11 @@ from .calibration import (
     PiecewiseLinearFit,
     SegmentFit,
     SensitivityReport,
-    ZfsSeries,
     invert_readout,
     read_calibration,
     segmented_fit,
     sensitivity,
     write_calibration,
-    zfs_series,
 )
 from .volumetric import (
     OrbitalGrid,

@@ -7,10 +7,9 @@ number of segments it minimizes the total (weighted) squared error over
 all possible breakpoint placements, which makes the optimum reproducible
 and the residual provably non-increasing in the segment count.
 
-On top of that sit the derived (D, E) series from two transition
-branches, inversion of a piecewise fit back to the control parameter
-with uncertainty propagation, and the shot-noise sensitivity figure
-eta = sigma sqrt(tau) / (signal_slope * calib_slope).
+On top of that sit inversion of a piecewise fit back to the control
+parameter with uncertainty propagation, and the shot-noise sensitivity
+figure eta = sigma sqrt(tau) / (signal_slope * calib_slope).
 """
 
 from __future__ import annotations
@@ -321,75 +320,6 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
                               asc.control_unit, asc.label)
 
 
-@dataclass(frozen=True)
-class ZfsSeries:
-    """D(control) and E(control) derived from two transition branches."""
-
-    control: np.ndarray
-    d_mhz: np.ndarray
-    e_mhz: np.ndarray
-    d_sigma: np.ndarray | None
-    e_sigma: np.ndarray | None
-    control_unit: str = ""
-
-    def to_dict(self) -> dict:
-        out = {
-            "control": [float(v) for v in self.control],
-            "d_mhz": [float(v) for v in self.d_mhz],
-            "e_mhz": [float(v) for v in self.e_mhz],
-            "control_unit": self.control_unit,
-        }
-        out["d_sigma"] = None if self.d_sigma is None else [float(v) for v in self.d_sigma]
-        out["e_sigma"] = None if self.e_sigma is None else [float(v) for v in self.e_sigma]
-        return out
-
-
-def _interp_with_sigma(x_new, x, y, sigma):
-    """Linear interpolation plus 1-sigma propagation through the weights."""
-    y_new = np.interp(x_new, x, y)
-    if sigma is None:
-        return y_new, None
-    idx = np.clip(np.searchsorted(x, x_new, side="right") - 1, 0, x.size - 2)
-    x0, x1 = x[idx], x[idx + 1]
-    t = np.clip((x_new - x0) / (x1 - x0), 0.0, 1.0)
-    var = ((1.0 - t) * sigma[idx]) ** 2 + (t * sigma[idx + 1]) ** 2
-    return y_new, np.sqrt(var)
-
-
-def zfs_series(xz: CalibrationSeries, yz: CalibrationSeries) -> ZfsSeries:
-    """Combine f_xz and f_yz branches into D and E versus control.
-
-    D = (f_xz + f_yz)/2, E = (f_xz - f_yz)/2, evaluated on the xz control
-    samples that fall inside the overlap of both ranges; the yz branch is
-    linearly interpolated there.  Requires matching control units.
-    """
-    if xz.control_unit != yz.control_unit:
-        raise InvalidParameterError(
-            f"control units differ: {xz.control_unit!r} vs {yz.control_unit!r}")
-    a = xz.ascending()
-    b = yz.ascending()
-    lo = max(a.control[0], b.control[0])
-    hi = min(a.control[-1], b.control[-1])
-    if lo > hi:
-        raise InvalidParameterError("control ranges do not overlap")
-    keep = (a.control >= lo) & (a.control <= hi)
-    if not np.any(keep):
-        raise InvalidParameterError("no xz samples inside the overlap region")
-    ctrl = a.control[keep]
-    f_xz = a.freq_mhz[keep]
-    s_xz = None if a.freq_sigma is None else a.freq_sigma[keep]
-    f_yz, s_yz = _interp_with_sigma(ctrl, b.control, b.freq_mhz, b.freq_sigma)
-
-    d = 0.5 * (f_xz + f_yz)
-    e = 0.5 * (f_xz - f_yz)
-    if s_xz is None or s_yz is None:
-        d_sig = e_sig = None
-    else:
-        d_sig = 0.5 * np.sqrt(s_xz ** 2 + s_yz ** 2)
-        e_sig = d_sig.copy()
-    return ZfsSeries(ctrl, d, e, d_sig, e_sig, a.control_unit)
-
-
 def invert_readout(
     fit: PiecewiseLinearFit,
     frequency_mhz: float,
@@ -421,7 +351,7 @@ def invert_readout(
                 f"{frequency_mhz} MHz lies outside every calibrated segment")
         if len(hits) > 1:
             raise ReadoutAmbiguityError(
-                f"{frequency_mhz} MHz falls in segments {hits}; pass segment=...")
+                f"{frequency_mhz} MHz falls in overlapping segments {hits}")
         segment = hits[0]
     elif not 0 <= segment < fit.n_segments:
         raise InvalidParameterError(f"segment index {segment} out of range")

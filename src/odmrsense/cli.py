@@ -35,6 +35,7 @@ from .errors import (
     GridMismatchError,
     InvalidParameterError,
     OdmrSenseError,
+    ReadoutAmbiguityError,
 )
 
 # Largest frequency grid simulate builds (a run at the limit with --svg
@@ -491,7 +492,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         return args.func(args, config)
-    except (DataFormatError, InvalidParameterError, GridMismatchError) as exc:
+    except (DataFormatError, InvalidParameterError, GridMismatchError,
+            ReadoutAmbiguityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OdmrSenseError as exc:

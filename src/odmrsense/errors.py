@@ -53,10 +53,6 @@ class FitConvergenceError(OdmrSenseError):
     """An optimizer failed to converge where a result is mandatory."""
 
 
-class NoEdgeError(OdmrSenseError):
-    """No slope above the noise floor inside the requested window."""
-
-
 class DivisionDomainError(OdmrSenseError, ZeroDivisionError):
     """A ratio is undefined because its denominator vanishes."""
 

@@ -164,11 +164,6 @@ def evolve(params: KineticsParams, state: PopulationState, duration_us: float) -
     return PopulationState.from_array(propagator @ state.as_array())
 
 
-def fluorescence(state: PopulationState, params: KineticsParams) -> float:
-    """Radiative photon rate (1/us) for a population state."""
-    return params.radiative_rate * state.n_s1
-
-
 def odmr_contrast(params: KineticsParams, pair: str | None = None) -> float:
     """Relative steady-state fluorescence change when the microwave is on.
 

@@ -1,4 +1,4 @@
-"""Lineshapes, spectrum synthesis, peak fitting and slope estimators.
+"""Lineshapes, spectrum synthesis, noise estimation and peak fitting.
 
 A resonance line is an asymmetric pseudo-Voigt: independent left/right
 half-widths at half maximum and a shape_mix that blends Lorentzian
@@ -18,22 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 from scipy.signal import find_peaks, peak_widths
 
-from .errors import (
-    DataFormatError,
-    FitConvergenceError,
-    InvalidParameterError,
-    NoEdgeError,
-)
+from .errors import DataFormatError, FitConvergenceError, InvalidParameterError
 
 _LN2 = np.log(2.0)
-
-# Peak |d/du| of the unit-height profiles; the Lorentzian value is exact
-# (3 sqrt(3) / 8), the Gaussian one is sqrt(2 ln 2) exp(-1/2).
-_LORENTZ_PEAK_SLOPE = 3.0 * np.sqrt(3.0) / 8.0
-_GAUSS_PEAK_SLOPE = np.sqrt(2.0 * _LN2) * np.exp(-0.5)
 
 
 @dataclass(frozen=True)
@@ -74,31 +64,6 @@ class LineModel:
 
     def evaluate(self, freqs_mhz) -> np.ndarray:
         return evaluate_lines([self], freqs_mhz)
-
-    def max_abs_slope(self) -> float:
-        """Largest |dS/df| in signal units per MHz.
-
-        The steeper side is the narrower one since the peak profile slope
-        scales as 1/width.
-        """
-        peak = _profile_peak_slope(self.shape_mix)
-        return abs(self.amplitude) * peak / min(self.width_left, self.width_right)
-
-
-def _profile_peak_slope(mix: float) -> float:
-    if mix == 1.0:
-        return _LORENTZ_PEAK_SLOPE
-    if mix == 0.0:
-        return _GAUSS_PEAK_SLOPE
-
-    def neg_slope(u):
-        lor = 2.0 * u / (1.0 + u * u) ** 2
-        gau = 2.0 * _LN2 * u * np.exp(-_LN2 * u * u)
-        return -(mix * lor + (1.0 - mix) * gau)
-
-    res = minimize_scalar(neg_slope, bounds=(1e-6, 3.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(-res.fun)
 
 
 def evaluate_lines(lines, freqs_mhz) -> np.ndarray:
@@ -230,12 +195,8 @@ def robust_noise_sigma(spectrum: Spectrum) -> float:
     spectral structure contributes only through its curvature; white
     noise of std sigma gives second differences of std sqrt(6) sigma.
     """
-    return _noise_sigma(spectrum.signal)
-
-
-def _noise_sigma(signal: np.ndarray) -> float:
     # 0.6744897501960817 = Phi^-1(3/4) turns the MAD into a normal std
-    d = np.diff(signal, n=2)
+    d = np.diff(spectrum.signal, n=2)
     return float(np.median(np.abs(d - np.median(d))) / 0.6744897501960817 / np.sqrt(6.0))
 
 
@@ -400,54 +361,6 @@ def fit_peaks(
             line=ln,
         ))
     return fits
-
-
-def steep_edge_center(spectrum: Spectrum, window: tuple[float, float]) -> float:
-    """Frequency of the steepest signal slope inside a window.
-
-    The discrete derivative is scanned for its largest magnitude and the
-    extremum is refined with a three-point parabola, giving sub-sample
-    resolution.  If no slope clears three times the noise-induced
-    derivative floor the window is considered edge-free and NoEdgeError
-    is raised.
-    """
-    lo, hi = window
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise InvalidParameterError("window must be a finite (low, high) pair")
-    mask = (spectrum.freqs_mhz >= lo) & (spectrum.freqs_mhz <= hi)
-    if mask.sum() < 5:
-        raise InvalidParameterError("window must contain at least 5 samples")
-    f = spectrum.freqs_mhz[mask]
-    s = spectrum.signal[mask]
-
-    grad = np.gradient(s, f)
-    mag = np.abs(grad)
-    step = float(np.median(np.diff(f)))
-    sigma = _noise_sigma(s)
-    # noise slope floor: std of a differenced-noise slope, sigma sqrt(2)/step;
-    # the eps term absorbs np.gradient roundoff leakage on constant signals
-    floor = max(3.0 * sigma * np.sqrt(2.0) / step,
-                64.0 * np.finfo(float).eps * max(np.abs(s).max(), 1e-300) / step)
-    k = int(np.argmax(mag))
-    if mag[k] <= floor:
-        raise NoEdgeError("no slope above the noise floor in the window")
-    if k == 0 or k == mag.size - 1:
-        return float(f[k])
-    # vertex of the parabola through the three points around the extremum
-    coeff = np.polyfit(f[k - 1:k + 2], mag[k - 1:k + 2], 2)
-    if coeff[0] >= 0:
-        return float(f[k])
-    vertex = -coeff[1] / (2.0 * coeff[0])
-    return float(np.clip(vertex, f[k - 1], f[k + 1]))
-
-
-def max_signal_slope(obj) -> float:
-    """Largest |dS/df| of a LineModel (analytic) or Spectrum (discrete)."""
-    if isinstance(obj, LineModel):
-        return obj.max_abs_slope()
-    if isinstance(obj, Spectrum):
-        return float(np.max(np.abs(np.gradient(obj.signal, obj.freqs_mhz))))
-    raise InvalidParameterError("expected a LineModel or Spectrum")
 
 
 def _meta_path(path: Path) -> Path:

@@ -1,22 +1,27 @@
-"""Spin-1 triplet Hamiltonian, its eigensystem, and zero-field-splitting algebra.
+"""Zero-field spin-1 triplet levels and fine-structure tensor algebra.
 
-The working basis is the zero-field basis {Tx, Ty, Tz} in which the
-fine-structure interaction is diagonal,
+One convention throughout, the one PyZFS uses (Ma, Govoni & Galli,
+JOSS 5, 2160, 2020).  The fine-structure tensor T is a traceless
+symmetric 3x3 matrix in MHz; with its eigenvalues in the canonical axis
+order |lambda_z| >= |lambda_y| >= |lambda_x|,
 
-    H_zfs = diag(D/3 + E, D/3 - E, -2 D/3)   (MHz),
+    D = 3/2 lambda_z,   E = (lambda_x - lambda_y) / 2,
 
-so the three transition frequencies at zero field are
+with both signs flipped when that D is negative, which lands every
+tensor on D > 0 and 0 <= E <= D/3.  In the principal frame
+parameters_to_tensor gives T = diag(-D/3 + E, -D/3 - E, 2D/3).
+
+The three zero-field sublevels take their energies from that diagonal
+through one relabelling,
+
+    E(Tx) = -T_yy = D/3 + E,   E(Ty) = -T_xx = D/3 - E,   E(Tz) = -T_zz = -2D/3,
+
+that is S.T.S in the Cartesian triplet basis (where level Ta sits at
+-T_aa) with x and y swapped.  The transition frequencies follow as
 
     f_xy = 2 E,   f_yz = D - E,   f_xz = D + E.
 
-Spin operators in this basis are (S_a)_{bc} = -i eps_abc, which keeps the
-Zeeman term g_e mu_B B.S simple and makes the zero-field limit exactly
-diagonal instead of a numerical accident.
-
-The fine-structure tensor itself is handled as a traceless symmetric 3x3
-matrix whose eigenvalues map to (D, E) through the canonical axis
-convention |lambda_z| >= |lambda_y| >= |lambda_x|, which pins D > 0 and
-0 <= E <= D/3.
+No magnetic field enters: the sensor is read out at zero field.
 """
 
 from __future__ import annotations
@@ -24,24 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .constants import GAMMA_E_MHZ_PER_MT
 from .errors import InvalidParameterError
 
 AXIS_LABELS = ("x", "y", "z")
 
 # Transition keys in the fixed reporting order used throughout.
 TRANSITION_KEYS = ("xy", "yz", "xz")
-
-
-def _as_float_array(value, shape, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise InvalidParameterError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -69,57 +63,6 @@ class ZfsParameters:
 
 
 @dataclass(frozen=True)
-class MagneticField:
-    """Static magnetic field vector in mT, in the molecular frame."""
-
-    b_mt: np.ndarray
-
-    def __init__(self, b_mt):
-        object.__setattr__(self, "b_mt", _as_float_array(b_mt, (3,), "b_mt"))
-
-    @property
-    def magnitude_mt(self) -> float:
-        return float(np.linalg.norm(self.b_mt))
-
-
-@dataclass(frozen=True)
-class TripletHamiltonian:
-    """3x3 Hermitian matrix in MHz, zero-field basis (Tx, Ty, Tz)."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (3, 3) or not np.all(np.isfinite(mat)):
-            raise InvalidParameterError("Hamiltonian must be a finite 3x3 matrix")
-        scale = max(np.abs(mat).max(), 1.0)
-        if np.abs(mat - mat.conj().T).max() > 1e-12 * scale:
-            raise InvalidParameterError("Hamiltonian is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
-class TripletLevels:
-    """Eigenenergies (MHz, ascending) and eigenvector columns."""
-
-    energies: np.ndarray
-    states: np.ndarray
-
-    def __init__(self, energies, states):
-        en = _as_float_array(energies, (3,), "energies")
-        st = np.asarray(states, dtype=complex)
-        if st.shape != (3, 3):
-            raise InvalidParameterError("states must be 3x3")
-        if np.any(np.diff(en) < -1e-9 * max(np.abs(en).max(), 1.0)):
-            raise InvalidParameterError("energies must be sorted ascending")
-        gram = st.conj().T @ st
-        if np.abs(gram - np.eye(3)).max() > 1e-9:
-            raise InvalidParameterError("state columns are not orthonormal")
-        object.__setattr__(self, "energies", en)
-        object.__setattr__(self, "states", st)
-
-
-@dataclass(frozen=True)
 class TransitionSet:
     """The three inter-sublevel transition frequencies in MHz."""
 
@@ -138,7 +81,7 @@ class TransitionSet:
 
     @property
     def closure_residual(self) -> float:
-        """|f_xz - f_yz - f_xy|; zero at zero applied field."""
+        """|f_xz - f_yz - f_xy|; zero up to rounding for a zero-field triplet."""
         return abs(self.f_xz - self.f_yz - self.f_xy)
 
 
@@ -149,7 +92,11 @@ class ZfsTensor:
     tensor: np.ndarray
 
     def __init__(self, tensor):
-        mat = _as_float_array(tensor, (3, 3), "tensor")
+        mat = np.asarray(tensor, dtype=float)
+        if mat.shape != (3, 3):
+            raise InvalidParameterError(f"tensor must have shape (3, 3), got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidParameterError("tensor contains non-finite entries")
         norm = np.linalg.norm(mat)
         if np.abs(mat - mat.T).max() > 1e-12 * max(norm, 1e-300):
             raise InvalidParameterError("tensor is not symmetric")
@@ -162,75 +109,21 @@ class ZfsTensor:
         return float(np.linalg.norm(self.tensor))
 
 
-def spin1_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sx, Sy, Sz) in the zero-field basis: (S_a)_{bc} = -i eps_abc."""
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    return tuple(-1j * eps[a] for a in range(3))
-
-
-def build_hamiltonian(
-    zfs: ZfsParameters, field: MagneticField | None = None
-) -> TripletHamiltonian:
-    """Fine-structure plus Zeeman Hamiltonian in MHz.
-
-    At zero field the matrix is diag(D/3 + E, D/3 - E, -2D/3); a field B
-    (mT) adds g_e mu_B B.S / h with the spin operators of this basis.
-    """
+def _principal_values(zfs: ZfsParameters) -> np.ndarray:
+    """(T_xx, T_yy, T_zz) = (-D/3 + E, -D/3 - E, 2D/3) in the principal frame."""
     d, e = zfs.D, zfs.E
-    ham = np.diag([d / 3.0 + e, d / 3.0 - e, -2.0 * d / 3.0]).astype(complex)
-    if field is not None:
-        for b_comp, s_op in zip(field.b_mt, spin1_operators()):
-            ham = ham + GAMMA_E_MHZ_PER_MT * b_comp * s_op
-    return TripletHamiltonian(ham)
+    return np.array([-d / 3.0 + e, -d / 3.0 - e, 2.0 * d / 3.0])
 
 
-def eigenlevels(hamiltonian: TripletHamiltonian) -> TripletLevels:
-    """Eigen-decomposition with a deterministic eigenvector sign convention.
-
-    Each eigenvector is rotated by a global phase so its largest-magnitude
-    component is real and positive, removing the solver's sign freedom.
-    """
-    energies, states = np.linalg.eigh(hamiltonian.matrix)
-    states = states.copy()
-    for k in range(3):
-        lead = np.argmax(np.abs(states[:, k]))
-        phase = states[lead, k]
-        if abs(phase) > 0:
-            states[:, k] *= np.conj(phase) / abs(phase)
-    return TripletLevels(energies, states)
+def _sublevel_energies(zfs: ZfsParameters) -> np.ndarray:
+    """Energies (MHz) of (Tx, Ty, Tz): (-T_yy, -T_xx, -T_zz) of the tensor."""
+    return -_principal_values(zfs)[[1, 0, 2]]
 
 
-def _axis_assignment(states: np.ndarray) -> np.ndarray:
-    """Map eigenvector column index -> zero-field axis index (0=x,1=y,2=z).
-
-    Uses maximum total squared overlap with the basis states so the
-    labelling degrades gracefully in applied fields where eigenstates mix.
-    """
-    overlap = np.abs(states) ** 2  # overlap[axis, column]
-    rows, cols = linear_sum_assignment(-overlap)
-    axis_of_column = np.empty(3, dtype=int)
-    axis_of_column[cols] = rows
-    return axis_of_column
-
-
-def transition_frequencies(levels: TripletLevels) -> TransitionSet:
-    """Label levels by dominant zero-field character and difference them."""
-    axis_of_column = _axis_assignment(levels.states)
-    energy = {AXIS_LABELS[axis_of_column[k]]: levels.energies[k] for k in range(3)}
-    return TransitionSet(
-        f_xy=abs(energy["x"] - energy["y"]),
-        f_yz=abs(energy["y"] - energy["z"]),
-        f_xz=abs(energy["x"] - energy["z"]),
-    )
-
-
-def transitions_from_zfs(
-    zfs: ZfsParameters, field: MagneticField | None = None
-) -> TransitionSet:
-    """Convenience pipeline: parameters -> Hamiltonian -> transitions."""
-    return transition_frequencies(eigenlevels(build_hamiltonian(zfs, field)))
+def transitions_from_zfs(zfs: ZfsParameters) -> TransitionSet:
+    """Zero-field transition frequencies, |E(Ta) - E(Tb)| for each pair."""
+    e_x, e_y, e_z = _sublevel_energies(zfs)
+    return TransitionSet(f_xy=abs(e_x - e_y), f_yz=abs(e_y - e_z), f_xz=abs(e_x - e_z))
 
 
 def zfs_from_transitions(
@@ -297,5 +190,4 @@ def tensor_to_parameters(tensor: ZfsTensor) -> tuple[ZfsParameters, np.ndarray]:
 
 def parameters_to_tensor(zfs: ZfsParameters) -> ZfsTensor:
     """Principal-frame tensor diag(-D/3 + E, -D/3 - E, 2D/3)."""
-    d, e = zfs.D, zfs.E
-    return ZfsTensor(np.diag([-d / 3.0 + e, -d / 3.0 - e, 2.0 * d / 3.0]))
+    return ZfsTensor(np.diag(_principal_values(zfs)))

@@ -29,7 +29,6 @@ from odmrsense import (
     segmented_fit,
     sensitivity,
     write_calibration,
-    zfs_series,
 )
 
 
@@ -198,41 +197,6 @@ class TestSegmentedFit:
         assert fit.segment_index(15.0) == 1
         assert fit.predict(4.0) == pytest.approx(4.0, abs=1e-9)
         assert fit.predict(np.array([15.0]))[0] == pytest.approx(5.0, abs=1e-9)
-
-
-class TestZfsSeries:
-    def test_combination(self):
-        ctrl = np.linspace(100.0, 300.0, 21)
-        d = 1392.0 - 0.01 * (ctrl - 100.0)
-        e = 53.0 + 0.002 * (ctrl - 100.0)
-        xz = CalibrationSeries(ctrl, d + e, np.full(21, 0.1), control_unit="K")
-        yz = CalibrationSeries(ctrl, d - e, np.full(21, 0.1), control_unit="K")
-        out = zfs_series(xz, yz)
-        assert np.allclose(out.d_mhz, d)
-        assert np.allclose(out.e_mhz, e)
-        # on-grid interpolation: sigma_D = 0.5 sqrt(2) * 0.1
-        assert out.d_sigma == pytest.approx(np.full(21, 0.05 * np.sqrt(2.0)))
-
-    def test_interpolation_of_offset_grids(self):
-        a = np.linspace(0.0, 10.0, 11)
-        b = np.linspace(-0.5, 10.5, 12)
-        xz = CalibrationSeries(a, 2.0 * a + 100.0, control_unit="bar")
-        yz = CalibrationSeries(b, 1.0 * b + 50.0, control_unit="bar")
-        out = zfs_series(xz, yz)
-        assert np.allclose(out.d_mhz, 0.5 * (2.0 * a + 100.0 + a + 50.0))
-        assert out.d_sigma is None
-
-    def test_unit_mismatch(self):
-        xz = CalibrationSeries([1, 2, 3, 4], [1, 2, 3, 4], control_unit="K")
-        yz = CalibrationSeries([1, 2, 3, 4], [1, 2, 3, 4], control_unit="bar")
-        with pytest.raises(InvalidParameterError):
-            zfs_series(xz, yz)
-
-    def test_disjoint_ranges(self):
-        xz = CalibrationSeries([1, 2, 3, 4], [1, 2, 3, 4], control_unit="K")
-        yz = CalibrationSeries([10, 11, 12, 13], [1, 2, 3, 4], control_unit="K")
-        with pytest.raises(InvalidParameterError):
-            zfs_series(xz, yz)
 
 
 class TestInvertReadout:

@@ -137,6 +137,11 @@ class TestCalibrate:
     def test_missing_file(self, tmp_path):
         assert run("calibrate", "--input", tmp_path / "nope.csv") == 2
 
+    def test_ambiguous_frequency_names_segments(self, tmp_path, capsys):
+        assert run(*write_overlapping_calibration(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 1412.0 MHz falls in overlapping segments [0, 1]\n"
+
 
 class TestZfs:
     def test_single_phase_json(self, tmp_path):
@@ -253,6 +258,15 @@ def write_calibration_with_sidecar(tmp_path, sidecar):
     return ("calibrate", "--input", path)
 
 
+def write_overlapping_calibration(tmp_path):
+    """A rising then falling log: 1412 MHz lies on both of its two segments."""
+    path = tmp_path / "cal.csv"
+    rows = "\n".join(f"{float(i)},{1400.0 + 2.0 * i if i < 10 else 1420.0 - 1.5 * (i - 10)}"
+                     for i in range(20))
+    path.write_text("control_value,frequency_mhz\n" + rows + "\n")
+    return ("calibrate", "--input", path, "--segments", "2", "--invert-frequency", "1412")
+
+
 def write_fit_centers(tmp_path, centers):
     path = tmp_path / "spec.csv"
     rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(16))
@@ -330,6 +344,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
                           b'{"seed": 1' + b"0" * 5000 + b"}"),
     lambda tmp: ("simulate", "--seed", "-1", "--noise", "0.001", "--windows",
                  "--out", tmp / "x.csv"),
+    write_overlapping_calibration,
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
@@ -341,7 +356,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "spectrum-sidecar-control-value-nan", "signal-slope-zero", "calib-slope-zero",
         "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",
         "pump-rate-config-too-big", "sigma-config-too-big", "config-int-too-many-digits",
-        "seed-negative"])
+        "seed-negative", "invert-frequency-ambiguous"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -17,7 +17,6 @@ from odmrsense import (
     PopulationState,
     contrast_spectrum_amplitudes,
     evolve,
-    fluorescence,
     odmr_contrast,
     rate_matrix,
     steady_state,
@@ -162,8 +161,3 @@ class TestValidation:
     def test_population_sum(self):
         with pytest.raises(InvalidParameterError):
             PopulationState(0.5, 0.5, 0.5, 0.0, 0.0)
-
-    def test_fluorescence(self):
-        params = KineticsParams()
-        n = steady_state(params)
-        assert fluorescence(n, params) == pytest.approx(params.radiative_rate * n.n_s1)

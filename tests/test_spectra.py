@@ -1,32 +1,20 @@
-"""Lineshape, synthesis, fitting and edge-finder tests.
-
-Slope oracles are closed forms: the Lorentzian profile peaks at
-|dS/df| = (3 sqrt(3) / 8) A / w and the Gaussian at
-sqrt(2 ln 2) e^{-1/2} A / w; mixtures are cross-checked against a dense
-numerical derivative.  The steep-edge estimator is checked on an erf
-step whose inflection is exactly at the step center, and on a
-Lorentzian whose steepest flank sits at center + w / sqrt(3).
-"""
+"""Lineshape, synthesis, noise-estimation and fitting tests."""
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from odmrsense import (
     DataFormatError,
     FitConvergenceError,
     InvalidParameterError,
     LineModel,
-    NoEdgeError,
     Spectrum,
     SpectrumMeta,
     auto_guesses,
     evaluate_lines,
     fit_peaks,
-    max_signal_slope,
     read_spectrum,
     robust_noise_sigma,
-    steep_edge_center,
     synthesize,
     write_spectrum,
 )
@@ -44,22 +32,6 @@ class TestLineModel:
     def test_fwhm(self):
         assert LineModel(0.0, 2.0, 3.0, 1.0).fwhm == 5.0
         assert LineModel.symmetric(0.0, 4.3, 1.0).width_left == pytest.approx(2.15)
-
-    def test_lorentzian_slope_closed_form(self):
-        line = LineModel.symmetric(0.0, 4.3, 0.01, shape_mix=1.0)
-        expected = (3 * np.sqrt(3) / 8) * 0.01 / 2.15
-        assert line.max_abs_slope() == pytest.approx(expected, rel=1e-12)
-
-    def test_gaussian_slope_closed_form(self):
-        line = LineModel.symmetric(0.0, 4.3, 0.01, shape_mix=0.0)
-        expected = np.sqrt(2 * np.log(2)) * np.exp(-0.5) * 0.01 / 2.15
-        assert line.max_abs_slope() == pytest.approx(expected, rel=1e-12)
-
-    def test_mixture_slope_vs_dense_gradient(self):
-        line = LineModel(0.0, 1.4, 2.6, -0.05, 0.6)
-        f = np.linspace(-15, 15, 200001)
-        numeric = np.max(np.abs(np.gradient(line.evaluate(f), f)))
-        assert line.max_abs_slope() == pytest.approx(numeric, rel=1e-6)
 
     def test_asymmetric_sides(self):
         line = LineModel(10.0, 1.0, 4.0, 1.0)
@@ -247,62 +219,6 @@ class TestAutoGuesses:
         rng = np.random.default_rng(9)
         s = Spectrum(np.linspace(0, 10, 4000), rng.normal(0, 0.02, 4000))
         assert robust_noise_sigma(s) == pytest.approx(0.02, rel=0.1)
-
-
-class TestSteepEdge:
-    def test_erf_edge_center_exact(self):
-        f = np.arange(90.0, 110.0, 0.05)
-        center = 101.3
-        s = Spectrum(f, 0.5 * (1 + erf((f - center) / 1.5)))
-        got = steep_edge_center(s, (95.0, 107.0))
-        # erf inflection is exactly at the step center; parabola refinement
-        # nails it to far below the sample spacing
-        assert got == pytest.approx(center, abs=1e-6)
-
-    def test_lorentzian_flank(self):
-        line = LineModel.symmetric(106.0, 4.3, 0.01)
-        f = np.arange(96.0, 116.0, 0.05)
-        s = synthesize([line], f)
-        got = steep_edge_center(s, (106.5, 112.0))
-        assert got == pytest.approx(106.0 + 2.15 / np.sqrt(3), abs=0.01)
-
-    def test_translation_equivariance(self):
-        f = np.arange(0.0, 40.0, 0.1)
-        sig = 1.0 / (1.0 + ((f - 12.0) / 2.0) ** 2)
-        a = steep_edge_center(Spectrum(f, sig), (12.5, 20.0))
-        b = steep_edge_center(Spectrum(f + 7.0, sig), (19.5, 27.0))
-        assert b - a == pytest.approx(7.0, abs=1e-9)
-
-    def test_flat_window_raises(self):
-        s = Spectrum(np.linspace(0, 10, 100), np.full(100, 1.0))
-        with pytest.raises(NoEdgeError):
-            steep_edge_center(s, (2.0, 8.0))
-
-    def test_noise_only_window_raises(self):
-        rng = np.random.default_rng(1)
-        s = Spectrum(np.linspace(0, 10, 500), rng.normal(0, 0.01, 500))
-        with pytest.raises(NoEdgeError):
-            steep_edge_center(s, (2.0, 8.0))
-
-    def test_window_validation(self):
-        s = Spectrum(np.linspace(0, 10, 100), np.zeros(100))
-        with pytest.raises(InvalidParameterError):
-            steep_edge_center(s, (8.0, 2.0))
-        with pytest.raises(InvalidParameterError):
-            steep_edge_center(s, (20.0, 30.0))
-
-
-class TestMaxSlope:
-    def test_spectrum_slope_is_gradient_max(self):
-        f = np.linspace(0, 10, 300)
-        sig = np.sin(f)
-        s = Spectrum(f, sig)
-        assert max_signal_slope(s) == pytest.approx(
-            np.max(np.abs(np.gradient(sig, f))))
-
-    def test_dispatch_rejects_other_types(self):
-        with pytest.raises(InvalidParameterError):
-            max_signal_slope([1, 2, 3])
 
 
 class TestSpectrumIO:

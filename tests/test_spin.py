@@ -1,63 +1,42 @@
-"""Spin Hamiltonian and fine-structure algebra tests.
+"""Spin-1 zero-field levels and fine-structure algebra tests.
 
 The independent oracle used throughout: build the same triplet in the
 |+1, 0, -1> basis from the textbook operator form
-D (Sz^2 - 2/3) + E' (Sx^2 - Sy^2) + gamma B.S and compare spectra.
-Eigenvalues are basis independent, so any disagreement is a bug in one
-of the two constructions.  The zero-field basis used by the package
-corresponds to E' = -E in that operator form.
+D (Sz^2 - 2/3) + E' (Sx^2 - Sy^2) and compare spectra.  Eigenvalues are
+basis independent, so any disagreement is a bug in one of the two
+constructions.  E' = -E in that form is the x<->y relabelling that
+odmrsense.spin documents between the tensor and the sublevel energies.
 """
 
 import numpy as np
 import pytest
 
 from odmrsense import (
-    GAMMA_E_MHZ_PER_MT,
     InvalidParameterError,
-    MagneticField,
     ZfsParameters,
     ZfsTensor,
-    build_hamiltonian,
-    eigenlevels,
     ordered_eigensystem,
     parameters_to_tensor,
-    spin1_operators,
     tensor_to_parameters,
-    transition_frequencies,
     transitions_from_zfs,
     zfs_from_transitions,
 )
+from odmrsense.spin import _sublevel_energies
 
 
-def zeeman_basis_energies(d, e, b_mt):
-    """Oracle: spin-1 triplet spectrum built in the |+1,0,-1> basis."""
+def operator_form_energies(d, e):
+    """Oracle: zero-field spin-1 triplet spectrum built in the |+1,0,-1> basis."""
     sqrt2 = np.sqrt(2.0)
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / sqrt2
     sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / sqrt2
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     ham = d * (sz @ sz - 2.0 / 3.0 * np.eye(3)) + (-e) * (sx @ sx - sy @ sy)
-    for b, op in zip(b_mt, (sx, sy, sz)):
-        ham = ham + GAMMA_E_MHZ_PER_MT * b * op
     return np.linalg.eigvalsh(ham)
 
 
-class TestSpinOperators:
-    def test_su2_algebra(self):
-        sx, sy, sz = spin1_operators()
-        ops = {"x": sx, "y": sy, "z": sz}
-        for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-            comm = ops[a] @ ops[b] - ops[b] @ ops[a]
-            assert np.allclose(comm, 1j * ops[c], atol=1e-15)
-
-    def test_casimir(self):
-        sx, sy, sz = spin1_operators()
-        total = sx @ sx + sy @ sy + sz @ sz
-        assert np.allclose(total, 2.0 * np.eye(3), atol=1e-15)
-
-    def test_hermitian_traceless(self):
-        for op in spin1_operators():
-            assert np.allclose(op, op.conj().T)
-            assert abs(np.trace(op)) < 1e-15
+def random_parameters(rng, n):
+    """(D, E) of either sign and ratio, magnitudes from 1 to 3000 MHz."""
+    return rng.choice([-1.0, 1.0], (n, 2)) * rng.uniform(1.0, 3000.0, (n, 2))
 
 
 class TestZeroField:
@@ -80,52 +59,45 @@ class TestZeroField:
         assert t.f_xy == pytest.approx(0.0, abs=1e-9)
         assert t.f_xz == pytest.approx(t.f_yz, rel=1e-12)
 
-    def test_zero_field_matrix_is_diagonal(self):
-        ham = build_hamiltonian(ZfsParameters(1392.0, 53.0))
-        off = ham.matrix - np.diag(np.diag(ham.matrix))
-        assert np.abs(off).max() == 0.0
-        diag = np.real(np.diag(ham.matrix))
-        assert diag == pytest.approx([1392 / 3 + 53, 1392 / 3 - 53, -2 * 1392 / 3])
+    def test_sublevel_energies_relabel_the_tensor_diagonal(self):
+        tensor = parameters_to_tensor(ZfsParameters(1392.0, 53.0)).tensor
+        energies = _sublevel_energies(ZfsParameters(1392.0, 53.0))
+        assert list(energies) == [-tensor[1, 1], -tensor[0, 0], -tensor[2, 2]]
+        assert energies == pytest.approx([1392 / 3 + 53, 1392 / 3 - 53, -2 * 1392 / 3])
 
 
-class TestZeemanOracle:
-    def test_spectrum_matches_operator_form(self):
+class TestBitwisePins:
+    """The levels are closed-form sums, so exact inputs give exact lines."""
+
+    def test_reference_lines_exact(self):
+        t = transitions_from_zfs(ZfsParameters(1392.0, 53.0))
+        assert (t.f_xy, t.f_yz, t.f_xz) == (106.0, 1339.0, 1445.0)
+
+    def test_closure_exact_when_arithmetic_is(self):
+        # D a multiple of 3 and E whole: D/3 and every sum are exact
+        # doubles, so the three lines close without rounding
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            d = 3.0 * float(rng.integers(1, 1000))
+            e = float(rng.integers(0, d // 3 + 1))
+            t = transitions_from_zfs(ZfsParameters(d, e))
+            assert t.closure_residual == 0.0
+
+
+class TestConvention:
+    def test_energies_match_operator_form(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            d = rng.uniform(200.0, 3000.0)
-            e = rng.uniform(0.0, d / 3.0)
-            b = rng.normal(0.0, 5.0, size=3)
-            levels = eigenlevels(build_hamiltonian(ZfsParameters(d, e),
-                                                   MagneticField(b)))
-            oracle = zeeman_basis_energies(d, e, b)
-            assert levels.energies == pytest.approx(oracle, rel=1e-12, abs=1e-9)
+        for d, e in random_parameters(rng, 500):
+            energies = np.sort(_sublevel_energies(ZfsParameters(d, e)))
+            oracle = operator_form_energies(d, e)
+            assert energies == pytest.approx(oracle, rel=1e-12, abs=1e-9)
 
-    def test_eigen_residual(self):
-        ham = build_hamiltonian(ZfsParameters(1392.0, 53.0),
-                                MagneticField((3.0, -2.0, 7.0)))
-        levels = eigenlevels(ham)
-        scale = np.linalg.norm(ham.matrix)
-        for k in range(3):
-            resid = ham.matrix @ levels.states[:, k] \
-                - levels.energies[k] * levels.states[:, k]
-            assert np.linalg.norm(resid) <= 1e-9 * scale
-
-    def test_transverse_pair_splitting_grows_with_field(self):
-        zfs = ZfsParameters(1392.0, 53.0)
-        f0 = transitions_from_zfs(zfs).f_xy
-        f1 = transition_frequencies(
-            eigenlevels(build_hamiltonian(zfs, MagneticField((0, 0, 2.0))))).f_xy
-        # along z the xy pair repels as 2 sqrt(E^2 + (gamma B)^2)
-        expected = 2.0 * np.hypot(53.0, GAMMA_E_MHZ_PER_MT * 2.0)
-        assert f1 > f0
-        assert f1 == pytest.approx(expected, rel=1e-9)
-
-    def test_eigenvector_sign_deterministic(self):
-        ham = build_hamiltonian(ZfsParameters(800.0, 120.0),
-                                MagneticField((1.0, 2.0, 3.0)))
-        a = eigenlevels(ham)
-        b = eigenlevels(ham)
-        assert np.array_equal(a.states, b.states)
+    def test_labelled_frequencies(self):
+        rng = np.random.default_rng(5)
+        for d, e in random_parameters(rng, 500):
+            t = transitions_from_zfs(ZfsParameters(d, e))
+            want = (abs(2.0 * e), abs(d - e), abs(d + e))
+            assert (t.f_xy, t.f_yz, t.f_xz) == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 class TestTransitionInversion:
@@ -210,12 +182,3 @@ class TestValidation:
     def test_nonfinite_parameters(self):
         with pytest.raises(InvalidParameterError):
             ZfsParameters(np.nan, 1.0)
-
-    def test_field_shape(self):
-        with pytest.raises(InvalidParameterError):
-            MagneticField((1.0, 2.0))
-
-    def test_nonhermitian_rejected(self):
-        from odmrsense import TripletHamiltonian
-        with pytest.raises(InvalidParameterError):
-            TripletHamiltonian([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
