@@ -24,12 +24,18 @@ from odmrsense import (
 from odmrsense.spin import _sublevel_energies
 
 
-def operator_form_energies(d, e):
-    """Oracle: zero-field spin-1 triplet spectrum built in the |+1,0,-1> basis."""
+def spin1_operators():
+    """Oracle's Cartesian spin-1 operators (Sx, Sy, Sz) in the |+1,0,-1> basis."""
     sqrt2 = np.sqrt(2.0)
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / sqrt2
     sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / sqrt2
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    return sx, sy, sz
+
+
+def operator_form_energies(d, e):
+    """Oracle: zero-field spin-1 triplet spectrum built in the |+1,0,-1> basis."""
+    sx, sy, sz = spin1_operators()
     ham = d * (sz @ sz - 2.0 / 3.0 * np.eye(3)) + (-e) * (sx @ sx - sy @ sy)
     return np.linalg.eigvalsh(ham)
 
@@ -37,6 +43,27 @@ def operator_form_energies(d, e):
 def random_parameters(rng, n):
     """(D, E) of either sign and ratio, magnitudes from 1 to 3000 MHz."""
     return rng.choice([-1.0, 1.0], (n, 2)) * rng.uniform(1.0, 3000.0, (n, 2))
+
+
+class TestSpinOperators:
+    """The oracle is only as good as its operators: check they are spin 1."""
+
+    def test_su2_algebra(self):
+        sx, sy, sz = spin1_operators()
+        ops = {"x": sx, "y": sy, "z": sz}
+        for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
+            comm = ops[a] @ ops[b] - ops[b] @ ops[a]
+            assert np.allclose(comm, 1j * ops[c], atol=1e-15)
+
+    def test_casimir(self):
+        sx, sy, sz = spin1_operators()
+        total = sx @ sx + sy @ sy + sz @ sz
+        assert np.allclose(total, 2.0 * np.eye(3), atol=1e-15)
+
+    def test_hermitian_traceless(self):
+        for op in spin1_operators():
+            assert np.allclose(op, op.conj().T)
+            assert abs(np.trace(op)) < 1e-15
 
 
 class TestZeroField:
@@ -59,8 +86,11 @@ class TestZeroField:
         assert t.f_xy == pytest.approx(0.0, abs=1e-9)
         assert t.f_xz == pytest.approx(t.f_yz, rel=1e-12)
 
-    def test_sublevel_energies_relabel_the_tensor_diagonal(self):
+    def test_zero_field_matrix_is_diagonal(self):
         tensor = parameters_to_tensor(ZfsParameters(1392.0, 53.0)).tensor
+        off = tensor - np.diag(np.diag(tensor))
+        assert np.abs(off).max() == 0.0
+        # the sublevel energies are that diagonal, relabelled x<->y
         energies = _sublevel_energies(ZfsParameters(1392.0, 53.0))
         assert list(energies) == [-tensor[1, 1], -tensor[0, 0], -tensor[2, 2]]
         assert energies == pytest.approx([1392 / 3 + 53, 1392 / 3 - 53, -2 * 1392 / 3])
