@@ -116,35 +116,6 @@ class SegmentFit:
         ends = self.predict(np.asarray(self.control_range))
         return (float(ends.min()), float(ends.max()))
 
-    def to_dict(self) -> dict:
-        def _num(v):
-            return float(v) if np.isfinite(v) else None
-        return {
-            "slope": float(self.slope),
-            "intercept": float(self.intercept),
-            "slope_sigma": _num(self.slope_sigma),
-            "intercept_sigma": _num(self.intercept_sigma),
-            "cov_slope_intercept": _num(self.cov_slope_intercept),
-            "index_range": [int(v) for v in self.index_range],
-            "control_range": [float(v) for v in self.control_range],
-            "sse": float(self.sse),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SegmentFit":
-        def _num(v):
-            return np.nan if v is None else float(v)
-        return cls(
-            slope=float(data["slope"]),
-            intercept=float(data["intercept"]),
-            slope_sigma=_num(data["slope_sigma"]),
-            intercept_sigma=_num(data["intercept_sigma"]),
-            cov_slope_intercept=_num(data["cov_slope_intercept"]),
-            index_range=tuple(int(v) for v in data["index_range"]),
-            control_range=tuple(float(v) for v in data["control_range"]),
-            sse=float(data["sse"]),
-        )
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearFit:
@@ -192,28 +163,6 @@ class PiecewiseLinearFit:
         intercepts = np.array([s.intercept for s in self.segments])
         out = intercepts[idx] + slopes[idx] * ctrl
         return out if out.ndim else float(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_segments": int(self.n_segments),
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "segments": [s.to_dict() for s in self.segments],
-            "total_sse": float(self.total_sse),
-            "n_points": int(self.n_points),
-            "control_unit": self.control_unit,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PiecewiseLinearFit":
-        return cls(
-            segments=[SegmentFit.from_dict(s) for s in data["segments"]],
-            breakpoints=np.asarray(data["breakpoints"], dtype=float),
-            total_sse=float(data["total_sse"]),
-            n_points=int(data["n_points"]),
-            control_unit=data.get("control_unit", ""),
-            label=data.get("label", ""),
-        )
 
 
 def _weighted_line_fit(x, y, w, known_sigma: bool):
@@ -388,16 +337,6 @@ class SensitivityReport:
         return abs(self.eta * self.signal_slope * self.calib_slope
                    - self.sigma * np.sqrt(self.tau_s))
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "sigma": self.sigma,
-            "tau_s": self.tau_s,
-            "signal_slope": self.signal_slope,
-            "calib_slope": self.calib_slope,
-            "unit": self.unit,
-        }
-
 
 def sensitivity(
     sigma: float,
@@ -466,13 +405,12 @@ def read_calibration(path) -> CalibrationSeries:
         try:
             ctrl.append(float(parts[0]))
             freq.append(float(parts[1]))
-            sig.append(float(parts[2]) if ncols == 3 and parts[2].strip()
-                       else np.nan)
+            # only a blank cell means "no sigma"; a written nan or inf is refused below
+            sig.append(float(parts[2]) if ncols == 3 and parts[2].strip() else None)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    sig_arr = np.asarray(sig)
-    has_sigma = np.all(np.isfinite(sig_arr))
-    if not has_sigma and np.any(np.isfinite(sig_arr)):
+    blanks = sig.count(None)
+    if 0 < blanks < len(sig):
         raise DataFormatError(f"{path}: sigma_mhz must be given for all rows or none")
     control_unit, label = "", ""
     sidecar = path.with_suffix(".meta.json")
@@ -481,13 +419,16 @@ def read_calibration(path) -> CalibrationSeries:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
             if not isinstance(meta, dict):
                 raise TypeError("expected a JSON object")
+            for key in ("control_unit", "label"):
+                if not isinstance(meta.get(key, ""), str):
+                    raise TypeError(f"{key} must be a string")
         # ValueError: undecodable bytes or malformed JSON
         except (OSError, ValueError, RecursionError, TypeError) as exc:
             raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
         control_unit = meta.get("control_unit", "")
         label = meta.get("label", "")
     try:
-        return CalibrationSeries(ctrl, freq, sig_arr if has_sigma else None,
+        return CalibrationSeries(ctrl, freq, None if blanks else sig,
                                  control_unit, label)
     except InvalidParameterError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

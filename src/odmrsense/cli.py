@@ -5,7 +5,10 @@ Subcommands: simulate (synthetic spectra), fit (peak fitting), calibrate
 from orbital cubes), sensitivity (shot-noise figure).
 
 Every output is byte-deterministic: JSON is dumped with sorted keys,
-floats go through repr, and nothing timestamps itself.  CONFIG_SCHEMA
+floats go through repr, and nothing timestamps itself.  Every JSON output
+follows one rule (_plain): a result object is written as its dataclass
+fields, keyed by field name; arrays and tuples become lists, numpy
+scalars Python numbers, and non-finite floats null.  CONFIG_SCHEMA
 declares each parameter once, with its type, bounds and default; every
 flag stores into its config key.  A flag overrides the config file,
 which overrides the default, and the merged values are checked against
@@ -19,6 +22,7 @@ that did not converge), 2 bad input or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -221,8 +225,23 @@ def _params(args, config: dict, section: str) -> dict:
     return params
 
 
-def _dump_json(payload: dict, path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _plain(obj):
+    """obj as JSON data: dataclass fields by name, lists, Python numbers, None for non-finite."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _dump_json(payload, path) -> None:
+    text = json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -309,7 +328,7 @@ def _cmd_fit(args, config: dict) -> int:
                                                        p["mix_guess"]))
     fits = spectra.fit_peaks(spectrum, guesses)
     payload = {
-        "peaks": [f.to_dict() for f in fits],
+        "peaks": fits,
         "noise_sigma": spectra.robust_noise_sigma(spectrum),
         "n_samples": len(spectrum),
     }
@@ -324,15 +343,12 @@ def _cmd_calibrate(args, config: dict) -> int:
     p = _params(args, config, "calibrate")
     series = calibration.read_calibration(args.input)
     fit = calibration.segmented_fit(series, p["segments"])
-    payload = fit.to_dict()
+    payload = {**_plain(fit), "n_segments": fit.n_segments}
     invert = p.get("invert_frequency")
     if invert is not None:
         control, sigma = calibration.invert_readout(fit, invert)
-        payload["readout"] = {
-            "frequency_mhz": invert,
-            "control": control,
-            "control_sigma": sigma if np.isfinite(sigma) else None,
-        }
+        payload["readout"] = {"frequency_mhz": invert, "control": control,
+                              "control_sigma": sigma}
     _dump_json(payload, args.out)
     if args.svg:
         asc = series.ascending()
@@ -343,8 +359,8 @@ def _cmd_calibrate(args, config: dict) -> int:
 def _stats_dict(stats: volumetric.OrbitalStats) -> dict:
     return {
         "norm": stats.norm,
-        "centroid_angstrom": [float(v) for v in stats.centroid],
-        "spread_angstrom": [float(v) for v in stats.spread],
+        "centroid_angstrom": stats.centroid,
+        "spread_angstrom": stats.spread,
     }
 
 
@@ -359,12 +375,11 @@ def _analyse_phase(homo_path, lumo_path, cutoff, threads) -> dict:
     return {
         "homo_stats": _stats_dict(homo_stats),
         "lumo_stats": _stats_dict(lumo_stats),
-        "homo_lumo_shift_pm": [
-            float(v) for v in volumetric.homo_lumo_shift(homo_stats, lumo_stats)],
-        "tensor_mhz": [[float(v) for v in row] for row in tensor.tensor],
-        "eigenvalues_mhz": [float(v) for v in eigenvalues],
-        "d_mhz": float(params.D),
-        "e_mhz": float(params.E),
+        "homo_lumo_shift_pm": volumetric.homo_lumo_shift(homo_stats, lumo_stats),
+        "tensor_mhz": tensor.tensor,
+        "eigenvalues_mhz": eigenvalues,
+        "d_mhz": params.D,
+        "e_mhz": params.E,
     }
 
 
@@ -377,7 +392,7 @@ def _cmd_zfs(args, config: dict) -> int:
         if not (args.homo_b and args.lumo_b):
             raise InvalidParameterError("--homo-b and --lumo-b must come together")
         jobs.append(("b", args.homo_b, args.lumo_b))
-    phases = {name: _analyse_phase(h, l, cutoff, threads) for name, h, l in jobs}
+    phases = _plain({name: _analyse_phase(h, l, cutoff, threads) for name, h, l in jobs})
     payload: dict = {
         "cutoff_angstrom": cutoff,
         "phases": phases,
@@ -386,7 +401,7 @@ def _cmd_zfs(args, config: dict) -> int:
     if len(jobs) == 2:
         tensor_a = spin.ZfsTensor(np.asarray(phases["a"]["tensor_mhz"]))
         tensor_b = spin.ZfsTensor(np.asarray(phases["b"]["tensor_mhz"]))
-        payload["comparison"] = dipolar.compare_phases(tensor_a, tensor_b).to_dict()
+        payload["comparison"] = dipolar.compare_phases(tensor_a, tensor_b)
     _dump_json(payload, args.out)
 
     if args.table:
@@ -405,7 +420,7 @@ def _cmd_sensitivity(args, config: dict) -> int:
                if key not in p]
     if missing:
         raise InvalidParameterError(f"missing sensitivity inputs: {', '.join(missing)}")
-    _dump_json(calibration.sensitivity(**p).to_dict(), args.out)
+    _dump_json(calibration.sensitivity(**p), args.out)
     return 0
 
 

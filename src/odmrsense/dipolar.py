@@ -176,16 +176,6 @@ class PhaseComparison:
     def max_abs_delta(self) -> float:
         return float(np.max(np.abs(self.delta_mhz)))
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues_a": [float(v) for v in self.eigenvalues_a],
-            "eigenvalues_b": [float(v) for v in self.eigenvalues_b],
-            "delta_mhz": [float(v) for v in self.delta_mhz],
-            "dominant_axis": self.dominant_axis,
-            "params_a": {"D": self.params_a.D, "E": self.params_a.E},
-            "params_b": {"D": self.params_b.D, "E": self.params_b.E},
-        }
-
 
 def compare_phases(tensor_a: ZfsTensor, tensor_b: ZfsTensor) -> PhaseComparison:
     """Difference two fine-structure tensors eigenvalue by eigenvalue."""

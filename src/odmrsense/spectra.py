@@ -14,7 +14,7 @@ trust-region least squares over all line parameters jointly, with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,19 +122,15 @@ class SpectrumMeta:
             raise InvalidParameterError(
                 f"control_value must be finite, got {self.control_value!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "control_value": self.control_value,
-            "control_unit": self.control_unit,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpectrumMeta":
-        known = {k: data.get(k) for k in
-                 ("noise_sigma", "seed", "control_value", "control_unit")}
-        return cls(**known)
+# What a sidecar may hold in each SpectrumMeta field besides null, as the
+# Python types json.loads gives for it; a JSON true/false is no number.
+_SIDECAR_TYPES = {
+    "noise_sigma": ((int, float), "a number"),
+    "seed": (int, "an integer"),
+    "control_value": ((int, float), "a number"),
+    "control_unit": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -261,23 +257,6 @@ class PeakFit:
     converged: bool
     line: LineModel = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "center_sigma": self.center_sigma,
-            "width": self.width,
-            "amplitude": self.amplitude,
-            "residual_rms": self.residual_rms,
-            "converged": self.converged,
-            "line": {
-                "center": self.line.center,
-                "width_left": self.line.width_left,
-                "width_right": self.line.width_right,
-                "amplitude": self.line.amplitude,
-                "shape_mix": self.line.shape_mix,
-            },
-        }
-
 
 def _unpack(vec: np.ndarray) -> list[LineModel]:
     out = []
@@ -376,7 +355,7 @@ def write_spectrum(spectrum: Spectrum, path) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if spectrum.meta is not None:
         _meta_path(path).write_text(
-            json.dumps(spectrum.meta.to_dict(), sort_keys=True, indent=2) + "\n",
+            json.dumps(asdict(spectrum.meta), sort_keys=True, indent=2) + "\n",
             encoding="utf-8")
     return path
 
@@ -410,7 +389,13 @@ def read_spectrum(path) -> Spectrum:
             data = json.loads(sidecar.read_text(encoding="utf-8"))
             if not isinstance(data, dict):
                 raise TypeError("expected a JSON object")
-            meta = SpectrumMeta.from_dict(data)
+            values = {f.name: data.get(f.name) for f in fields(SpectrumMeta)}
+            for key, value in values.items():
+                kinds, what = _SIDECAR_TYPES[key]
+                if value is not None and (isinstance(value, bool)
+                                          or not isinstance(value, kinds)):
+                    raise TypeError(f"{key} must be {what} or null")
+            meta = SpectrumMeta(**values)
         # ValueError: undecodable bytes, malformed JSON or an invalid field
         except (OSError, ValueError, RecursionError, TypeError) as exc:
             raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc

@@ -76,9 +76,6 @@ class TransitionSet:
             if not np.isfinite(val) or val < 0:
                 raise InvalidParameterError(f"f_{key} must be finite and >= 0")
 
-    def as_dict(self) -> dict[str, float]:
-        return {key: float(getattr(self, "f_" + key)) for key in TRANSITION_KEYS}
-
     @property
     def closure_residual(self) -> float:
         """|f_xz - f_yz - f_xy|; zero up to rounding for a zero-field triplet."""
@@ -97,10 +94,12 @@ class ZfsTensor:
             raise InvalidParameterError(f"tensor must have shape (3, 3), got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidParameterError("tensor contains non-finite entries")
-        norm = np.linalg.norm(mat)
-        if np.abs(mat - mat.T).max() > 1e-12 * max(norm, 1e-300):
+        # the largest entry, unlike the norm's sum of squares, neither underflows
+        # to 0 for tiny tensors nor overflows to inf for huge ones
+        scale = np.abs(mat).max()
+        if np.abs(mat - mat.T).max() > 1e-12 * max(scale, 1e-300):
             raise InvalidParameterError("tensor is not symmetric")
-        if abs(np.trace(mat)) > 1e-9 * max(norm, 1e-300):
+        if abs(np.trace(mat)) > 1e-9 * max(scale, 1e-300):
             raise InvalidParameterError("tensor is not traceless")
         object.__setattr__(self, "tensor", mat)
 

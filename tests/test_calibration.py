@@ -8,6 +8,7 @@ regression formulas.
 """
 
 import itertools
+import json
 import time
 import tracemalloc
 
@@ -181,14 +182,6 @@ class TestSegmentedFit:
         with pytest.raises(InvalidParameterError):
             segmented_fit(CalibrationSeries([1, 2, 3, 4], [0, 1, 2, 3]), 3)
 
-    def test_json_round_trip(self):
-        fit = segmented_fit(temperature_series(seed=4), 3)
-        back = PiecewiseLinearFit.from_dict(fit.to_dict())
-        assert back.n_segments == fit.n_segments
-        assert np.allclose(back.breakpoints, fit.breakpoints)
-        for a, b in zip(back.segments, fit.segments):
-            assert a.slope == b.slope and a.intercept == b.intercept
-
     def test_predict_and_segment_index(self):
         x = np.arange(0.0, 20.0, 1.0)
         y = np.where(x < 10, x, 20.0 - x)
@@ -309,6 +302,26 @@ class TestCalibrationIO:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataFormatError, match=r":1:"):
+            read_calibration(path)
+
+    @pytest.mark.parametrize("cells", [("nan",) * 4, ("0.1", "inf", "0.1", "0.1")],
+                             ids=["all-nan", "one-inf"])
+    def test_written_nonfinite_sigma_rejected(self, tmp_path, cells):
+        # only a blank cell means "no sigma": nan must not load as unweighted
+        path = tmp_path / "bad.csv"
+        path.write_text("control_value,frequency_mhz,sigma_mhz\n" + "".join(
+            f"{k},{10 * k},{cell}\n" for k, cell in enumerate(cells, start=1)))
+        with pytest.raises(DataFormatError, match="freq_sigma contains non-finite"):
+            read_calibration(path)
+
+    @pytest.mark.parametrize("field, value", [("control_unit", None), ("label", [1, 2]),
+                                              ("label", 5)])
+    def test_sidecar_field_types(self, tmp_path, field, value):
+        path = tmp_path / "cal.csv"
+        write_calibration(CalibrationSeries([1, 2, 3, 4], [10, 20, 30, 40]), path)
+        path.with_suffix(".meta.json").write_text(json.dumps({field: value}))
+        with pytest.raises(DataFormatError,
+                           match=rf"cal\.meta\.json: {field} must be a string"):
             read_calibration(path)
 
     def test_partial_sigma_rejected(self, tmp_path):

@@ -5,16 +5,24 @@ are exercised exactly as a shell user would see them.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from odmrsense import dipolar, gaussian_orbital, make_grid, save_cube, volumetric
-from odmrsense.cli import CONFIG_SCHEMA, build_parser, main
+from odmrsense.cli import CONFIG_SCHEMA, _plain, build_parser, main
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens RFC 8259 leaves out."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def write_cubes(tmp_path, shifted=False):
@@ -105,6 +113,18 @@ class TestFit:
         path.write_text("frequency_mhz,signal\n1.0,zap\n")
         assert run("fit", "--input", path) == 2
 
+    def test_infinite_sigma_written_as_null(self, tmp_path, monkeypatch):
+        spec = self.simulate_windows(tmp_path)
+
+        def singular(_):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        # fit_peaks then reports center_sigma = inf and an unconverged fit
+        monkeypatch.setattr(np.linalg, "pinv", singular)
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", spec, "--centers", "106,1339,1445", "--out", out) == 1
+        assert [p["center_sigma"] for p in strict_json(out)["peaks"]] == [None] * 3
+
 
 class TestCalibrate:
     def write_series(self, tmp_path):
@@ -167,7 +187,13 @@ class TestZfs:
             outs.append((out.read_bytes(), table.read_bytes()))
         assert outs[0] == outs[1]
         payload = json.loads(outs[0][0])
-        assert "comparison" in payload
+        assert set(payload["comparison"]) == {"eigenvalues_a", "eigenvalues_b", "delta_mhz",
+                                              "dominant_axis", "params_a", "params_b"}
+        for name in ("a", "b"):
+            phase = payload["phases"][name]
+            assert payload["comparison"][f"params_{name}"] == {"D": phase["d_mhz"],
+                                                               "E": phase["e_mhz"]}
+            assert payload["comparison"][f"eigenvalues_{name}"] == phase["eigenvalues_mhz"]
         table_text = outs[0][1].decode()
         assert table_text.splitlines()[0].startswith("phase,eig_x_mhz")
 
@@ -258,6 +284,13 @@ def write_calibration_with_sidecar(tmp_path, sidecar):
     return ("calibrate", "--input", path)
 
 
+def write_sigma_calibration(tmp_path, cells):
+    path = tmp_path / "cal.csv"
+    rows = "\n".join(f"{float(i)},{1400.0 - i},{cell}" for i, cell in enumerate(cells))
+    path.write_text("control_value,frequency_mhz,sigma_mhz\n" + rows + "\n")
+    return ("calibrate", "--input", path)
+
+
 def write_overlapping_calibration(tmp_path):
     """A rising then falling log: 1412 MHz lies on both of its two segments."""
     path = tmp_path / "cal.csv"
@@ -345,6 +378,10 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     lambda tmp: ("simulate", "--seed", "-1", "--noise", "0.001", "--windows",
                  "--out", tmp / "x.csv"),
     write_overlapping_calibration,
+    lambda tmp: write_sigma_calibration(tmp, ["nan"] * 8),
+    lambda tmp: write_sigma_calibration(tmp, ["0.1"] * 7 + ["inf"]),
+    lambda tmp: write_calibration_with_sidecar(tmp, '{"control_unit": null}'),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '{"seed": [1]}'),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
@@ -356,7 +393,8 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "spectrum-sidecar-control-value-nan", "signal-slope-zero", "calib-slope-zero",
         "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",
         "pump-rate-config-too-big", "sigma-config-too-big", "config-int-too-many-digits",
-        "seed-negative", "invert-frequency-ambiguous"])
+        "seed-negative", "invert-frequency-ambiguous", "sigma-all-nan", "sigma-one-inf",
+        "calibration-sidecar-unit-null", "spectrum-sidecar-seed-list"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -410,3 +448,72 @@ def test_every_flag_is_a_schema_key():
         dests = {a.dest for a in parser._actions} - NOT_SECTION_FLAGS
         assert dests <= set(keys), f"{command}: {sorted(dests - set(keys))}"
         assert dests, command
+
+
+@dataclass
+class _Inner:
+    value: float
+    span: tuple
+
+
+@dataclass
+class _Outer:
+    inner: _Inner
+    values: np.ndarray
+    label: str
+
+
+class TestPlain:
+    def test_non_finite_floats_become_null(self):
+        assert _plain([np.nan, np.inf, -np.inf, np.float64(-np.inf), 1.5, 0]) == [
+            None, None, None, None, 1.5, 0]
+
+    def test_numpy_scalars_become_python_numbers(self):
+        out = _plain([np.int64(3), np.float64(0.25), np.bool_(True)])
+        assert out == [3, 0.25, True]
+        assert [type(v) for v in out] == [int, float, bool]
+
+    def test_tuples_and_arrays_become_lists(self):
+        assert _plain((1, (2.0, "x"))) == [1, [2.0, "x"]]
+        assert _plain(np.array([[1.0, np.nan], [3.0, 4.0]])) == [[1.0, None], [3.0, 4.0]]
+
+    def test_nested_dataclass(self):
+        obj = _Outer(_Inner(np.float64(np.inf), (np.int64(1), 2)), np.arange(2.0), "k")
+        out = _plain({"result": obj, "n": None})
+        assert out == {"result": {"inner": {"value": None, "span": [1, 2]},
+                                  "values": [0.0, 1.0], "label": "k"}, "n": None}
+        assert type(out["result"]["inner"]["span"][0]) is int
+
+
+def test_outputs_are_strict_json(tmp_path):
+    """The criterion-9 pipelines, two-phase zfs and sensitivity write no NaN or Infinity."""
+    spec = tmp_path / "spec.csv"
+    assert run("simulate", "--seed", 11, "--noise", "0.0005", "--amplitudes",
+               "0.01,-0.01,0.01", "--windows", "--out", spec) == 0
+    assert run("fit", "--input", spec, "--centers", "106,1339,1445",
+               "--out", tmp_path / "fit.json") == 0
+    cal = tmp_path / "cal.csv"
+    t = np.arange(80.0, 320.0, 2.0)
+    f = np.where(t <= 193.0, 1440.36 + 0.04 * (193.0 - t), 1442.36 - 0.247 * (t - 193.0))
+    f = f + np.random.default_rng(5).normal(0, 0.05, t.size)
+    cal.write_text("control_value,frequency_mhz\n"
+                   + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, f)))
+    assert run("calibrate", "--input", cal, "--segments", 2, "--invert-frequency", "1420.0",
+               "--out", tmp_path / "cal.json") == 0
+    # the last segment has two points and no residual degrees of freedom
+    short = tmp_path / "short.csv"
+    short.write_text("control_value,frequency_mhz\n0,1400\n1,1401\n2,1402.5\n3,1390\n4,1385\n")
+    assert run("calibrate", "--input", short, "--segments", 2,
+               "--out", tmp_path / "short.json") == 0
+    assert strict_json(tmp_path / "short.json")["segments"][1]["slope_sigma"] is None
+    homo, lumo = write_cubes(tmp_path)
+    homo_b, lumo_b = write_cubes(tmp_path, shifted=True)
+    assert run("zfs", "--homo", homo, "--lumo", lumo, "--homo-b", homo_b, "--lumo-b", lumo_b,
+               "--out", tmp_path / "zfs.json", "--table", tmp_path / "zfs.csv") == 0
+    assert run(*SENSITIVITY, "--signal-slope", "1.6e-3", "--calib-slope", "1.8",
+               "--out", tmp_path / "sens.json") == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in written] == ["cal.json", "fit.json", "sens.json", "short.json",
+                                         "spec.meta.json", "zfs.json"]
+    for path in written:
+        strict_json(path)

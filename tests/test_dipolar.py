@@ -132,14 +132,6 @@ class TestPhaseComparison:
         assert np.allclose(comp.eigenvalues_a, eig)
         assert np.allclose(comp.delta_mhz, 0.0)
 
-    def test_to_dict_keys(self):
-        t = parameters_to_tensor(ZfsParameters(1392.0, 53.0))
-        d = compare_phases(t, t).to_dict()
-        for key in ("eigenvalues_a", "eigenvalues_b", "delta_mhz",
-                    "dominant_axis", "params_a", "params_b"):
-            assert key in d
-        assert d["params_a"]["D"] == pytest.approx(1392.0)
-
 
 class TestDeltaDEstimate:
     def test_closed_form(self):

@@ -1,5 +1,7 @@
 """Lineshape, synthesis, noise-estimation and fitting tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -233,8 +235,25 @@ class TestSpectrumIO:
         back = read_spectrum(path)
         assert np.array_equal(back.freqs_mhz, s.freqs_mhz)
         assert np.array_equal(back.signal, s.signal)
-        assert back.meta.seed == 8
-        assert back.meta.control_unit == "K"
+        assert back.meta == s.meta == SpectrumMeta(0.001, 8, 77.0, "K")
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("noise_sigma", "abc", "a number"), ("seed", [1], "an integer"),
+        ("seed", 1.5, "an integer"), ("control_value", True, "a number"),
+        ("control_unit", 5, "a string")])
+    def test_sidecar_field_types(self, tmp_path, field, value, kind):
+        path = write_spectrum(synthesize([LineModel.symmetric(50.0, 4.0, 0.01)],
+                                         np.arange(40.0, 60.0, 0.5)), tmp_path / "spec.csv")
+        (tmp_path / "spec.meta.json").write_text(json.dumps({field: value}))
+        with pytest.raises(DataFormatError,
+                           match=rf"spec\.meta\.json: {field} must be {kind} or null"):
+            read_spectrum(path)
+
+    def test_sidecar_nulls_and_missing_fields_load(self, tmp_path):
+        path = write_spectrum(synthesize([LineModel.symmetric(50.0, 4.0, 0.01)],
+                                         np.arange(40.0, 60.0, 0.5)), tmp_path / "spec.csv")
+        (tmp_path / "spec.meta.json").write_text('{"seed": null, "control_value": 3}')
+        assert read_spectrum(path).meta == SpectrumMeta(control_value=3)
 
     def test_header_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -253,8 +272,3 @@ class TestSpectrumIO:
         path.write_text("frequency_mhz,signal\n1.0,abc\n")
         with pytest.raises(DataFormatError, match=r":2:"):
             read_spectrum(path)
-
-    def test_meta_round_trip_dict(self):
-        meta = SpectrumMeta(noise_sigma=0.1, seed=None, control_value=1.5,
-                            control_unit="bar")
-        assert SpectrumMeta.from_dict(meta.to_dict()) == meta

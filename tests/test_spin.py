@@ -8,6 +8,8 @@ constructions.  E' = -E in that form is the x<->y relabelling that
 odmrsense.spin documents between the tensor and the sublevel energies.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -198,14 +200,25 @@ class TestTensorAlgebra:
         # spectrum must be preserved
         a = transitions_from_zfs(params)
         b = transitions_from_zfs(canon)
-        assert sorted(a.as_dict().values()) == pytest.approx(
-            sorted(b.as_dict().values()))
+        assert sorted(astuple(a)) == pytest.approx(sorted(astuple(b)))
 
     def test_tensor_validation(self):
         with pytest.raises(InvalidParameterError):
             ZfsTensor([[1, 2, 0], [0, 1, 0], [0, 0, -2]])  # not symmetric
         with pytest.raises(InvalidParameterError):
             ZfsTensor(np.diag([1.0, 1.0, 1.0]))  # not traceless
+
+    def test_tolerances_scale_with_largest_entry(self):
+        # the Frobenius norm underflows to 0 here, and overflows to inf below
+        params = ZfsParameters(-1.77e-187, -4.04e-169)
+        canon = params.canonical()
+        assert canon.is_canonical
+        assert sorted(astuple(transitions_from_zfs(canon))) == pytest.approx(
+            sorted(astuple(transitions_from_zfs(params))), rel=1e-12, abs=0.0)
+        with pytest.raises(InvalidParameterError, match="not symmetric"):
+            ZfsTensor([[1e200, 1e200, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, -2e200]])
+        with pytest.raises(InvalidParameterError, match="not traceless"):
+            ZfsTensor(np.diag([1e200, 1e200, -1e200]))
 
 
 class TestValidation:
