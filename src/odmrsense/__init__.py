@@ -5,7 +5,9 @@ Subpackage map: spin (zero-field levels and fine-structure algebra),
 kinetics (five-level optical pumping model), spectra (lineshapes and
 peak fitting), calibration (segmented calibration fits and
 sensitivity), volumetric (orbital grids and cube files), dipolar
-(spin-spin tensor integration), cli (command-line front end).
+(spin-spin tensor integration), textio (the one text, JSON and number
+reader and table writer behind every file format), cli (command-line
+front end).
 """
 
 from .constants import (

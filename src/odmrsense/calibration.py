@@ -14,7 +14,6 @@ figure eta = sigma sqrt(tau) / (signal_slope * calib_slope).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .errors import (
     ReadoutAmbiguityError,
     ReadoutRangeError,
 )
+from .textio import numbers, read_rows, read_sidecar, write_table
 
 
 def _validated_1d(values, name: str) -> np.ndarray:
@@ -366,69 +366,27 @@ def sensitivity(
 
 def write_calibration(series: CalibrationSeries, path) -> Path:
     """control_value,frequency_mhz,sigma_mhz CSV plus .meta.json sidecar."""
-    path = Path(path)
-    rows = ["control_value,frequency_mhz,sigma_mhz"]
-    for k in range(len(series)):
-        sig = "" if series.freq_sigma is None else repr(float(series.freq_sigma[k]))
-        rows.append(f"{float(series.control[k])!r},{float(series.freq_mhz[k])!r},{sig}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    sidecar = path.with_suffix(".meta.json")
-    meta = {"control_unit": series.control_unit, "label": series.label}
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
-                       encoding="utf-8")
-    return path
+    sigma = [None] * len(series) if series.freq_sigma is None else series.freq_sigma
+    return write_table(path, "control_value,frequency_mhz,sigma_mhz",
+                       zip(series.control, series.freq_mhz, sigma),
+                       {"control_unit": series.control_unit, "label": series.label})
 
 
 def read_calibration(path) -> CalibrationSeries:
     """Read a calibration CSV written by write_calibration."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    rows = raw.splitlines()
-    # the sigma column is optional so hand-written two-column files load too
-    headers = ("control_value,frequency_mhz,sigma_mhz",
-               "control_value,frequency_mhz")
-    if not rows or rows[0].strip() not in headers:
-        raise DataFormatError(
-            f"{path}:1: expected header 'control_value,frequency_mhz[,sigma_mhz]'")
-    ncols = rows[0].strip().count(",") + 1
-    ctrl, freq, sig = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row.strip():
-            continue
-        parts = row.split(",")
-        if len(parts) != ncols:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}")
-        try:
-            ctrl.append(float(parts[0]))
-            freq.append(float(parts[1]))
-            # only a blank cell means "no sigma"; a written nan or inf is refused below
-            sig.append(float(parts[2]) if ncols == 3 and parts[2].strip() else None)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    blanks = sig.count(None)
-    if 0 < blanks < len(sig):
+    # the sigma column is optional so hand-written two-column files load too;
+    # only a blank cell means "no sigma", a written nan or inf is refused
+    headers = ("control_value,frequency_mhz,sigma_mhz", "control_value,frequency_mhz")
+    rows = [numbers(path, lineno, cells[:2] + [c for c in cells[2:] if c.strip()],
+                    DataFormatError) for lineno, cells in read_rows(path, headers)]
+    sigma = [row[2] for row in rows if len(row) == 3]
+    if 0 < len(sigma) < len(rows):
         raise DataFormatError(f"{path}: sigma_mhz must be given for all rows or none")
-    control_unit, label = "", ""
-    sidecar = path.with_suffix(".meta.json")
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-            if not isinstance(meta, dict):
-                raise TypeError("expected a JSON object")
-            for key in ("control_unit", "label"):
-                if not isinstance(meta.get(key, ""), str):
-                    raise TypeError(f"{key} must be a string")
-        # ValueError: undecodable bytes or malformed JSON
-        except (OSError, ValueError, RecursionError, TypeError) as exc:
-            raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
-        control_unit = meta.get("control_unit", "")
-        label = meta.get("label", "")
+    meta = read_sidecar(path, {"control_unit": (str, "a string"),
+                               "label": (str, "a string")}) or {}
     try:
-        return CalibrationSeries(ctrl, freq, None if blanks else sig,
-                                 control_unit, label)
+        return CalibrationSeries([row[0] for row in rows], [row[1] for row in rows],
+                                 sigma or None, meta.get("control_unit", ""),
+                                 meta.get("label", ""))
     except InvalidParameterError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import jsonschema
 
-from . import calibration, dipolar, kinetics, spectra, spin, volumetric
+from . import calibration, dipolar, kinetics, spectra, spin, textio, volumetric
 from .errors import (
     DataFormatError,
     ConfigError,
@@ -138,18 +136,12 @@ CONFIG_SCHEMA = {
 
 def load_config(path) -> dict:
     """Read and schema-validate a JSON run configuration."""
-    path = Path(path)
+    data = textio.read_json(path, ConfigError)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
+        jsonschema.Draft202012Validator(CONFIG_SCHEMA).validate(data)
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config {path}: {exc.message} (at {where})") from exc
+        raise ConfigError(f"{path}: {exc.message} (at {where})") from exc
     return data
 
 
@@ -240,14 +232,6 @@ def _plain(obj):
     return obj
 
 
-def _dump_json(payload, path) -> None:
-    text = json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def write_svg(path, x, y, width: int = 640, height: int = 360,
               title: str = "") -> None:
     """Minimal deterministic polyline plot."""
@@ -268,7 +252,7 @@ def write_svg(path, x, y, width: int = 640, height: int = 360,
         f'<polyline points="{points}" fill="none" stroke="steelblue"/>',
         "</svg>",
     ]
-    Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
+    textio.write_lines(path, body)
 
 
 def _cmd_simulate(args, config: dict) -> int:
@@ -332,7 +316,7 @@ def _cmd_fit(args, config: dict) -> int:
         "noise_sigma": spectra.robust_noise_sigma(spectrum),
         "n_samples": len(spectrum),
     }
-    _dump_json(payload, args.out)
+    textio.write_json(args.out, _plain(payload))
     if not all(f.converged for f in fits):
         print("fit did not converge", file=sys.stderr)
         return 1
@@ -349,7 +333,7 @@ def _cmd_calibrate(args, config: dict) -> int:
         control, sigma = calibration.invert_readout(fit, invert)
         payload["readout"] = {"frequency_mhz": invert, "control": control,
                               "control_sigma": sigma}
-    _dump_json(payload, args.out)
+    textio.write_json(args.out, _plain(payload))
     if args.svg:
         asc = series.ascending()
         write_svg(args.svg, asc.control, asc.freq_mhz, title="calibration series")
@@ -402,15 +386,12 @@ def _cmd_zfs(args, config: dict) -> int:
         tensor_a = spin.ZfsTensor(np.asarray(phases["a"]["tensor_mhz"]))
         tensor_b = spin.ZfsTensor(np.asarray(phases["b"]["tensor_mhz"]))
         payload["comparison"] = dipolar.compare_phases(tensor_a, tensor_b)
-    _dump_json(payload, args.out)
+    textio.write_json(args.out, _plain(payload))
 
     if args.table:
-        rows = ["phase,eig_x_mhz,eig_y_mhz,eig_z_mhz,d_mhz,e_mhz"]
-        for name in sorted(phases):
-            ph = phases[name]
-            ex, ey, ez = ph["eigenvalues_mhz"]
-            rows.append(f"{name},{ex!r},{ey!r},{ez!r},{ph['d_mhz']!r},{ph['e_mhz']!r}")
-        Path(args.table).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows = [(name, *ph["eigenvalues_mhz"], ph["d_mhz"], ph["e_mhz"])
+                for name, ph in sorted(phases.items())]
+        textio.write_table(args.table, "phase,eig_x_mhz,eig_y_mhz,eig_z_mhz,d_mhz,e_mhz", rows)
     return 0
 
 
@@ -420,7 +401,7 @@ def _cmd_sensitivity(args, config: dict) -> int:
                if key not in p]
     if missing:
         raise InvalidParameterError(f"missing sensitivity inputs: {', '.join(missing)}")
-    _dump_json(calibration.sensitivity(**p), args.out)
+    textio.write_json(args.out, _plain(calibration.sensitivity(**p)))
     return 0
 
 

@@ -23,18 +23,7 @@ class DataFormatError(OdmrSenseError, ValueError):
 
 
 class CubeParseError(DataFormatError):
-    """A volumetric cube file could not be parsed.
-
-    Carries the offending path and 1-based line number when known.
-    """
-
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f" [{path}" + (f":{line}" if line is not None else "") + "]"
-        super().__init__(message + where)
+    """A volumetric cube file could not be parsed."""
 
 
 class ConfigError(DataFormatError):

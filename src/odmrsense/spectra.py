@@ -13,8 +13,7 @@ trust-region least squares over all line parameters jointly, with
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ from scipy.optimize import least_squares
 from scipy.signal import find_peaks, peak_widths
 
 from .errors import DataFormatError, FitConvergenceError, InvalidParameterError
+from .textio import numbers, read_rows, read_sidecar, sidecar_path, write_table
 
 _LN2 = np.log(2.0)
 
@@ -123,13 +123,12 @@ class SpectrumMeta:
                 f"control_value must be finite, got {self.control_value!r}")
 
 
-# What a sidecar may hold in each SpectrumMeta field besides null, as the
-# Python types json.loads gives for it; a JSON true/false is no number.
+# What a sidecar may hold in each SpectrumMeta field
 _SIDECAR_TYPES = {
-    "noise_sigma": ((int, float), "a number"),
-    "seed": (int, "an integer"),
-    "control_value": ((int, float), "a number"),
-    "control_unit": (str, "a string"),
+    "noise_sigma": ((int, float, type(None)), "a number or null"),
+    "seed": ((int, type(None)), "an integer or null"),
+    "control_value": ((int, float, type(None)), "a number or null"),
+    "control_unit": ((str, type(None)), "a string or null"),
 }
 
 
@@ -246,7 +245,9 @@ class PeakFit:
 
     width is the full width at half maximum (sum of the two half-widths);
     center_sigma is the 1-sigma center uncertainty from the Gauss-Newton
-    covariance.  The complete fitted LineModel rides along in line.
+    covariance, inf (and the fit not converged) for a line whose center
+    moves no sample, such as one of zero amplitude.  The complete fitted
+    LineModel rides along in line.
     """
 
     center: float
@@ -326,6 +327,11 @@ def fit_peaks(
     except np.linalg.LinAlgError:
         sigmas = np.full(x0.size, np.inf)
         converged = False
+    # pinv gives a centre that moves no sample (a zero-amplitude line) zero
+    # variance, but such a centre is undetermined
+    blind = ~jac[:, 0::5].any(axis=0)
+    sigmas[0::5][blind] = np.inf
+    converged = converged and not blind.any()
 
     fitted = _unpack(result.x)
     fits = []
@@ -342,64 +348,23 @@ def fit_peaks(
     return fits
 
 
-def _meta_path(path: Path) -> Path:
-    return path.with_suffix(".meta.json")
-
-
 def write_spectrum(spectrum: Spectrum, path) -> Path:
     """Write frequency_mhz,signal CSV plus a .meta.json sidecar."""
-    path = Path(path)
-    lines = ["frequency_mhz,signal"]
-    for fr, sg in zip(spectrum.freqs_mhz, spectrum.signal):
-        lines.append(f"{float(fr)!r},{float(sg)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if spectrum.meta is not None:
-        _meta_path(path).write_text(
-            json.dumps(asdict(spectrum.meta), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
-    return path
+    meta = None if spectrum.meta is None else asdict(spectrum.meta)
+    return write_table(path, "frequency_mhz,signal",
+                       zip(spectrum.freqs_mhz, spectrum.signal), meta)
 
 
 def read_spectrum(path) -> Spectrum:
     """Read a spectrum CSV; picks up the .meta.json sidecar when present."""
-    path = Path(path)
+    rows = [numbers(path, lineno, cells, DataFormatError)
+            for lineno, cells in read_rows(path, ("frequency_mhz,signal",))]
+    meta = read_sidecar(path, _SIDECAR_TYPES)
     try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    rows = raw.splitlines()
-    if not rows or rows[0].strip() != "frequency_mhz,signal":
-        raise DataFormatError(f"{path}:1: expected header 'frequency_mhz,signal'")
-    freqs, signal = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row.strip():
-            continue
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
-        try:
-            freqs.append(float(parts[0]))
-            signal.append(float(parts[1]))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    meta = None
-    sidecar = _meta_path(path)
-    if sidecar.exists():
-        try:
-            data = json.loads(sidecar.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise TypeError("expected a JSON object")
-            values = {f.name: data.get(f.name) for f in fields(SpectrumMeta)}
-            for key, value in values.items():
-                kinds, what = _SIDECAR_TYPES[key]
-                if value is not None and (isinstance(value, bool)
-                                          or not isinstance(value, kinds)):
-                    raise TypeError(f"{key} must be {what} or null")
-            meta = SpectrumMeta(**values)
-        # ValueError: undecodable bytes, malformed JSON or an invalid field
-        except (OSError, ValueError, RecursionError, TypeError) as exc:
-            raise DataFormatError(f"invalid sidecar {sidecar}: {exc}") from exc
+        meta = None if meta is None else SpectrumMeta(**meta)
+    except InvalidParameterError as exc:
+        raise DataFormatError(f"{sidecar_path(path)}: {exc}") from exc
     try:
-        return Spectrum(freqs, signal, meta)
+        return Spectrum([row[0] for row in rows], [row[1] for row in rows], meta)
     except InvalidParameterError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

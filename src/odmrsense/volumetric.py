@@ -21,6 +21,7 @@ import numpy as np
 
 from .constants import BOHR_RADIUS_ANGSTROM
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
+from .textio import number_block, numbers, read_text, write_lines
 
 
 @dataclass(frozen=True)
@@ -172,88 +173,59 @@ def homo_lumo_shift(homo: OrbitalStats, lumo: OrbitalStats) -> np.ndarray:
 
 def load_cube(path) -> OrbitalGrid:
     """Parse a cube file into an OrbitalGrid (geometry in angstrom)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CubeParseError(f"cannot read file: {exc}", str(path)) from exc
-    lines = text.splitlines()
-    if len(lines) < 6:
-        raise CubeParseError("file too short for a cube header", str(path),
-                             len(lines))
+    lines = read_text(path, CubeParseError).splitlines()
 
-    def fields(lineno: int, expect: int, kinds: str):
+    def record(lineno: int, expect: int):
+        """The integer and the expect - 1 numbers that open a header line."""
         if lineno > len(lines):
-            raise CubeParseError("unexpected end of file", str(path), len(lines))
+            raise CubeParseError(f"{path}:{lineno}: unexpected end of file")
         parts = lines[lineno - 1].split()
         if len(parts) < expect:
             raise CubeParseError(
-                f"expected at least {expect} fields, got {len(parts)}",
-                str(path), lineno)
-        out = []
-        for kind, token in zip(kinds, parts):
-            try:
-                out.append(int(token) if kind == "i" else float(token))
-            except ValueError as exc:
-                raise CubeParseError(f"bad {'integer' if kind == 'i' else 'number'} "
-                                     f"{token!r}", str(path), lineno) from exc
-        return out
+                f"{path}:{lineno}: expected at least {expect} fields, got {len(parts)}")
+        try:
+            count = int(parts[0])
+        except ValueError:
+            raise CubeParseError(f"{path}:{lineno}: bad integer {parts[0]!r}") from None
+        return count, numbers(path, lineno, parts[1:expect], CubeParseError)
 
-    natoms, ox, oy, oz = fields(3, 4, "ifff")
-    angstrom_units = natoms < 0
-    n_atom_records = abs(natoms)
+    natoms, origin = record(3, 4)
     dims = []
     axes = np.zeros((3, 3))
     for axis in range(3):
-        count, ax, ay, az = fields(4 + axis, 4, "ifff")
+        count, axes[axis] = record(4 + axis, 4)
         if count <= 0:
-            raise CubeParseError(f"axis sample count must be positive, got {count}",
-                                 str(path), 4 + axis)
-        dims.append(count)
-        axes[axis] = (ax, ay, az)
-    first_value_line = 7 + n_atom_records
-    for rec in range(n_atom_records):
-        fields(7 + rec, 5, "iffff")
-
-    values = []
-    expected = dims[0] * dims[1] * dims[2]
-    for lineno in range(first_value_line, len(lines) + 1):
-        for token in lines[lineno - 1].split():
-            try:
-                values.append(float(token))
-            except ValueError as exc:
-                raise CubeParseError(f"bad value {token!r}", str(path), lineno) from exc
-        if len(values) > expected:
             raise CubeParseError(
-                f"too many values: expected {expected}", str(path), lineno)
-    if len(values) != expected:
-        raise CubeParseError(
-            f"expected {expected} values, got {len(values)}", str(path), len(lines))
+                f"{path}:{4 + axis}: axis sample count must be positive, got {count}")
+        dims.append(count)
+    first_value_line = 7 + abs(natoms)
+    for lineno in range(7, first_value_line):
+        record(lineno, 5)
 
-    origin = np.array([ox, oy, oz])
-    if not angstrom_units:
-        origin = origin * BOHR_RADIUS_ANGSTROM
-        axes = axes * BOHR_RADIUS_ANGSTROM
-    grid_values = np.asarray(values).reshape(dims)  # z varies fastest
-    try:
-        return OrbitalGrid(origin, axes, grid_values)
+    values = number_block(path, first_value_line, lines[first_value_line - 1:], CubeParseError)
+    expected = dims[0] * dims[1] * dims[2]
+    if values.size != expected:
+        many = "too many" if values.size > expected else "too few"
+        raise CubeParseError(f"{path}: {many} values: expected {expected}, got {values.size}")
+
+    # a negative atom count declares the header already in angstrom
+    scale = 1.0 if natoms < 0 else BOHR_RADIUS_ANGSTROM
+    try:  # z varies fastest
+        return OrbitalGrid(np.array(origin) * scale, axes * scale, values.reshape(dims))
     except InvalidParameterError as exc:
-        raise CubeParseError(str(exc), str(path)) from exc
+        raise CubeParseError(f"{path}: {exc}") from exc
 
 
 def save_cube(grid: OrbitalGrid, path, comment: str = "orbital amplitude") -> Path:
     """Write a cube file (bohr header units, no atoms, z fastest)."""
-    path = Path(path)
     origin_b = grid.origin / BOHR_RADIUS_ANGSTROM
     axes_b = grid.axes / BOHR_RADIUS_ANGSTROM
-    nx, ny, nz = grid.dims
-    out = [comment, "generated by odmrsense"]
-    out.append(f"{0:5d} {origin_b[0]:17.9e} {origin_b[1]:17.9e} {origin_b[2]:17.9e}")
-    for count, vec in zip((nx, ny, nz), axes_b):
-        out.append(f"{count:5d} {vec[0]:17.9e} {vec[1]:17.9e} {vec[2]:17.9e}")
-    flat = grid.values.reshape(-1)
-    for start in range(0, flat.size, 6):
-        chunk = flat[start:start + 6]
-        out.append(" ".join(f"{v:17.9e}" for v in chunk))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
-    return path
+    # no atoms: the origin record's count is 0, each axis record's its sample count
+    out = [comment, "generated by odmrsense"] + [
+        f"{count:5d} {vec[0]:17.9e} {vec[1]:17.9e} {vec[2]:17.9e}"
+        for count, vec in zip((0, *grid.dims), (origin_b, *axes_b))]
+    # six values a line; one %-format per line of Python floats is the fast path
+    flat = grid.values.reshape(-1).tolist()
+    rows = (flat[i:i + 6] for i in range(0, len(flat), 6))
+    out += [" ".join(["%17.9e"] * len(row)) % tuple(row) for row in rows]
+    return write_lines(path, out)

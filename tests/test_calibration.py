@@ -304,14 +304,15 @@ class TestCalibrationIO:
         with pytest.raises(DataFormatError, match=r":1:"):
             read_calibration(path)
 
-    @pytest.mark.parametrize("cells", [("nan",) * 4, ("0.1", "inf", "0.1", "0.1")],
+    @pytest.mark.parametrize("cells, line", [(("nan",) * 4, 2),
+                                             (("0.1", "inf", "0.1", "0.1"), 3)],
                              ids=["all-nan", "one-inf"])
-    def test_written_nonfinite_sigma_rejected(self, tmp_path, cells):
+    def test_written_nonfinite_sigma_rejected(self, tmp_path, cells, line):
         # only a blank cell means "no sigma": nan must not load as unweighted
         path = tmp_path / "bad.csv"
         path.write_text("control_value,frequency_mhz,sigma_mhz\n" + "".join(
             f"{k},{10 * k},{cell}\n" for k, cell in enumerate(cells, start=1)))
-        with pytest.raises(DataFormatError, match="freq_sigma contains non-finite"):
+        with pytest.raises(DataFormatError, match=rf"bad\.csv:{line}: non-finite number"):
             read_calibration(path)
 
     @pytest.mark.parametrize("field, value", [("control_unit", None), ("label", [1, 2]),

@@ -108,6 +108,20 @@ class TestFit:
         assert run("fit", "--input", path) == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_zero_amplitude_line_not_converged(self, tmp_path, capsys):
+        # a line that fits at zero amplitude has no centre: its sigma is
+        # undefined, not zero, and the fit does not count as converged
+        path = tmp_path / "zero.csv"
+        rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(40))
+        path.write_text("frequency_mhz,signal\n" + rows + "\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", path, "--centers", 110, "--out", out) == 1
+        assert "did not converge" in capsys.readouterr().err
+        (peak,) = strict_json(out)["peaks"]
+        assert peak["amplitude"] == 0.0
+        assert peak["center_sigma"] is None
+        assert peak["converged"] is False
+
     def test_broken_csv(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("frequency_mhz,signal\n1.0,zap\n")

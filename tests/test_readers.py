@@ -2,16 +2,18 @@
 
 Whatever bytes a spectrum, calibration, cube or config file (or a
 spectrum or calibration sidecar) holds, its reader returns or raises an
-OdmrSenseError subclass, which the CLI turns into exit 2 with one
-`error:` line.  Examples start either from nothing or from a valid
+OdmrSenseError subclass whose message begins with the path of the
+file at fault, which the CLI turns into exit 2 with one `error:` line.  Examples start either from nothing or from a valid
 prefix, so they reach the row, header and field parsers as well as the
 decoder.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from odmrsense import OdmrSenseError, load_cube, read_calibration, read_spectrum
+from odmrsense import (CalibrationSeries, OdmrSenseError, Spectrum, SpectrumMeta, load_cube,
+                       read_calibration, read_spectrum, write_calibration, write_spectrum)
 from odmrsense.cli import load_config
 
 SPECTRUM = "frequency_mhz,signal\n" + "".join(f"{100 + i},0.0\n" for i in range(8))
@@ -54,5 +56,59 @@ def test_reader_raises_only_package_errors(tmp_path, case, prefixed, content):
     (tmp_path / target).write_bytes(data)
     try:
         reader(tmp_path / given_name)
-    except OdmrSenseError:
-        pass
+    except OdmrSenseError as exc:
+        # the message leads with the file at fault, as "<path>: ..." or "<path>:<line>: ..."
+        assert str(exc).startswith(f"{tmp_path / target}:")
+
+
+# The writers' bytes, pinned: CSV cells are float reprs and a blank cell
+# is a missing sigma; sidecars are sorted, two-space-indented JSON.
+SPECTRUM_CSV = """frequency_mhz,signal
+100.0,0.0
+100.5,0.1
+101.0,-0.25
+101.5,1e-05
+102.0,0.3333333333333333
+102.5,-1.5e-07
+103.0,12.0
+103.5,0.0
+"""
+SPECTRUM_META = """{
+  "control_unit": "K",
+  "control_value": 77.0,
+  "noise_sigma": 0.001,
+  "seed": 8
+}
+"""
+CALIBRATION_CSV = """control_value,frequency_mhz,sigma_mhz
+1.0,1400.5,{}
+2.0,1400.25,{}
+3.0,1400.0,{}
+4.0,1399.75,{}
+"""
+
+
+@pytest.mark.parametrize("meta", [None, SpectrumMeta(0.001, 8, 77.0, "K")],
+                         ids=["no-sidecar", "sidecar"])
+def test_write_spectrum_bytes(tmp_path, meta):
+    signal = [0.0, 0.1, -0.25, 1e-5, 1 / 3, -1.5e-7, 12, 0.0]
+    path = write_spectrum(Spectrum(np.arange(8) / 2 + 100, signal, meta), tmp_path / "s.csv")
+    assert path.read_bytes() == SPECTRUM_CSV.encode()
+    sidecar = tmp_path / "s.meta.json"
+    if meta is None:
+        assert not sidecar.exists()
+    else:
+        assert sidecar.read_bytes() == SPECTRUM_META.encode()
+
+
+@pytest.mark.parametrize("sigma, unit, label, cells, meta", [
+    (None, "", "", ("",) * 4, '{\n  "control_unit": "",\n  "label": ""\n}\n'),
+    ([0.1, 0.2, 0.3, 1 / 3], "K", "f_xz vs T", ("0.1", "0.2", "0.3", "0.3333333333333333"),
+     '{\n  "control_unit": "K",\n  "label": "f_xz vs T"\n}\n'),
+], ids=["no-sigma", "sigma"])
+def test_write_calibration_bytes(tmp_path, sigma, unit, label, cells, meta):
+    series = CalibrationSeries([1, 2, 3, 4], [1400.5, 1400.25, 1400.0, 1399.75], sigma,
+                               unit, label)
+    path = write_calibration(series, tmp_path / "c.csv")
+    assert path.read_bytes() == CALIBRATION_CSV.format(*cells).encode()
+    assert (tmp_path / "c.meta.json").read_bytes() == meta.encode()

@@ -187,6 +187,18 @@ class TestCubeIO:
         with pytest.raises(CubeParseError, match=r"junk\.cube:3"):
             load_cube(path)
 
+    @pytest.mark.parametrize("lineno, line", [(3, "0 nan 0 0"), (7, "1 1.0 0 inf 0"),
+                                              (8, "5 6 nan 8")],
+                             ids=["origin", "atom-record", "value"])
+    def test_nonfinite_number_names_line(self, tmp_path, lineno, line):
+        lines = ["a", "b", "1 0 0 0", "2 1 0 0", "2 0 1 0", "2 0 0 1",
+                 "1 1.0 0 0 0", "1 2 3 4", "5 6 7 8"]
+        lines[lineno - 1] = line
+        path = tmp_path / "nan.cube"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CubeParseError, match=rf"nan\.cube:{lineno}: non-finite number"):
+            load_cube(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.cube"
         path.write_text("a\nb\n0 0 0 0\n")
