@@ -8,6 +8,10 @@ sensitivity), volumetric (orbital grids and cube files), dipolar
 (spin-spin tensor integration), textio (the one text, JSON and number
 reader and table writer behind every file format), cli (command-line
 front end).
+
+SciPy is imported inside the functions that use it, never at module
+level: importing the package or the CLI loads no SciPy, which would
+add about a second to every CLI process.
 """
 
 from .constants import (

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .constants import DIPOLAR_PREFACTOR_MHZ_A3
 from .errors import InvalidParameterError
@@ -60,6 +59,8 @@ def _kernel_table(dims, axes: np.ndarray, cutoff: float) -> list[np.ndarray]:
 
 
 def _padded_shape(dims) -> list[int]:
+    from scipy import fft as sp_fft
+
     return [sp_fft.next_fast_len(2 * n - 1) for n in dims]
 
 
@@ -72,6 +73,8 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float,
     key is hashable); the arrays are read-only because they are shared
     between calls.
     """
+    from scipy import fft as sp_fft
+
     shape = _padded_shape(dims)
     transforms = tuple(sp_fft.rfftn(table, s=shape, workers=threads)
                        for table in _kernel_table(dims, np.array(axes), cutoff))
@@ -82,6 +85,8 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float,
 
 def _pair_sums_fft(rho_i, rho_j, overlap, transforms, threads) -> tuple[np.ndarray, np.ndarray]:
     """(sum rho_i K rho_j, sum g K g) for all six components via FFT."""
+    from scipy import fft as sp_fft
+
     dims = rho_i.shape
     shape = _padded_shape(dims)
     window = tuple(slice(n - 1, 2 * n - 1) for n in dims)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
 from .errors import DegenerateKineticsError, DivisionDomainError, InvalidParameterError
 
@@ -137,19 +136,24 @@ def steady_state(params: KineticsParams) -> PopulationState:
 
     Found as the one-dimensional null space of the generator; a null space
     of higher dimension means disconnected levels and is reported as
-    DegenerateKineticsError rather than silently picking a vector.
+    DegenerateKineticsError rather than silently picking a vector.  The
+    null space is the right singular vectors whose singular values do not
+    exceed max(s) * eps * 5, the rule of scipy.linalg.null_space.
     """
     if params.pump_rate == 0:
         return PopulationState.ground()
     mat = rate_matrix(params)
-    kernel = null_space(mat)
+    _, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > s.max() * np.finfo(float).eps * max(mat.shape)))
+    kernel = vh[rank:].T
     if kernel.shape[1] != 1:
         raise DegenerateKineticsError(
             f"rate matrix null space has dimension {kernel.shape[1]}, expected 1"
         )
     vec = kernel[:, 0]
     vec = vec / vec.sum()
-    # strip the tiny negative roundoff null_space can leave behind
+    # the SVD leaves entries that are zero in exact arithmetic at roundoff
+    # size and of either sign; make them non-negative
     vec = np.where(np.abs(vec) < 1e-15, np.abs(vec), vec)
     return PopulationState.from_array(vec)
 
@@ -158,6 +162,8 @@ def evolve(params: KineticsParams, state: PopulationState, duration_us: float) -
     """Propagate populations for duration_us via the matrix exponential."""
     if not np.isfinite(duration_us) or duration_us < 0:
         raise InvalidParameterError("duration_us must be finite and >= 0")
+    from scipy.linalg import expm
+
     propagator = expm(rate_matrix(params) * duration_us)
     # a proper generator keeps the sum at 1 to roundoff; do not renormalize,
     # conservation is part of what callers may want to verify

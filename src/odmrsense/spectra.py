@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import find_peaks, peak_widths
 
 from .errors import DataFormatError, FitConvergenceError, InvalidParameterError
 from .textio import numbers, read_rows, read_sidecar, sidecar_path, write_table
@@ -117,7 +115,12 @@ class SpectrumMeta:
     control_unit: str | None = None
 
     def __post_init__(self):
-        # a comparison, unlike np.isfinite, accepts ints too large for a float
+        # comparisons, unlike np.isfinite, accept ints too large for a float
+        if self.noise_sigma is not None and not 0 <= self.noise_sigma < np.inf:
+            raise InvalidParameterError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed!r}")
         if self.control_value is not None and not -np.inf < self.control_value < np.inf:
             raise InvalidParameterError(
                 f"control_value must be finite, got {self.control_value!r}")
@@ -205,6 +208,8 @@ def auto_guesses(spectrum: Spectrum) -> list[LineModel]:
     Width guesses come from the half-prominence width; amplitudes are
     signed heights above the median baseline.
     """
+    from scipy.signal import find_peaks, peak_widths
+
     sigma = robust_noise_sigma(spectrum)
     # sigma-clipped median: the plain median sits well above the
     # between-line floor once fat-tailed lines cover much of the span
@@ -310,6 +315,8 @@ def fit_peaks(
 
     def jacobian(vec):
         return _profile(vec.reshape(-1, 5), f, jac=True)[1]
+
+    from scipy.optimize import least_squares
 
     result = least_squares(
         residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",

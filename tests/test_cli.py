@@ -396,6 +396,10 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     lambda tmp: write_sigma_calibration(tmp, ["0.1"] * 7 + ["inf"]),
     lambda tmp: write_calibration_with_sidecar(tmp, '{"control_unit": null}'),
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"seed": [1]}'),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '{"noise_sigma": NaN, "seed": 5}'),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '{"noise_sigma": -1e999}'),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '{"noise_sigma": -0.001}'),
+    lambda tmp: write_spectrum_with_sidecar(tmp, '{"seed": -5}'),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
@@ -408,7 +412,9 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",
         "pump-rate-config-too-big", "sigma-config-too-big", "config-int-too-many-digits",
         "seed-negative", "invert-frequency-ambiguous", "sigma-all-nan", "sigma-one-inf",
-        "calibration-sidecar-unit-null", "spectrum-sidecar-seed-list"])
+        "calibration-sidecar-unit-null", "spectrum-sidecar-seed-list",
+        "spectrum-sidecar-noise-nan", "spectrum-sidecar-noise-minus-inf",
+        "spectrum-sidecar-noise-negative", "spectrum-sidecar-seed-negative"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

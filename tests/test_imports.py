@@ -1,0 +1,101 @@
+"""Which SciPy modules the CLI loads, step by step.
+
+SciPy's submodules cost up to a second of imports each, so the package
+imports each one inside the function that uses it: importing the CLI
+loads no SciPy, and a subcommand loads only what its numerics need.
+The checks run in a fresh interpreter, since this test process has
+SciPy loaded already.  One interpreter runs the steps in the order of
+BOUNDS and reports the SciPy modules loaded by the end of each step.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import odmrsense
+from odmrsense import (CalibrationSeries, LineModel, gaussian_orbital, make_grid, save_cube,
+                       synthesize, write_calibration, write_spectrum)
+
+# step: (SciPy modules it must load, SciPy modules it must not load);
+# None forbids every SciPy module.  The sets are cumulative over the
+# steps before, which load none until zfs.
+BOUNDS = {
+    "import": ((), None),
+    "sensitivity": ((), None),
+    "calibrate": ((), None),
+    "simulate": ((), None),
+    "zfs": (("scipy.fft",), ("scipy.optimize", "scipy.signal", "scipy.linalg")),
+    "fit": (("scipy.optimize",), ("scipy.signal",)),
+}
+
+PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import odmrsense.cli
+report = {"import": [0, loaded()]}
+for name, argv in json.loads(sys.argv[1]):
+    report[name] = [odmrsense.cli.main(argv), loaded()]
+with open(sys.argv[2], "w") as out:
+    json.dump(report, out)
+"""
+
+
+def write_inputs(tmp) -> dict:
+    """argv of every subcommand step, with its input files written to tmp."""
+    control = np.linspace(10.0, 300.0, 30)
+    write_calibration(CalibrationSeries(control, 1450.0 - 0.02 * control), tmp / "cal.csv")
+    lines = [LineModel.symmetric(c, 2.0, a) for c, a in ((1339.0, 0.01), (1445.0, -0.01))]
+    write_spectrum(synthesize(lines, np.arange(1330.0, 1455.0, 0.25), noise_sigma=5e-4,
+                              seed=7), tmp / "spec.csv")
+    dims = (12, 10, 8)
+    origin, axes = make_grid(dims, (8.0, 6.0, 5.0))
+    for name, node in (("homo", None), ("lumo", 0)):
+        save_cube(gaussian_orbital(origin, axes, dims, (0.0, 0.0, 0.0), (1.5, 0.8, 0.5),
+                                   node_axis=node), tmp / f"{name}.cube")
+    return {
+        "sensitivity": ["sensitivity", "--sigma", "2e-4", "--tau", "1.0", "--signal-slope",
+                        "1.6e-3", "--calib-slope", "1.8", "--out", str(tmp / "sens.json")],
+        "calibrate": ["calibrate", "--input", str(tmp / "cal.csv"), "--segments", "3",
+                      "--invert-frequency", "1446.0", "--out", str(tmp / "cal.json")],
+        # no --amplitudes: the line amplitudes come from the kinetics model
+        "simulate": ["simulate", "--seed", "7", "--noise", "5e-4", "--windows",
+                     "--out", str(tmp / "kin.csv"), "--svg", str(tmp / "kin.svg")],
+        "zfs": ["zfs", "--homo", str(tmp / "homo.cube"), "--lumo", str(tmp / "lumo.cube"),
+                "--out", str(tmp / "zfs.json")],
+        "fit": ["fit", "--input", str(tmp / "spec.csv"), "--centers", "1339,1445",
+                "--out", str(tmp / "fit.json")],
+    }
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    steps = write_inputs(tmp)
+    src = str(Path(odmrsense.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ODMRSENSE_")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    order = [(name, steps[name]) for name in BOUNDS if name in steps]
+    subprocess.run([sys.executable, "-c", PROBE, json.dumps(order), str(tmp / "report.json")],
+                   env=env, cwd=tmp, check=True, timeout=120)
+    return json.loads((tmp / "report.json").read_text())
+
+
+@pytest.mark.parametrize("step", list(BOUNDS))
+def test_scipy_modules_loaded(report, step):
+    code, modules = report[step]
+    assert code == 0
+    required, forbidden = BOUNDS[step]
+    assert set(required) <= set(modules)
+    if forbidden is None:
+        assert modules == []
+    else:
+        assert not set(forbidden) & set(modules)

@@ -1,14 +1,16 @@
 """Five-level kinetics tests.
 
-Two independent oracles: scipy's initial-value integrator for the time
-evolution, and the exact steady-state balance n_a k_a = isc p_a n_S1
-(every triplet sublevel is fed from S1 and drains to S0, so detailed
-bookkeeping fixes the ratios analytically).
+Three oracles: scipy's initial-value integrator for the time evolution,
+the exact steady-state balance n_a k_a = isc p_a n_S1 (every triplet
+sublevel is fed from S1 and drains to S0, so detailed bookkeeping fixes
+the ratios analytically), and scipy.linalg.null_space for the numpy
+null space behind steady_state.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import null_space
 
 from odmrsense import (
     DegenerateKineticsError,
@@ -36,6 +38,35 @@ def random_params(rng) -> KineticsParams:
         isc_branching=tuple(branching),
         triplet_decay=tuple(1.0 / lifetimes),
     )
+
+
+def wide_random_params(rng) -> KineticsParams:
+    """Rates log-uniform over six decades, any branching, drive on or off."""
+    branching = rng.uniform(0.0, 1.0, size=3)
+    branching /= branching.sum()
+    branching[2] = 1.0 - branching[0] - branching[1]
+
+    def rate(size=None):
+        return 10.0 ** rng.uniform(-4.0, 2.0, size)
+
+    return KineticsParams(
+        pump_rate=rate(),
+        radiative_rate=rate(),
+        isc_rate=rate(),
+        isc_branching=tuple(branching),
+        triplet_decay=tuple(rate(3)),
+        mw_rate=0.0 if rng.random() < 0.5 else rate(),
+        mw_pair=str(rng.choice(["xy", "yz", "xz"])),
+    )
+
+
+def null_space_steady_state(params: KineticsParams) -> np.ndarray:
+    """steady_state's normalisation and clipping on scipy's null vector."""
+    kernel = null_space(rate_matrix(params))
+    assert kernel.shape == (5, 1)
+    vec = kernel[:, 0] / kernel[:, 0].sum()
+    vec = np.where(np.abs(vec) < 1e-15, np.abs(vec), vec)
+    return PopulationState.from_array(vec).as_array()
 
 
 class TestRateMatrix:
@@ -81,6 +112,14 @@ class TestSteadyState:
     def test_no_pump_is_ground(self):
         n = steady_state(KineticsParams(pump_rate=0.0))
         assert n.as_array() == pytest.approx([1, 0, 0, 0, 0])
+
+    def test_matches_scipy_null_space_bitwise(self):
+        # both routes take the SVD from LAPACK gesdd with the same rank rule
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            params = wide_random_params(rng)
+            ours = steady_state(params).as_array()
+            assert np.array_equal(ours, null_space_steady_state(params)), params
 
     def test_disconnected_levels_raise(self):
         params = KineticsParams(isc_branching=(1.0, 0.0, 0.0),

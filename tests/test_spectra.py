@@ -249,6 +249,29 @@ class TestSpectrumIO:
                            match=rf"spec\.meta\.json: {field} must be {kind} or null"):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0"),
+        ({"noise_sigma": -float("inf")}, "noise_sigma must be finite and >= 0"),
+        ({"noise_sigma": -1e-3}, "noise_sigma must be finite and >= 0"),
+        ({"seed": -5}, "seed must be >= 0"),
+        ({"control_value": float("inf")}, "control_value must be finite")],
+        ids=["noise-nan", "noise-minus-inf", "noise-negative", "seed-negative",
+             "control-value-inf"])
+    def test_meta_refuses_bad_provenance(self, meta, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            SpectrumMeta(**meta)
+
+    def test_meta_takes_integers_too_large_for_a_float(self):
+        big = 10 ** 400
+        assert SpectrumMeta(noise_sigma=big, seed=big, control_value=-big).seed == big
+
+    def test_sidecar_bad_provenance_names_sidecar(self, tmp_path):
+        path = write_spectrum(synthesize([LineModel.symmetric(50.0, 4.0, 0.01)],
+                                         np.arange(40.0, 60.0, 0.5)), tmp_path / "spec.csv")
+        (tmp_path / "spec.meta.json").write_text('{"noise_sigma": NaN, "seed": -5}')
+        with pytest.raises(DataFormatError, match=r"spec\.meta\.json: noise_sigma must be"):
+            read_spectrum(path)
+
     def test_sidecar_nulls_and_missing_fields_load(self, tmp_path):
         path = write_spectrum(synthesize([LineModel.symmetric(50.0, 4.0, 0.01)],
                                          np.arange(40.0, 60.0, 0.5)), tmp_path / "spec.csv")
