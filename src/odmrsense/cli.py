@@ -34,10 +34,8 @@ from . import calibration, dipolar, kinetics, spectra, spin, textio, volumetric
 from .errors import (
     DataFormatError,
     ConfigError,
-    GridMismatchError,
     InvalidParameterError,
     OdmrSenseError,
-    ReadoutAmbiguityError,
 )
 
 # Largest frequency grid simulate builds (a run at the limit with --svg
@@ -488,8 +486,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         return args.func(args, config)
-    except (DataFormatError, InvalidParameterError, GridMismatchError,
-            ReadoutAmbiguityError) as exc:
+    except (DataFormatError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OdmrSenseError as exc:

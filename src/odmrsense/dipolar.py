@@ -10,14 +10,15 @@ the overlap product (the exchange-like correction for indistinguishable
 electrons), scaled by (mu0/4pi) (g_e mu_B)^2 / (2 h).
 
 On a regular grid the kernel only depends on the index offset between
-voxels, so it is sampled once on the (2n-1)^3 displacement lattice with
-a short-range cutoff zeroing the singular voxels, and both sums are
-evaluated as FFT convolutions with that table.  The transformed kernel
-depends only on the mesh and the cutoff, so it is cached: a second
+voxels, so it is sampled once, with a short-range cutoff zeroing the
+singular voxels, on the zero-padded FFT mesh of M points.  It is even in
+the offset, so its transform K^ is real and each pair sum is one
+frequency-space inner product, sum_k K^ Re(conj(a^) b^) / M (Parseval).
+K^ depends only on the mesh and the cutoff, so it is cached: a second
 orbital pair on the same mesh reuses it.  The test suite cross-checks
-the convolution against a literal voxel-pair double sum over the same
-kernel table.  Tracelessness is exact per displacement, so the result
-is traceless to roundoff by construction.
+the result against a literal voxel-pair double sum over the same kernel
+table.  Tracelessness is exact per displacement, so the result is
+traceless to roundoff by construction.
 """
 
 from __future__ import annotations
@@ -36,26 +37,28 @@ from .volumetric import OrbitalGrid, assert_commensurate
 _COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _kernel_table(dims, axes: np.ndarray, cutoff: float) -> list[np.ndarray]:
-    """Dipolar kernel on the displacement lattice, cutoff-regularized.
+def _kernel_table(shape, axes: np.ndarray, cutoff: float):
+    """Yield the six cutoff-regularized kernel tables on the FFT mesh.
 
-    Entry [o + (n-1)] holds K(o . axes) for index offset o; displacements
-    shorter than cutoff (always including zero) are set to 0.
+    Index m along an axis of length N stands for offset m, or m - N past
+    the middle, and holds K(o . axes); displacements shorter than cutoff
+    (always including zero) are 0.  No in-range mask is needed: the sums
+    only reach |o| <= n-1 < N/2, where each table equals its even part,
+    and .real of its transform is the transform of that even part.
     """
-    ranges = [np.arange(-(n - 1), n, dtype=float) for n in dims]
-    ii, jj, kk = np.meshgrid(*ranges, indexing="ij")
-    disp = (ii[..., None] * axes[0] + jj[..., None] * axes[1]
-            + kk[..., None] * axes[2])
-    r2 = np.sum(disp * disp, axis=-1)
+    offsets = np.ix_(*[np.arange(n) - n * (np.arange(n) > n // 2) for n in shape])
+    disp = [offsets[0] * axes[0, c] + offsets[1] * axes[1, c] + offsets[2] * axes[2, c]
+            for c in range(3)]
+    r2 = disp[0] * disp[0] + disp[1] * disp[1] + disp[2] * disp[2]
     keep = r2 >= cutoff * cutoff
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r5 = np.where(keep, r2 ** -2.5, 0.0)
-    tables = []
     for a, b in _COMPONENTS:
-        num = r2 - 3.0 * disp[..., a] * disp[..., b] if a == b \
-            else -3.0 * disp[..., a] * disp[..., b]
-        tables.append(num * inv_r5)
-    return tables
+        table = -3.0 * disp[a] * disp[b]
+        if a == b:
+            table += r2
+        table *= inv_r5
+        yield table
 
 
 def _padded_shape(dims) -> list[int]:
@@ -66,40 +69,26 @@ def _padded_shape(dims) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float,
-                       threads: int) -> tuple[np.ndarray, ...]:
-    """Real FFTs of the six kernel tables on the padded convolution shape.
+                       threads: int) -> np.ndarray:
+    """Real kernel spectra on the rfft half mesh as one (6, M) array.
 
-    Keyed on the mesh and cutoff (axes as a tuple of row tuples, so the
-    key is hashable); the arrays are read-only because they are shared
-    between calls.
+    Row c is rfftn(table c).real, times 2 where a half-spectrum entry k
+    stands for the conjugate pair k, -k (1 where they coincide: at 0 and
+    at the Nyquist of an even last axis), over the mesh size, so its dot
+    product with Re(conj(a^) b^) is the pair sum.  Keyed on the mesh and
+    cutoff (axes as a tuple of row tuples, so the key is hashable);
+    read-only because it is shared between calls.
     """
     from scipy import fft as sp_fft
 
     shape = _padded_shape(dims)
-    transforms = tuple(sp_fft.rfftn(table, s=shape, workers=threads)
-                       for table in _kernel_table(dims, np.array(axes), cutoff))
-    for table_f in transforms:
-        table_f.flags.writeable = False
-    return transforms
-
-
-def _pair_sums_fft(rho_i, rho_j, overlap, transforms, threads) -> tuple[np.ndarray, np.ndarray]:
-    """(sum rho_i K rho_j, sum g K g) for all six components via FFT."""
-    from scipy import fft as sp_fft
-
-    dims = rho_i.shape
-    shape = _padded_shape(dims)
-    window = tuple(slice(n - 1, 2 * n - 1) for n in dims)
-    rho_j_f = sp_fft.rfftn(rho_j, s=shape, workers=threads)
-    overlap_f = sp_fft.rfftn(overlap, s=shape, workers=threads)
-    direct = np.zeros(6)
-    exchange = np.zeros(6)
-    for comp, table_f in enumerate(transforms):
-        field = sp_fft.irfftn(table_f * rho_j_f, s=shape, workers=threads)[window]
-        direct[comp] = np.sum(rho_i * field)
-        field = sp_fft.irfftn(table_f * overlap_f, s=shape, workers=threads)[window]
-        exchange[comp] = np.sum(overlap * field)
-    return direct, exchange
+    k = np.arange(shape[-1] // 2 + 1)
+    weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
+    kernel = np.empty((6, np.prod(shape[:-1]) * k.size))
+    for row, table in zip(kernel, _kernel_table(shape, np.array(axes), cutoff)):
+        row[:] = (sp_fft.rfftn(table, workers=threads).real * weight).ravel()
+    kernel.flags.writeable = False
+    return kernel
 
 
 def zfs_pair_tensor(
@@ -117,6 +106,8 @@ def zfs_pair_tensor(
     is rejected.  threads sets the FFT workers and never changes the
     result.
     """
+    from scipy import fft as sp_fft
+
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     assert_commensurate(phi_i, phi_j)
@@ -129,19 +120,19 @@ def zfs_pair_tensor(
         raise InvalidParameterError(
             "cutoff below one grid step keeps the kernel singularity")
 
-    phi_i = phi_i.normalized()
-    phi_j = phi_j.normalized()
-    rho_i = phi_i.values ** 2
-    rho_j = phi_j.values ** 2
-    overlap = phi_i.values * phi_j.values
-
-    transforms = _kernel_transforms(phi_i.dims, tuple(map(tuple, phi_i.axes)),
-                                    float(cutoff_angstrom), threads)
-    direct, exchange = _pair_sums_fft(rho_i, rho_j, overlap, transforms, threads)
-
+    # the kernel first, so its build never overlaps the density spectra
+    kernel = _kernel_transforms(phi_i.dims, tuple(map(tuple, phi_i.axes)),
+                                float(cutoff_angstrom), threads)
+    psi_i, psi_j = phi_i.normalized().values, phi_j.normalized().values
+    shape = _padded_shape(phi_i.dims)
+    f_i, f_j, f_g = (sp_fft.rfftn(density, s=shape, workers=threads).ravel()
+                     for density in (psi_i ** 2, psi_j ** 2, psi_i * psi_j))
+    # direct minus exchange, one expression on both sides so that a pair
+    # of identical orbitals cancels exactly
+    pair = (f_i.conj() * f_j).real - (f_g.conj() * f_g).real
     dv = phi_i.voxel_volume
     scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
-    comps = scale * (direct - exchange)
+    comps = scale * np.einsum("cm,m->c", kernel, pair)
     tensor = np.empty((3, 3))
     for value, (a, b) in zip(comps, _COMPONENTS):
         tensor[a, b] = value

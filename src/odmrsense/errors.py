@@ -4,7 +4,8 @@ Everything raised deliberately by this package derives from
 :class:`OdmrSenseError`, so callers (and the CLI) can distinguish our
 failures from genuine bugs.  Input/format problems and computation
 failures are separate branches because the CLI maps them to different
-exit codes.
+exit codes: DataFormatError and InvalidParameterError (with their
+subclasses) exit 2, every other package error exits 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class ConfigError(DataFormatError):
     """Run configuration failed schema validation."""
 
 
-class GridMismatchError(OdmrSenseError):
+class GridMismatchError(InvalidParameterError):
     """Two volumetric grids are not defined on commensurate meshes."""
 
 
@@ -54,5 +55,5 @@ class ReadoutRangeError(ReadoutError):
     """Frequency lies outside every calibrated segment."""
 
 
-class ReadoutAmbiguityError(ReadoutError):
+class ReadoutAmbiguityError(ReadoutError, InvalidParameterError):
     """Frequency maps to several segments and none was selected."""

@@ -38,6 +38,26 @@ def tight_pair(dims=24, length=18.0, width=0.75, offset=5.0):
     return a, b
 
 
+def padded_mesh_pair(mesh):
+    """Two off-axis orbitals on a non-cubic mesh with odd and even padding.
+
+    orthogonal: (13, 8, 10) pads to (25, 15, 20); skewed: (9, 8, 7) on
+    oblique axes pads to (18, 15, 14).
+    """
+    if mesh == "orthogonal":
+        dims = (13, 8, 10)
+        origin, axes = make_grid(dims, (13.0, 8.0, 10.0))
+        center = np.array([2.0, 0.5, 1.5])
+    else:
+        dims = (9, 8, 7)
+        axes = np.array([[0.9, 0.0, 0.0], [0.25, 1.0, 0.0], [0.1, -0.15, 0.8]])
+        origin = -0.5 * (np.array(dims) - 1) @ axes
+        center = np.array([1.0, 0.5, 1.0])
+    a = gaussian_orbital(origin, axes, dims, center, (1.0,) * 3)
+    b = gaussian_orbital(origin, axes, dims, -center, (1.0,) * 3)
+    return a, b
+
+
 class TestPointDipoleTensor:
     def test_axial_eigenvalues(self):
         t = point_dipole_tensor((0.0, 0.0, 10.0))
@@ -81,6 +101,21 @@ class TestPairTensor:
 
     def test_threads_do_not_change_result(self):
         a, b = tight_pair(dims=12, length=12.0, width=1.0, offset=3.0)
+        one = zfs_pair_tensor(a, b, threads=1).tensor
+        two = zfs_pair_tensor(a, b, threads=2).tensor
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("mesh", ["orthogonal", "skewed"])
+    def test_direct_route_agrees_on_padded_mesh(self, mesh):
+        a, b = padded_mesh_pair(mesh)
+        conv = zfs_pair_tensor(a, b).tensor
+        direct = direct_pair_tensor(a, b).tensor
+        norm = np.linalg.norm(conv)
+        assert np.linalg.norm(conv - direct) / norm < 1e-9
+
+    @pytest.mark.parametrize("mesh", ["orthogonal", "skewed"])
+    def test_threads_do_not_change_result_on_padded_mesh(self, mesh):
+        a, b = padded_mesh_pair(mesh)
         one = zfs_pair_tensor(a, b, threads=1).tensor
         two = zfs_pair_tensor(a, b, threads=2).tensor
         assert np.array_equal(one, two)
