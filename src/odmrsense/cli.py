@@ -9,14 +9,15 @@ floats go through repr, and nothing timestamps itself.  Every JSON output
 follows one rule (_plain): a result object is written as its dataclass
 fields, keyed by field name; arrays and tuples become lists, numpy
 scalars Python numbers, and non-finite floats null.  CONFIG_SCHEMA
-declares each parameter once, with its type, bounds and default; every
-flag stores into its config key.  A flag overrides the config file,
-which overrides the default, and the merged values are checked against
-the same schema whether they came from a flag or a file.  Non-finite
-numbers (NaN, infinities, integers too large for a float) are refused.
-seed and threads read ODMRSENSE_SEED / ODMRSENSE_THREADS between flag
-and config.  Exit codes: 0 success, 1 computation failure (e.g. a fit
-that did not converge), 2 bad input or configuration.
+declares each parameter once, with its type, bounds, default and help
+text, in its subcommand's section (seed is simulate.seed, threads is
+zfs.threads); every flag but the file names is built from that section
+and stores into its config key.  A flag overrides the config file, which
+overrides the default, and the merged values are checked against the
+same schema whether they came from a flag or a file.  Non-finite numbers
+(NaN, infinities, integers too large for a float) are refused.  Exit
+codes: 0 success, 1 computation failure (e.g. a fit that did not
+converge), 2 bad input or configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,93 +43,83 @@ from .errors import (
 # allocated.
 MAX_GRID_SAMPLES = 1_000_000
 
-_KINETICS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "pump_rate": {"type": "number", "minimum": 0},
-        "radiative_rate": {"type": "number", "minimum": 0},
-        "isc_rate": {"type": "number", "minimum": 0},
-        "isc_branching": {
-            "type": "array", "items": {"type": "number"},
-            "minItems": 3, "maxItems": 3,
-        },
-        "triplet_decay": {
-            "type": "array", "items": {"type": "number"},
-            "minItems": 3, "maxItems": 3,
-        },
-        "mw_rate": {"type": "number", "minimum": 0},
-        "mw_pair": {"enum": ["xy", "yz", "xz"]},
-    },
-}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": ["integer", "null"], "minimum": 0, "default": None},
-        "threads": {"type": "integer", "minimum": 1, "default": 1},
-        "kinetics": _KINETICS_SCHEMA,
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d_mhz": {"type": "number", "default": 1392.0},
-                "e_mhz": {"type": "number", "default": 53.0},
-                "linewidth_fwhm": {"type": "number", "exclusiveMinimum": 0, "default": 4.3},
-                "shape_mix": {"type": "number", "minimum": 0, "maximum": 1, "default": 1.0},
-                "noise_sigma": {"type": "number", "minimum": 0, "default": 0.0},
-                "mw_rate": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
-                "amplitudes": {
-                    "type": ["array", "null"], "items": {"type": "number"},
-                    "minItems": 3, "maxItems": 3,
-                },
-                "fmin": {"type": "number", "default": 50.0},
-                "fmax": {"type": "number", "default": 1500.0},
-                "step": {"type": "number", "exclusiveMinimum": 0, "default": 0.5},
-                "windows": {"type": "boolean", "default": False},
-                "window_half": {"type": "number", "exclusiveMinimum": 0, "default": 25.0},
-                "control_value": {"type": ["number", "null"]},
-                "control_unit": {"type": ["string", "null"]},
-            },
-        },
-        "fit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "centers": {"type": ["array", "null"], "items": {"type": "number"}},
-                "fwhm_guess": {"type": "number", "exclusiveMinimum": 0, "default": 4.0},
-                "mix_guess": {"type": "number", "minimum": 0, "maximum": 1, "default": 0.5},
-            },
-        },
-        "calibrate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "segments": {"type": "integer", "minimum": 1, "default": 1},
-                "invert_frequency": {"type": ["number", "null"]},
-            },
-        },
-        "zfs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cutoff_angstrom": {"type": ["number", "null"]},
-            },
-        },
-        "sensitivity": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "tau_s": {"type": "number", "exclusiveMinimum": 0},
-                "signal_slope": {"type": "number", "exclusiveMinimum": 0},
-                "calib_slope": {"type": "number", "exclusiveMinimum": 0},
-                "unit": {"type": "string", "default": ""},
-            },
-        },
-    },
-}
+def _section(**properties) -> dict:
+    """A JSON object schema that admits only the given properties."""
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+_TRIPLE = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
+
+# Each subcommand's section also declares its flags: a key's flag is
+# --key-with-dashes unless "flag" names another, its type follows the
+# schema type (a boolean is a switch, an array comma-separated numbers)
+# and its help is the "description".
+CONFIG_SCHEMA = _section(
+    kinetics=_section(
+        pump_rate={"type": "number", "minimum": 0},
+        radiative_rate={"type": "number", "minimum": 0},
+        isc_rate={"type": "number", "minimum": 0},
+        isc_branching=_TRIPLE,
+        triplet_decay=_TRIPLE,
+    ),
+    simulate=_section(
+        seed={"type": ["integer", "null"], "minimum": 0, "description": "RNG seed of the noise"},
+        d_mhz={"type": "number", "default": 1392.0, "description": "fine-structure D in MHz"},
+        e_mhz={"type": "number", "default": 53.0, "description": "fine-structure E in MHz"},
+        linewidth_fwhm={"type": "number", "exclusiveMinimum": 0, "default": 4.3,
+                        "flag": "--linewidth", "description": "FWHM in MHz"},
+        shape_mix={"type": "number", "minimum": 0, "maximum": 1, "default": 1.0,
+                   "description": "line shape, 1 Lorentzian to 0 Gaussian"},
+        noise_sigma={"type": "number", "minimum": 0, "default": 0.0, "flag": "--noise",
+                     "description": "Gaussian noise sigma"},
+        mw_rate={"type": "number", "exclusiveMinimum": 0, "default": 0.05,
+                 "description": "microwave rate for kinetics-derived amplitudes (1/us)"},
+        amplitudes={**_TRIPLE, "type": ["array", "null"],
+                    "description": "three comma-separated line amplitudes"},
+        fmin={"type": "number", "default": 50.0, "description": "scan start in MHz"},
+        fmax={"type": "number", "default": 1500.0, "description": "scan end in MHz"},
+        step={"type": "number", "exclusiveMinimum": 0, "default": 0.5,
+              "description": "sample step in MHz"},
+        windows={"type": "boolean", "default": False,
+                 "description": "sample only windows around each line"},
+        window_half={"type": "number", "exclusiveMinimum": 0, "default": 25.0,
+                     "description": "window half-width in MHz"},
+        control_value={"type": ["number", "null"],
+                       "description": "control value recorded in the sidecar"},
+        control_unit={"type": ["string", "null"], "description": "unit of the control value"},
+    ),
+    fit=_section(
+        centers={"type": ["array", "null"], "items": {"type": "number"},
+                 "description": "comma-separated center guesses in MHz"},
+        fwhm_guess={"type": "number", "exclusiveMinimum": 0, "default": 4.0,
+                    "description": "FWHM guess in MHz for each center"},
+        mix_guess={"type": "number", "minimum": 0, "maximum": 1, "default": 0.5,
+                   "description": "shape-mix guess for each center"},
+    ),
+    calibrate=_section(
+        segments={"type": "integer", "minimum": 1, "default": 1,
+                  "description": "number of linear segments"},
+        invert_frequency={"type": ["number", "null"],
+                          "description": "also invert this frequency back to the control value"},
+    ),
+    zfs=_section(
+        threads={"type": "integer", "minimum": 1, "default": 1,
+                 "description": "FFT worker threads"},
+        cutoff_angstrom={"type": ["number", "null"], "flag": "--cutoff",
+                         "description": "kernel cutoff in angstrom"},
+    ),
+    sensitivity=_section(
+        sigma={"type": "number", "exclusiveMinimum": 0, "description": "per-shot signal noise"},
+        tau_s={"type": "number", "exclusiveMinimum": 0, "flag": "--tau",
+               "description": "shot duration in seconds"},
+        signal_slope={"type": "number", "exclusiveMinimum": 0,
+                      "description": "signal change per MHz"},
+        calib_slope={"type": "number", "exclusiveMinimum": 0,
+                     "description": "MHz per control unit"},
+        unit={"type": "string", "default": "", "description": "label for the resulting eta unit"},
+    ),
+)
 
 
 def load_config(path) -> dict:
@@ -143,32 +133,6 @@ def load_config(path) -> dict:
     return data
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-
-def _setting(args, config: dict, key: str):
-    """Top-level seed or threads: flag, else ODMRSENSE_<KEY>, else config, else default."""
-    env = f"ODMRSENSE_{key.upper()}"
-    spec = CONFIG_SCHEMA["properties"][key]
-    value = getattr(args, key)
-    if value is None:
-        value = _env_int(env)
-    if value is None:
-        value = config.get(key, spec.get("default"))
-    try:
-        jsonschema.Draft202012Validator(spec).validate(value)
-    except jsonschema.ValidationError as exc:
-        raise InvalidParameterError(f"--{key}/{env}: {exc.message}") from None
-    return value
-
-
 def _finite(value) -> bool:
     """False for NaN, infinities and integers too large for a float."""
     try:
@@ -178,14 +142,18 @@ def _finite(value) -> bool:
         return False
 
 
+def _flag_name(key: str, spec: dict) -> str:
+    return spec.get("flag", "--" + key.replace("_", "-"))
+
+
 def _flag(args, key: str, spec: dict):
     value = getattr(args, key, None)
-    if isinstance(value, str) and "array" in spec.get("type", ()):
+    if isinstance(value, str) and "array" in spec["type"]:
         try:
             return [float(v) for v in value.split(",")]
         except ValueError:
-            raise InvalidParameterError(f"--{key} needs comma-separated numbers, "
-                                        f"got {value!r}") from None
+            raise InvalidParameterError(f"{_flag_name(key, spec)} needs comma-separated "
+                                        f"numbers, got {value!r}") from None
     return value
 
 
@@ -255,7 +223,6 @@ def write_svg(path, x, y, width: int = 640, height: int = 360,
 
 def _cmd_simulate(args, config: dict) -> int:
     p = _params(args, config, "simulate")
-    seed = _setting(args, config, "seed")
     step = p["step"]
 
     transitions = spin.transitions_from_zfs(spin.ZfsParameters(p["d_mhz"], p["e_mhz"]))
@@ -285,7 +252,7 @@ def _cmd_simulate(args, config: dict) -> int:
     freqs = np.unique(np.concatenate(
         [np.arange(lo, hi + step / 2.0, step) for lo, hi in spans]))
 
-    spectrum = spectra.synthesize(lines, freqs, noise_sigma=p["noise_sigma"], seed=seed,
+    spectrum = spectra.synthesize(lines, freqs, noise_sigma=p["noise_sigma"], seed=p.get("seed"),
                                   control_value=p.get("control_value"),
                                   control_unit=p.get("control_unit"))
     spectra.write_spectrum(spectrum, args.out)
@@ -366,15 +333,15 @@ def _analyse_phase(homo_path, lumo_path, cutoff, threads) -> dict:
 
 
 def _cmd_zfs(args, config: dict) -> int:
-    cutoff = _params(args, config, "zfs").get("cutoff_angstrom")
-    threads = _setting(args, config, "threads")
+    p = _params(args, config, "zfs")
+    cutoff = p.get("cutoff_angstrom")
 
     jobs = [("a", args.homo, args.lumo)]
     if args.homo_b or args.lumo_b:
         if not (args.homo_b and args.lumo_b):
             raise InvalidParameterError("--homo-b and --lumo-b must come together")
         jobs.append(("b", args.homo_b, args.lumo_b))
-    phases = _plain({name: _analyse_phase(h, l, cutoff, threads) for name, h, l in jobs})
+    phases = _plain({name: _analyse_phase(h, l, cutoff, p["threads"]) for name, h, l in jobs})
     payload: dict = {
         "cutoff_angstrom": cutoff,
         "phases": phases,
@@ -403,80 +370,42 @@ def _cmd_sensitivity(args, config: dict) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
+# The flags that name files, as (flag, help, required); every other flag
+# is built from the subcommand's CONFIG_SCHEMA section.
+_OUT = ("--out", "output JSON path (default stdout)", False)
+_SVG = ("--svg", "optional SVG plot path", False)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "synthesize a three-line ODMR spectrum",
+                 [("--out", "output CSV path", True), _SVG]),
+    "fit": (_cmd_fit, "fit resonance lines", [("--input", "spectrum CSV", True), _OUT]),
+    "calibrate": (_cmd_calibrate, "segmented linear calibration fit",
+                  [("--input", "calibration CSV", True), _OUT, _SVG]),
+    "zfs": (_cmd_zfs, "dipolar fine-structure tensor from orbital cubes",
+            [("--homo", "HOMO cube file", True), ("--lumo", "LUMO cube file", True),
+             ("--homo-b", "second-phase HOMO cube", False),
+             ("--lumo-b", "second-phase LUMO cube", False), _OUT,
+             ("--table", "optional eigenvalue CSV path", False)]),
+    "sensitivity": (_cmd_sensitivity, "shot-noise sensitivity figure", [_OUT]),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odmrsense",
         description="Triplet ODMR spectra: simulation, fitting, calibration, "
                     "dipolar tensors and sensitivity figures.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="synthesize a three-line ODMR spectrum")
-    p.add_argument("--seed", type=int, help="RNG seed (overrides ODMRSENSE_SEED)")
-    p.add_argument("--d-mhz", type=float)
-    p.add_argument("--e-mhz", type=float)
-    p.add_argument("--linewidth", dest="linewidth_fwhm", type=float, help="FWHM in MHz")
-    p.add_argument("--shape-mix", type=float)
-    p.add_argument("--amplitudes", help="three comma-separated line amplitudes")
-    p.add_argument("--mw-rate", type=float,
-                   help="microwave rate for kinetics-derived amplitudes (1/us)")
-    p.add_argument("--noise", dest="noise_sigma", type=float)
-    p.add_argument("--fmin", type=float)
-    p.add_argument("--fmax", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--windows", action="store_true", default=None,
-                   help="sample only windows around each line")
-    p.add_argument("--window-half", type=float)
-    p.add_argument("--control-value", type=float)
-    p.add_argument("--control-unit")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--svg", help="optional SVG plot path")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("fit", parents=[common], help="fit resonance lines")
-    p.add_argument("--input", required=True, help="spectrum CSV")
-    p.add_argument("--centers", help="comma-separated center guesses in MHz")
-    p.add_argument("--fwhm-guess", type=float)
-    p.add_argument("--mix-guess", type=float)
-    p.add_argument("--out", help="output JSON path (default stdout)")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="segmented linear calibration fit")
-    p.add_argument("--input", required=True, help="calibration CSV")
-    p.add_argument("--segments", type=int)
-    p.add_argument("--invert-frequency", type=float,
-                   help="also invert this frequency back to the control value")
-    p.add_argument("--out", help="output JSON path (default stdout)")
-    p.add_argument("--svg", help="optional SVG plot path")
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("zfs", parents=[common],
-                       help="dipolar fine-structure tensor from orbital cubes")
-    p.add_argument("--homo", required=True, help="HOMO cube file")
-    p.add_argument("--lumo", required=True, help="LUMO cube file")
-    p.add_argument("--homo-b", help="second-phase HOMO cube")
-    p.add_argument("--lumo-b", help="second-phase LUMO cube")
-    p.add_argument("--threads", type=int,
-                   help="FFT worker threads (overrides ODMRSENSE_THREADS)")
-    p.add_argument("--cutoff", dest="cutoff_angstrom", type=float,
-                   help="kernel cutoff in angstrom")
-    p.add_argument("--out", help="output JSON path (default stdout)")
-    p.add_argument("--table", help="optional eigenvalue CSV path")
-    p.set_defaults(func=_cmd_zfs)
-
-    p = sub.add_parser("sensitivity", parents=[common],
-                       help="shot-noise sensitivity figure")
-    p.add_argument("--sigma", type=float, help="per-shot signal noise")
-    p.add_argument("--tau", dest="tau_s", type=float, help="shot duration in seconds")
-    p.add_argument("--signal-slope", type=float, help="signal change per MHz")
-    p.add_argument("--calib-slope", type=float, help="MHz per control unit")
-    p.add_argument("--unit", help="label for the resulting eta unit")
-    p.add_argument("--out", help="output JSON path (default stdout)")
-    p.set_defaults(func=_cmd_sensitivity)
+    for command, (func, summary, files) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON run configuration")
+        for flag, text, required in files:
+            p.add_argument(flag, required=required, help=text)
+        for key, spec in CONFIG_SCHEMA["properties"][command]["properties"].items():
+            kind = spec["type"][0] if isinstance(spec["type"], list) else spec["type"]
+            how = ({"action": "store_true", "default": None} if kind == "boolean"
+                   else {"type": {"number": float, "integer": int}.get(kind, str)})
+            p.add_argument(_flag_name(key, spec), dest=key, help=spec.get("description"), **how)
+        p.set_defaults(func=func)
     return parser
 
 

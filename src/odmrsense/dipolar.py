@@ -68,16 +68,16 @@ def _padded_shape(dims) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float,
-                       threads: int) -> np.ndarray:
+def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
     """Real kernel spectra on the rfft half mesh as one (6, M) array.
 
     Row c is rfftn(table c).real, times 2 where a half-spectrum entry k
     stands for the conjugate pair k, -k (1 where they coincide: at 0 and
     at the Nyquist of an even last axis), over the mesh size, so its dot
     product with Re(conj(a^) b^) is the pair sum.  Keyed on the mesh and
-    cutoff (axes as a tuple of row tuples, so the key is hashable);
-    read-only because it is shared between calls.
+    cutoff alone (axes as a tuple of row tuples, so the key is hashable):
+    it is built at one FFT worker, so a call with another thread count
+    reuses it.  Read-only because it is shared between calls.
     """
     from scipy import fft as sp_fft
 
@@ -86,7 +86,7 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float,
     weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
     kernel = np.empty((6, np.prod(shape[:-1]) * k.size))
     for row, table in zip(kernel, _kernel_table(shape, np.array(axes), cutoff)):
-        row[:] = (sp_fft.rfftn(table, workers=threads).real * weight).ravel()
+        row[:] = (sp_fft.rfftn(table).real * weight).ravel()
     kernel.flags.writeable = False
     return kernel
 
@@ -103,8 +103,8 @@ def zfs_pair_tensor(
     cutoff_angstrom regularizes the kernel by zeroing displacements
     shorter than the cutoff and defaults to the smallest grid step;
     anything below one grid step would keep the singular self-terms and
-    is rejected.  threads sets the FFT workers and never changes the
-    result.
+    is rejected.  threads sets the workers of the density FFTs and never
+    changes the result.
     """
     from scipy import fft as sp_fft
 
@@ -122,7 +122,7 @@ def zfs_pair_tensor(
 
     # the kernel first, so its build never overlaps the density spectra
     kernel = _kernel_transforms(phi_i.dims, tuple(map(tuple, phi_i.axes)),
-                                float(cutoff_angstrom), threads)
+                                float(cutoff_angstrom))
     psi_i, psi_j = phi_i.normalized().values, phi_j.normalized().values
     shape = _padded_shape(phi_i.dims)
     f_i, f_j, f_g = (sp_fft.rfftn(density, s=shape, workers=threads).ravel()

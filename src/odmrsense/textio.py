@@ -4,7 +4,8 @@ Every reader of an outside file (spectrum and calibration CSVs, their
 .meta.json sidecars, cube files, configs) goes through these helpers: an
 unreadable, non-UTF-8 or malformed file, or a bad or non-finite number,
 raises the reader's error class with a message that begins with the file
-path, plus ":<line>" when one line is at fault.
+path, plus ":<line>" when one line is at fault.  An output path that
+cannot be written raises DataFormatError "<path>: cannot write: ...".
 """
 
 from __future__ import annotations
@@ -104,7 +105,10 @@ def read_sidecar(path, types) -> dict | None:
 def write_lines(path, lines) -> Path:
     """Write lines as UTF-8 text, each ended by a newline."""
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot write: {exc.strerror or exc}") from exc
     return path
 
 

@@ -62,17 +62,6 @@ class TestSimulate:
                    "--out", tmp_path / "x.csv")
         assert code == 2
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        monkeypatch.setenv("ODMRSENSE_SEED", "9")
-        run("simulate", "--noise", "0.001", "--windows", "--out", a)
-        run("simulate", "--noise", "0.001", "--windows", "--out", b)
-        # explicit flag wins over the environment
-        run("simulate", "--noise", "0.001", "--windows", "--seed", "10",
-            "--out", c)
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes() != c.read_bytes()
-
 
 class TestFit:
     def simulate_windows(self, tmp_path):
@@ -222,7 +211,9 @@ class TestZfs:
         two_phase = ("zfs", "--homo", homo, "--lumo", lumo,
                      "--homo-b", homo_b, "--lumo-b", lumo_b,
                      "--out", tmp_path / "zfs.json")
-        assert run(*two_phase) == 0
+        # the thread count is no part of the kernel's cache key
+        for threads in (1, 2, 1):
+            assert run(*two_phase, "--threads", threads) == 0
         assert len(builds) == 1
         assert run(*two_phase, "--cutoff", "0.8") == 0
         assert len(builds) == 2
@@ -234,15 +225,16 @@ class TestZfs:
                    "--out", tmp_path / "small.json") == 0
         assert len(builds) == 3
 
-    @pytest.mark.parametrize("flag, env", [(("--threads", "0"), None), ((), "0")],
-                             ids=["flag", "env"])
+    @pytest.mark.parametrize("flag, config", [(("--threads", "0"), None),
+                                              ((), {"zfs": {"threads": 0}})],
+                             ids=["flag", "config"])
     def test_bad_threads_refused_before_reading_cubes(self, tmp_path, monkeypatch, capsys,
-                                                      flag, env):
+                                                      flag, config):
         homo, lumo = write_cubes(tmp_path)
         loads = []
         monkeypatch.setattr(volumetric, "load_cube", lambda path: loads.append(path))
-        if env is not None:
-            monkeypatch.setenv("ODMRSENSE_THREADS", env)
+        if config is not None:
+            flag = write_config(tmp_path, config)
         assert run("zfs", "--homo", homo, "--lumo", lumo, *flag) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert loads == []
@@ -423,18 +415,44 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    lambda tmp: (*SENSITIVITY, "--signal-slope", "1.6e-3", "--calib-slope", "1.8", "--out"),
+    lambda tmp: ("simulate", "--windows", "--out", tmp / "x.csv", "--svg"),
+    lambda tmp: ("zfs", *cube_flags(tmp), "--out", tmp / "zfs.json", "--table"),
+], ids=["out", "svg", "table"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir" / "output"
+    assert run(*argv(tmp_path), missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: cannot write: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestConfig:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
-            "seed": 5,
-            "simulate": {"noise_sigma": 0.001, "windows": True},
+            "simulate": {"seed": 5, "noise_sigma": 0.001, "windows": True},
         }))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run("simulate", "--config", cfg, "--out", a) == 0
         assert run("simulate", "--seed", 5, "--noise", "0.001",
                    "--windows", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # seed and threads live in the simulate and zfs sections; simulate
+    # always sets the kinetics microwave rate and pair itself
+    @pytest.mark.parametrize("config", [{"seed": 5}, {"threads": 2},
+                                        {"kinetics": {"mw_rate": 7.0}},
+                                        {"kinetics": {"mw_pair": "xz"}}],
+                             ids=["seed", "threads", "mw_rate", "mw_pair"])
+    def test_removed_key_rejected(self, tmp_path, capsys, config):
+        (key,) = config.get("kinetics", config)
+        assert run("simulate", *write_config(tmp_path, config), "--windows",
+                   "--out", tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}' was unexpected" in err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -456,9 +474,59 @@ class TestConfig:
         assert a.read_bytes() == b.read_bytes()
 
 
-# flags that name files or resolve outside a subcommand's config section
-NOT_SECTION_FLAGS = {"help", "config", "seed", "threads", "out", "svg", "input", "table",
+# flags that name files, not a key of the subcommand's config section
+NOT_SECTION_FLAGS = {"help", "config", "out", "svg", "input", "table",
                      "homo", "lumo", "homo_b", "lumo_b"}
+
+
+# every subcommand's flags as (flag, dest, required), as perfbench, CI and
+# the README spell them: the flags built from CONFIG_SCHEMA must not drift
+FLAGS = {
+    "simulate": {
+        ("--config", "config", False), ("--seed", "seed", False),
+        ("--d-mhz", "d_mhz", False), ("--e-mhz", "e_mhz", False),
+        ("--linewidth", "linewidth_fwhm", False), ("--shape-mix", "shape_mix", False),
+        ("--amplitudes", "amplitudes", False), ("--mw-rate", "mw_rate", False),
+        ("--noise", "noise_sigma", False), ("--fmin", "fmin", False),
+        ("--fmax", "fmax", False), ("--step", "step", False),
+        ("--windows", "windows", False), ("--window-half", "window_half", False),
+        ("--control-value", "control_value", False),
+        ("--control-unit", "control_unit", False),
+        ("--out", "out", True), ("--svg", "svg", False),
+    },
+    "fit": {
+        ("--config", "config", False), ("--input", "input", True),
+        ("--centers", "centers", False), ("--fwhm-guess", "fwhm_guess", False),
+        ("--mix-guess", "mix_guess", False), ("--out", "out", False),
+    },
+    "calibrate": {
+        ("--config", "config", False), ("--input", "input", True),
+        ("--segments", "segments", False),
+        ("--invert-frequency", "invert_frequency", False),
+        ("--out", "out", False), ("--svg", "svg", False),
+    },
+    "zfs": {
+        ("--config", "config", False), ("--homo", "homo", True), ("--lumo", "lumo", True),
+        ("--homo-b", "homo_b", False), ("--lumo-b", "lumo_b", False),
+        ("--threads", "threads", False), ("--cutoff", "cutoff_angstrom", False),
+        ("--out", "out", False), ("--table", "table", False),
+    },
+    "sensitivity": {
+        ("--config", "config", False), ("--sigma", "sigma", False),
+        ("--tau", "tau_s", False), ("--signal-slope", "signal_slope", False),
+        ("--calib-slope", "calib_slope", False), ("--unit", "unit", False),
+        ("--out", "out", False),
+    },
+}
+
+
+def test_flags_keep_their_spellings():
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    found = {command: {(*a.option_strings, a.dest, a.required)
+                       for a in parser._actions if a.dest != "help"}
+             for command, parser in subparsers.choices.items()}
+    assert found == FLAGS
+    assert sum(map(len, FLAGS.values())) == 46
 
 
 def test_every_flag_is_a_schema_key():
