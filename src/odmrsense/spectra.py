@@ -6,9 +6,10 @@ half-widths at half maximum and a shape_mix that blends Lorentzian
 to 1/2 at one half-width, the widths remain exact HWHMs for any mix.
 
 Spectra are plain (frequency, signal) arrays; signals are typically
-fractional contrast, so lines can point up or down.  Fitting is bounded
-trust-region least squares over all line parameters jointly, with
-1-sigma center uncertainties taken from the Gauss-Newton covariance.
+fractional contrast, so lines can point up or down.  Fitting is projected
+Levenberg-Marquardt least squares on a box over all line parameters
+jointly, with 1-sigma center uncertainties taken from the Gauss-Newton
+covariance.  Neither the fit nor the peak finder needs SciPy.
 """
 
 from __future__ import annotations
@@ -208,8 +209,6 @@ def auto_guesses(spectrum: Spectrum) -> list[LineModel]:
     Width guesses come from the half-prominence width; amplitudes are
     signed heights above the median baseline.
     """
-    from scipy.signal import find_peaks, peak_widths
-
     sigma = robust_noise_sigma(spectrum)
     # sigma-clipped median: the plain median sits well above the
     # between-line floor once fat-tailed lines cover much of the span
@@ -231,17 +230,57 @@ def auto_guesses(spectrum: Spectrum) -> list[LineModel]:
         # keep their prominence, noise wiggles drop well below the
         # 3-sigma bar once averaged
         smooth = np.convolve(trace, kernel, mode="same")
-        idx, _ = find_peaks(smooth, prominence=prominence, height=prominence)
-        if idx.size == 0:
-            continue
-        widths_samples = peak_widths(smooth, idx, rel_height=0.5)[0]
-        for peak, wsamp in zip(idx, widths_samples):
+        for peak, wsamp in _find_peaks(smooth, prominence, prominence):
             center = float(spectrum.freqs_mhz[peak])
             hwhm = max(wsamp * step / 2.0, step / 2.0)
             amplitude = sign * float(trace[peak])
             guesses.append((center, LineModel(center, hwhm, hwhm, amplitude, 0.5)))
     guesses.sort(key=lambda pair: pair[0])
     return [line for _, line in guesses]
+
+
+def _find_peaks(x: np.ndarray, height: float, prominence: float) -> list[tuple[int, float]]:
+    """(index, half-prominence width in samples) of each peak of x.
+
+    The steps and float operations are those of scipy.signal's
+    find_peaks(x, height=, prominence=) followed by peak_widths(x, peaks,
+    rel_height=0.5): local maxima, a plateau counting once at its
+    midpoint; the height filter; prominences of the survivors only; and
+    widths linearly interpolated at half prominence between the bases.
+    """
+    # a run of equal samples is a maximum when both its neighbours are lower
+    start = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    end = np.r_[start[1:], x.size] - 1
+    inner = (start > 0) & (end < x.size - 1)
+    start, end = start[inner], end[inner]
+    top = (x[start - 1] < x[start]) & (x[end + 1] < x[end])
+    peaks = (start[top] + end[top]) // 2
+    out = []
+    for p in peaks[x[peaks] >= height]:
+        # each base is the lowest sample before a higher one; which of tied
+        # minima it is moves neither the prominence nor the width
+        higher = np.flatnonzero(x > x[p])
+        k = np.searchsorted(higher, p)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < higher.size else x.size
+        left_base = lo + int(np.argmin(x[lo:p + 1]))
+        right_base = p + int(np.argmin(x[p:hi]))
+        prom = x[p] - max(x[left_base], x[right_base])
+        if not prom >= prominence:
+            continue
+        level = x[p] - prom * 0.5
+        below = np.flatnonzero(x[left_base + 1:p + 1] <= level)
+        i = left_base + 1 + below[-1] if below.size else left_base
+        left = float(i)
+        if x[i] < level:
+            left += (level - x[i]) / (x[i + 1] - x[i])
+        below = np.flatnonzero(x[p:right_base] <= level)
+        i = p + below[0] if below.size else right_base
+        right = float(i)
+        if x[i] < level:
+            right -= (level - x[i]) / (x[i - 1] - x[i])
+        out.append((int(p), right - left))
+    return out
 
 
 @dataclass(frozen=True)
@@ -273,6 +312,65 @@ def _unpack(vec: np.ndarray) -> list[LineModel]:
     return out
 
 
+def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
+    """Projected Levenberg-Marquardt least squares on the box [lower, upper].
+
+    residuals_jac(x) returns the residual vector and its Jacobian.  Each
+    step freezes the variables that sit on a bound with the cost gradient
+    pointing out of the box, solves the Marquardt-scaled damped normal
+    equations (J^T J + mu D) h = -J^T r on the others by Cholesky and
+    clips x + h onto the box.  mu follows Nielsen's gain-ratio update
+    (IMM-REP-1999-05); the ftol, xtol and gtol tests follow MINPACK, all
+    at tol.  Returns x with its residuals and Jacobian, and whether a
+    tolerance test, not the max_nfev budget, ended the search.
+    """
+    r, jac = residuals_jac(x)
+    nfev = 1
+    cost = 0.5 * (r @ r)
+    grad, hess = jac.T @ r, jac.T @ jac
+    scale = np.diag(hess).copy()
+    mu, nu = 1e-3, 2.0
+    while True:
+        free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
+        # gtol: no free Jacobian column is correlated with the residuals
+        norms = np.sqrt(np.diag(hess))[free]
+        if np.all(np.abs(grad[free]) <= tol * norms * np.sqrt(2.0 * cost)):
+            return x, r, jac, True
+        if nfev >= max_nfev:
+            return x, r, jac, False
+        damping = mu * np.where(scale > 0.0, scale, 1.0)[free]
+        try:
+            chol = np.linalg.cholesky(hess[np.ix_(free, free)] + np.diag(damping))
+        except np.linalg.LinAlgError:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        h = np.zeros_like(x)
+        h[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
+        x_new = np.clip(x + h, lower, upper)
+        step = x_new - x
+        r_new, jac_new = residuals_jac(x_new)
+        nfev += 1
+        cost_new = 0.5 * (r_new @ r_new)
+        actual = cost - cost_new
+        predicted = -(grad @ step + 0.5 * (step @ hess @ step))
+        ratio = actual / predicted if predicted > 0.0 else -1.0
+        # ftol also wants the model to predict the reduction within 50 %
+        # (MINPACK: 100 %): in a flat width/shape_mix valley the Gauss-Newton
+        # model undershoots, and a small step there does not mean the end
+        done = ((abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 1.5)
+                or np.linalg.norm(step) <= tol * (tol + np.linalg.norm(x)))
+        if ratio > 0.0:
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            grad, hess = jac.T @ r, jac.T @ jac
+            scale = np.maximum(scale, np.diag(hess))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+        if done:
+            return x, r, jac, True
+
+
 def fit_peaks(
     spectrum: Spectrum,
     guesses=None,
@@ -295,7 +393,8 @@ def fit_peaks(
     fmin, fmax = float(f[0]), float(f[-1])
     span = fmax - fmin
     step = float(np.median(np.diff(f)))
-    amp_bound = 10.0 * max(float(np.max(np.abs(s))), 1e-30)
+    # an all-zero signal pins every amplitude at 0
+    amp_bound = 10.0 * float(np.max(np.abs(s)))
 
     lower, upper = [], []
     for ln in guesses:
@@ -310,26 +409,17 @@ def fit_peaks(
     upper = np.asarray(upper)
     x0 = np.clip(_pack(guesses).ravel(), lower, upper)
 
-    def residuals(vec):
-        return _profile(vec.reshape(-1, 5), f) - s
+    def residuals_jac(vec):
+        total, jac = _profile(vec.reshape(-1, 5), f, jac=True)
+        return total - s, jac
 
-    def jacobian(vec):
-        return _profile(vec.reshape(-1, 5), f, jac=True)[1]
-
-    from scipy.optimize import least_squares
-
-    result = least_squares(
-        residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
-        xtol=1e-8, ftol=1e-8, gtol=1e-8,
-        max_nfev=max_iter * (x0.size + 1),
-    )
-    converged = bool(result.success)
-    rms = float(np.sqrt(np.mean(result.fun ** 2)))
+    x, r, jac, converged = _solve_box(residuals_jac, x0, lower, upper,
+                                      max_nfev=max_iter * (x0.size + 1), tol=1e-8)
+    rms = float(np.sqrt(np.mean(r ** 2)))
 
     dof = max(f.size - x0.size, 1)
-    jac = result.jac
     try:
-        cov = np.linalg.pinv(jac.T @ jac) * (2.0 * result.cost / dof)
+        cov = np.linalg.pinv(jac.T @ jac) * ((r @ r) / dof)
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         sigmas = np.full(x0.size, np.inf)
@@ -340,7 +430,7 @@ def fit_peaks(
     sigmas[0::5][blind] = np.inf
     converged = converged and not blind.any()
 
-    fitted = _unpack(result.x)
+    fitted = _unpack(x)
     fits = []
     for k, ln in enumerate(fitted):
         fits.append(PeakFit(

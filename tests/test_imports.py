@@ -29,8 +29,9 @@ BOUNDS = {
     "sensitivity": ((), None),
     "calibrate": ((), None),
     "simulate": ((), None),
+    "fit": ((), None),
+    "fit_auto": ((), None),
     "zfs": (("scipy.fft",), ("scipy.optimize", "scipy.signal", "scipy.linalg")),
-    "fit": (("scipy.optimize",), ("scipy.signal",)),
 }
 
 PROBE = """
@@ -72,6 +73,7 @@ def write_inputs(tmp) -> dict:
                 "--out", str(tmp / "zfs.json")],
         "fit": ["fit", "--input", str(tmp / "spec.csv"), "--centers", "1339,1445",
                 "--out", str(tmp / "fit.json")],
+        "fit_auto": ["fit", "--input", str(tmp / "spec.csv"), "--out", str(tmp / "fit_auto.json")],
     }
 
 
@@ -80,7 +82,7 @@ def report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("imports")
     steps = write_inputs(tmp)
     src = str(Path(odmrsense.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("ODMRSENSE_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                                  else []))
     order = [(name, steps[name]) for name in BOUNDS if name in steps]

@@ -1,9 +1,10 @@
-"""Lineshape, synthesis, noise-estimation and fitting tests."""
+"""Lineshape, synthesis, noise-estimation, peak-finding and fitting tests."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odmrsense import (
     DataFormatError,
@@ -12,15 +13,18 @@ from odmrsense import (
     LineModel,
     Spectrum,
     SpectrumMeta,
+    ZfsParameters,
     auto_guesses,
     evaluate_lines,
     fit_peaks,
     read_spectrum,
     robust_noise_sigma,
+    spectra,
     synthesize,
+    transitions_from_zfs,
     write_spectrum,
 )
-from odmrsense.spectra import _profile
+from odmrsense.spectra import _find_peaks, _profile
 
 
 class TestLineModel:
@@ -185,6 +189,84 @@ class TestFitting:
         assert not fits[0].converged
 
 
+def three_line_case(seed):
+    """Seeded three-line spectrum: windows with guesses, or (every fourth
+    seed) a full scan left to auto_guesses."""
+    rng = np.random.default_rng(seed)
+    t = transitions_from_zfs(ZfsParameters(rng.uniform(1385.0, 1400.0), rng.uniform(50.0, 56.0)))
+    centers, amps = (t.f_xy, t.f_yz, t.f_xz), (0.01, -0.01, 0.01)
+    mix = float(rng.choice([1.0, 0.5]))
+    skew = rng.uniform(0.8, 1.25)
+    lines = [LineModel(c, 2.15 * skew, 2.15 / skew, a, mix) for c, a in zip(centers, amps)]
+    if seed % 4 == 3:
+        f, guesses = np.arange(50.0, 1500.25, 0.5), None
+    else:
+        f = np.concatenate([np.arange(c - 25.0, c + 25.0 + 1e-9, 0.05) for c in centers])
+        guesses = [LineModel.symmetric(c + rng.uniform(-0.8, 0.8), rng.uniform(3.5, 6.0),
+                                       a * rng.uniform(0.6, 1.3), 0.5)
+                   for c, a in zip(centers, amps)]
+    return synthesize(lines, f, noise_sigma=0.001, seed=seed), guesses
+
+
+class TestSolver:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_least_squares(self, seed, monkeypatch):
+        # the same box problem handed to SciPy's bounded trust-region solver
+        from scipy.optimize import least_squares
+
+        problems = []
+        solve = spectra._solve_box
+
+        def recording(fun, x0, lower, upper, max_nfev, tol):
+            problems.append((fun, x0, lower, upper, max_nfev, tol))
+            return solve(fun, x0, lower, upper, max_nfev, tol)
+
+        monkeypatch.setattr(spectra, "_solve_box", recording)
+        fits = fit_peaks(*three_line_case(seed))
+        fun, x0, lower, upper, max_nfev, tol = problems[0]
+        ref = least_squares(lambda v: fun(v)[0], x0, jac=lambda v: fun(v)[1],
+                            bounds=(lower, upper), method="trf", xtol=tol, ftol=tol,
+                            gtol=tol, max_nfev=max_nfev)
+        assert ref.success and all(p.converged for p in fits)
+        cov = np.linalg.pinv(ref.jac.T @ ref.jac) * (2.0 * ref.cost / (ref.fun.size - x0.size))
+        ref_sigma = np.sqrt(np.diag(cov))[0::5]
+        got = np.array([p.center for p in fits])
+        sigma = np.array([p.center_sigma for p in fits])
+        assert np.all(np.abs(got - ref.x[0::5]) <= 0.05 * ref_sigma)
+        assert np.allclose(sigma, ref_sigma, rtol=1e-2, atol=0.0)
+
+    def test_lorentzian_pinned_at_mix_one(self, monkeypatch):
+        calls = []
+        profile = spectra._profile
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_profile", counting)
+        truth = LineModel.symmetric(100.0, 4.3, 0.01, 1.0)
+        f = np.arange(80.0, 120.0, 0.05)
+        mixes = []
+        for seed in range(8):
+            calls.clear()
+            s = synthesize([truth], f, noise_sigma=0.001, seed=seed)
+            (fit,) = fit_peaks(s, [LineModel.symmetric(100.6, 6.0, 0.007, 0.5)])
+            assert fit.converged
+            assert len(calls) < 30
+            mixes.append(fit.line.shape_mix)
+        # the noise pushes shape_mix past 1 for some seeds: the bound holds it
+        assert mixes.count(1.0) >= 2
+
+    def test_zero_amplitude_line_not_converged(self):
+        # an all-zero signal pins the amplitude at 0, where the centre moves
+        # no sample and so has no defined uncertainty
+        s = Spectrum(100.0 + 0.5 * np.arange(40), np.zeros(40))
+        (fit,) = fit_peaks(s, [LineModel.symmetric(110.0, 4.0, 1e-6, 0.5)])
+        assert fit.amplitude == 0.0
+        assert fit.center_sigma == np.inf
+        assert not fit.converged
+
+
 class TestAutoGuesses:
     def test_finds_lines_of_both_polarities(self):
         centers = (106.0, 1339.0, 1445.0)
@@ -221,6 +303,47 @@ class TestAutoGuesses:
         rng = np.random.default_rng(9)
         s = Spectrum(np.linspace(0, 10, 4000), rng.normal(0, 0.02, 4000))
         assert robust_noise_sigma(s) == pytest.approx(0.02, rel=0.1)
+
+
+def scipy_peaks(x, height, prominence):
+    from scipy.signal import find_peaks, peak_widths
+
+    idx, _ = find_peaks(x, height=height, prominence=prominence)
+    widths = peak_widths(x, idx, rel_height=0.5)[0] if idx.size else np.empty(0)
+    return idx, widths
+
+
+class TestFindPeaks:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 400),
+           levels=st.sampled_from([0, 2, 5, 40]), sign=st.sampled_from([1.0, -1.0]),
+           smooth=st.booleans(), height=st.floats(-2.0, 2.0),
+           prominence=st.floats(0.0, 2.0))
+    def test_matches_scipy_on_noisy_lines(self, seed, n, levels, sign, smooth, height,
+                                          prominence):
+        rng = np.random.default_rng(seed)
+        u = (np.arange(n) - rng.uniform(0, n)) / rng.uniform(1.0, 30.0)
+        x = sign * (rng.uniform(0.0, 3.0) / (1.0 + u ** 2) + rng.normal(0.0, 0.3, n))
+        if smooth:
+            x = np.convolve(x, np.full(5, 0.2), mode="same")
+        if levels:
+            # quantising the trace makes plateaus, flat tops and tied bases
+            x = np.round(x * levels) / levels
+        self.check(x, height, prominence)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+           height=st.integers(-3, 3), prominence=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_matches_scipy_on_plateaus(self, trace, height, prominence):
+        self.check(np.asarray(trace, dtype=float), float(height), prominence)
+
+    @staticmethod
+    def check(x, height, prominence):
+        want_idx, want_widths = scipy_peaks(x, height, prominence)
+        got = _find_peaks(x, height, prominence)
+        assert [p for p, _ in got] == want_idx.tolist()
+        widths = np.array([w for _, w in got])
+        assert np.allclose(widths, want_widths, rtol=1e-12, atol=0.0)
 
 
 class TestSpectrumIO:
