@@ -16,9 +16,18 @@ the offset, so its transform K^ is real and each pair sum is one
 frequency-space inner product, sum_k K^ Re(conj(a^) b^) / M (Parseval).
 K^ depends only on the mesh and the cutoff, so it is cached: a second
 orbital pair on the same mesh reuses it.  The test suite cross-checks
-the result against a literal voxel-pair double sum over the same kernel
-table.  Tracelessness is exact per displacement, so the result is
-traceless to roundoff by construction.
+the result against a literal voxel-pair double sum over six kernel
+tables built independently.  The kernel is traceless at every
+displacement (K_xx + K_yy + K_zz = 0), so the cache keeps five rows (xx,
+yy, xy, xz, yz) and the tensor takes zz = -(xx + yy), traceless by
+construction.
+
+Memory: each table is built slab by slab into one reused mesh buffer
+beside r^-5, and a pair sum keeps at most two density spectra alive.  On
+the padded mesh that is about 48 bytes per point while the kernel is
+built and 27 once it is cached (numpy buffers at 48^3), about 62 per
+point in process RSS; volumetric.MAX_CUBE_SAMPLES refuses cubes whose
+mesh would not fit.
 """
 
 from __future__ import annotations
@@ -33,31 +42,49 @@ from .errors import InvalidParameterError
 from .spin import AXIS_LABELS, ZfsParameters, ZfsTensor, ordered_eigensystem, tensor_to_parameters
 from .volumetric import OrbitalGrid, assert_commensurate
 
-# Independent tensor components in (a, b) index pairs.
-_COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# Tensor components kept in the kernel spectrum, as (a, b) index pairs;
+# zz is -(xx + yy) by the trace identity.
+_COMPONENTS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
 
 
 def _kernel_table(shape, axes: np.ndarray, cutoff: float):
-    """Yield the six cutoff-regularized kernel tables on the FFT mesh.
+    """Yield the five cutoff-regularized kernel tables on the FFT mesh.
 
     Index m along an axis of length N stands for offset m, or m - N past
     the middle, and holds K(o . axes); displacements shorter than cutoff
     (always including zero) are 0.  No in-range mask is needed: the sums
     only reach |o| <= n-1 < N/2, where each table equals its even part,
     and .real of its transform is the transform of that even part.
+
+    Every table is written slab by slab along axis 0 into one buffer
+    that is reused for the next, so a caller keeps a table past the next
+    step only by copying it.  Beside it only r^-5 lives on the full mesh.
     """
-    offsets = np.ix_(*[np.arange(n) - n * (np.arange(n) > n // 2) for n in shape])
-    disp = [offsets[0] * axes[0, c] + offsets[1] * axes[1, c] + offsets[2] * axes[2, c]
-            for c in range(3)]
-    r2 = disp[0] * disp[0] + disp[1] * disp[1] + disp[2] * disp[2]
-    keep = r2 >= cutoff * cutoff
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r5 = np.where(keep, r2 ** -2.5, 0.0)
+    offsets = [np.arange(n) - n * (np.arange(n) > n // 2) for n in shape]
+    # the axis-1 and axis-2 parts of each displacement component
+    part1 = [offsets[1][:, None] * axes[1, c] for c in range(3)]
+    part2 = [offsets[2][None, :] * axes[2, c] for c in range(3)]
+
+    def disp(i, c):
+        """Displacement component c on slab i."""
+        return offsets[0][i] * axes[0, c] + part1[c] + part2[c]
+
+    def r2(i):
+        d = [disp(i, c) for c in range(3)]
+        return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+
+    inv_r5 = np.empty(shape)
+    with np.errstate(divide="ignore"):
+        for i, slab in enumerate(inv_r5):
+            r2_i = r2(i)
+            slab[:] = np.where(r2_i >= cutoff * cutoff, r2_i ** -2.5, 0.0)
+    table = np.empty(shape)
     for a, b in _COMPONENTS:
-        table = -3.0 * disp[a] * disp[b]
-        if a == b:
-            table += r2
-        table *= inv_r5
+        for i, slab in enumerate(table):
+            np.multiply(-3.0 * disp(i, a), disp(i, b), out=slab)
+            if a == b:
+                slab += r2(i)
+            slab *= inv_r5[i]
         yield table
 
 
@@ -69,7 +96,7 @@ def _padded_shape(dims) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
-    """Real kernel spectra on the rfft half mesh as one (6, M) array.
+    """Real kernel spectra on the rfft half mesh as one (5, M) array.
 
     Row c is rfftn(table c).real, times 2 where a half-spectrum entry k
     stands for the conjugate pair k, -k (1 where they coincide: at 0 and
@@ -84,9 +111,11 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
     shape = _padded_shape(dims)
     k = np.arange(shape[-1] // 2 + 1)
     weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
-    kernel = np.empty((6, np.prod(shape[:-1]) * k.size))
+    kernel = np.empty((len(_COMPONENTS), np.prod(shape[:-1]) * k.size))
     for row, table in zip(kernel, _kernel_table(shape, np.array(axes), cutoff)):
-        row[:] = (sp_fft.rfftn(table).real * weight).ravel()
+        spectrum = sp_fft.rfftn(table)
+        np.multiply(spectrum.real, weight, out=row.reshape(spectrum.shape))
+        del spectrum  # before the next table's transform
     kernel.flags.writeable = False
     return kernel
 
@@ -125,11 +154,21 @@ def zfs_pair_tensor(
                                 float(cutoff_angstrom))
     psi_i, psi_j = phi_i.normalized().values, phi_j.normalized().values
     shape = _padded_shape(phi_i.dims)
-    f_i, f_j, f_g = (sp_fft.rfftn(density, s=shape, workers=threads).ravel()
-                     for density in (psi_i ** 2, psi_j ** 2, psi_i * psi_j))
-    # direct minus exchange, one expression on both sides so that a pair
-    # of identical orbitals cancels exactly
-    pair = (f_i.conj() * f_j).real - (f_g.conj() * f_g).real
+
+    def spectrum(density):
+        return sp_fft.rfftn(density, s=shape, workers=threads).ravel()
+
+    # at most two density spectra are alive at once
+    f_i, f_j = spectrum(psi_i ** 2), spectrum(psi_j ** 2)
+    pair = f_i.real * f_j.real  # Re(conj(f_i) f_j)
+    pair += f_i.imag * f_j.imag
+    del f_i, f_j
+    f_g = spectrum(psi_i * psi_j)
+    # the exchange term whole before it is subtracted, formed like the
+    # direct one, so that a pair of identical orbitals cancels exactly
+    exchange = f_g.real * f_g.real
+    exchange += f_g.imag * f_g.imag
+    pair -= exchange
     dv = phi_i.voxel_volume
     scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
     comps = scale * np.einsum("cm,m->c", kernel, pair)
@@ -137,6 +176,7 @@ def zfs_pair_tensor(
     for value, (a, b) in zip(comps, _COMPONENTS):
         tensor[a, b] = value
         tensor[b, a] = value
+    tensor[2, 2] = -(comps[0] + comps[1])
     return ZfsTensor(tensor)
 
 

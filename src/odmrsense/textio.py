@@ -56,14 +56,20 @@ def numbers(path, lineno: int, tokens, error) -> list[float]:
 
 def number_block(path, first_lineno: int, lines, error) -> np.ndarray:
     """The finite floats of many lines as one array; numbers() walks them only to name a fault."""
-    try:  # a block of lines at a time keeps few tokens alive at once
-        values = np.concatenate([np.empty(0), *(
-            np.array(" ".join(lines[i:i + 4096]).split(), dtype=float)
-            for i in range(0, len(lines), 4096))])
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+    body = "\n".join(lines)
+    # np.fromstring parses the body in one C pass, but reads a blank body
+    # as [-1.], may stop early at a NUL, and rejects some tokens float()
+    # accepts ("1_0", non-ASCII digits); those bodies, a bad token and a
+    # non-finite value take the token path, which sets every value and
+    # message
+    if body.isascii() and body.strip() and "\0" not in body:
+        try:
+            values = np.fromstring(body, sep=" ")
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
     return np.array([value for lineno, line in enumerate(lines, start=first_lineno)
                      for value in numbers(path, lineno, line.split(), error)])
 

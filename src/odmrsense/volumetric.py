@@ -23,6 +23,13 @@ from .constants import BOHR_RADIUS_ANGSTROM
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
 from .textio import number_block, numbers, read_text, write_lines
 
+# Largest cube load_cube reads.  zfs pads an n-sample cube to an FFT mesh
+# of about 8n points and peaks near 62 bytes per mesh point (fresh
+# processes at 48^3-96^3 on x86-64 Linux), about 500 bytes per sample,
+# so a cube at the limit (200^3) peaks near 4 GB.  Larger cubes are
+# refused from the header, before the body is parsed.
+MAX_CUBE_SAMPLES = 200 ** 3
+
 
 @dataclass(frozen=True)
 class OrbitalGrid:
@@ -154,16 +161,30 @@ class OrbitalStats:
 
 
 def orbital_stats(grid: OrbitalGrid) -> OrbitalStats:
-    """First and second moments of the normalized density phi^2."""
+    """First and second moments of the normalized density phi^2.
+
+    Positions are affine in the sample index, so the moments come from
+    the index moments of the density's 1-D and 2-D marginals: the
+    centroid is origin + mean_index @ axes, and the second moments are
+    the diagonal of axes^T C axes for the 3x3 index covariance C.
+    """
     density = grid.values ** 2 * grid.voxel_volume
     total = float(density.sum())
     if total <= 0:
         raise InvalidParameterError("orbital has zero norm; moments undefined")
-    pos = grid.positions()
-    centroid = np.tensordot(density, pos, axes=([0, 1, 2], [0, 1, 2])) / total
-    second = np.tensordot(density, (pos - centroid) ** 2,
-                          axes=([0, 1, 2], [0, 1, 2])) / total
-    return OrbitalStats(norm=total, centroid=centroid, spread=np.sqrt(second))
+    pairs = {(1, 2): density.sum(axis=0), (0, 2): density.sum(axis=1),
+             (0, 1): density.sum(axis=2)}
+    marginals = [pairs[0, 1].sum(axis=1), pairs[0, 1].sum(axis=0), pairs[0, 2].sum(axis=0)]
+    mean = np.array([np.arange(m.size) @ m for m in marginals]) / total
+    rel = [np.arange(m.size) - mu for m, mu in zip(marginals, mean)]
+    cov = np.empty((3, 3))
+    for a in range(3):
+        cov[a, a] = (rel[a] * rel[a]) @ marginals[a] / total
+    for (a, b), marginal in pairs.items():
+        cov[a, b] = cov[b, a] = rel[a] @ marginal @ rel[b] / total
+    second = np.einsum("ac,ab,bc->c", grid.axes, cov, grid.axes)
+    return OrbitalStats(norm=total, centroid=grid.origin + mean @ grid.axes,
+                        spread=np.sqrt(second))
 
 
 def homo_lumo_shift(homo: OrbitalStats, lumo: OrbitalStats) -> np.ndarray:
@@ -198,6 +219,10 @@ def load_cube(path) -> OrbitalGrid:
             raise CubeParseError(
                 f"{path}:{4 + axis}: axis sample count must be positive, got {count}")
         dims.append(count)
+    if dims[0] * dims[1] * dims[2] > MAX_CUBE_SAMPLES:
+        raise CubeParseError(
+            f"{path}: cube of {dims[0]} x {dims[1]} x {dims[2]} samples exceeds "
+            f"the limit of {MAX_CUBE_SAMPLES:,}")
     first_value_line = 7 + abs(natoms)
     for lineno in range(7, first_value_line):
         record(lineno, 5)

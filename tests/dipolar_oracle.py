@@ -2,16 +2,42 @@
 
 The library evaluates the dipolar pair sums in frequency space only.
 This module keeps the literal voxel-pair double sum as the reference the
-tests compare it against.  It reads the library's own kernel table, so
-both routes see bitwise identical kernel samples and any disagreement
-comes from the frequency-space mechanics (padding, transforms).
-Quadratic cost: small grids only.
+tests compare it against.  It builds all six kernel tables itself, zz
+included, on the whole padded mesh at once, while the library builds
+five slab by slab and takes zz from the trace identity; the samples
+agree bitwise, so a disagreement comes from the frequency-space
+mechanics (padding, transforms, the trace identity).  Quadratic cost:
+small grids only.
 """
 
 import numpy as np
 
 from odmrsense import DIPOLAR_PREFACTOR_MHZ_A3, OrbitalGrid, ZfsTensor
-from odmrsense.dipolar import _COMPONENTS, _kernel_table, _padded_shape
+from odmrsense.dipolar import _padded_shape
+
+# All six independent tensor components in (a, b) index pairs.
+COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def kernel_tables(shape, axes, cutoff: float) -> list[np.ndarray]:
+    """The six cutoff-regularized kernel tables, in COMPONENTS order.
+
+    Same wrap-around offsets and the same operations in the same order as
+    the library, but each table on the full mesh at once.
+    """
+    offsets = np.ix_(*[np.arange(n) - n * (np.arange(n) > n // 2) for n in shape])
+    disp = [offsets[0] * axes[0, c] + offsets[1] * axes[1, c] + offsets[2] * axes[2, c]
+            for c in range(3)]
+    r2 = disp[0] * disp[0] + disp[1] * disp[1] + disp[2] * disp[2]
+    with np.errstate(divide="ignore"):
+        inv_r5 = np.where(r2 >= cutoff * cutoff, r2 ** -2.5, 0.0)
+    tables = []
+    for a, b in COMPONENTS:
+        table = -3.0 * disp[a] * disp[b]
+        if a == b:
+            table += r2
+        tables.append(table * inv_r5)
+    return tables
 
 
 def _pair_sums_direct(rho_i, rho_j, overlap, tables,
@@ -19,16 +45,15 @@ def _pair_sums_direct(rho_i, rho_j, overlap, tables,
     """Same sums as the FFT route by explicit voxel-pair iteration.
 
     Looks the kernel up through index offsets, taken modulo the table
-    shape, so both routes see bitwise identical kernel samples; quadratic
-    cost, intended for small grids.
+    shape; quadratic cost, intended for small grids.
     """
     dims = rho_i.shape
     idx = np.indices(dims).reshape(3, -1).T  # (N, 3)
     ri = rho_i.reshape(-1)
     rj = rho_j.reshape(-1)
     ov = overlap.reshape(-1)
-    direct = np.zeros(6)
-    exchange = np.zeros(6)
+    direct = np.zeros(len(tables))
+    exchange = np.zeros(len(tables))
     for start in range(0, idx.shape[0], chunk):
         rows = idx[start:start + chunk]
         off = rows[:, None, :] - idx[None, :, :]  # (c, N, 3)
@@ -46,13 +71,13 @@ def direct_pair_tensor(phi_i: OrbitalGrid, phi_j: OrbitalGrid) -> ZfsTensor:
     phi_i = phi_i.normalized()
     phi_j = phi_j.normalized()
     overlap = phi_i.values * phi_j.values
-    tables = list(_kernel_table(_padded_shape(phi_i.dims), phi_i.axes, cutoff))
+    tables = kernel_tables(_padded_shape(phi_i.dims), phi_i.axes, cutoff)
     direct, exchange = _pair_sums_direct(phi_i.values ** 2, phi_j.values ** 2,
                                          overlap, tables)
     dv = phi_i.voxel_volume
     comps = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv * (direct - exchange)
     tensor = np.empty((3, 3))
-    for value, (a, b) in zip(comps, _COMPONENTS):
+    for value, (a, b) in zip(comps, COMPONENTS):
         tensor[a, b] = value
         tensor[b, a] = value
     return ZfsTensor(tensor)

@@ -356,6 +356,8 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     lambda tmp: overwrite(tmp, ("zfs", "--homo", tmp / "o.cube", "--lumo", tmp / "o.cube"),
                       "o.cube"),
     lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json"),
+    lambda tmp: overwrite(tmp, ("zfs", "--homo", tmp / "o.cube", "--lumo", tmp / "o.cube"),
+                          "o.cube", b"a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n"),
     lambda tmp: ("zfs", *cube_flags(tmp), "--cutoff", "nan"),
     lambda tmp: ("zfs", *cube_flags(tmp), "--cutoff", "inf"),
     lambda tmp: ("zfs", *write_config(tmp, {"zfs": {"cutoff_angstrom": float("nan")}}),
@@ -398,7 +400,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "centers-not-a-number", "centers-empty", "grid-too-large",
         "window-grid-too-large", "spectrum-not-utf8", "spectrum-sidecar-not-utf8",
         "calibration-not-utf8", "calibration-sidecar-not-utf8", "cube-not-utf8",
-        "config-not-utf8", "cutoff-nan", "cutoff-inf", "cutoff-config-nan", "step-inf",
+        "config-not-utf8", "cube-oversize", "cutoff-nan", "cutoff-inf", "cutoff-config-nan", "step-inf",
         "step-config-inf", "control-value-nan", "control-value-config-nan",
         "spectrum-sidecar-control-value-nan", "signal-slope-zero", "calib-slope-zero",
         "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",

@@ -7,6 +7,8 @@ lattice sums, and a pair built from one orbital twice has identical
 direct and exchange terms, so the tensor cancels exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,9 @@ from odmrsense import (
     zfs_pair_tensor,
 )
 
-from dipolar_oracle import direct_pair_tensor
+from odmrsense.dipolar import _COMPONENTS, _kernel_table, _kernel_transforms, _padded_shape
+
+from dipolar_oracle import COMPONENTS, direct_pair_tensor, kernel_tables
 
 
 def tight_pair(dims=24, length=18.0, width=0.75, offset=5.0):
@@ -119,6 +123,36 @@ class TestPairTensor:
         one = zfs_pair_tensor(a, b, threads=1).tensor
         two = zfs_pair_tensor(a, b, threads=2).tensor
         assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("mesh", ["orthogonal", "skewed"])
+    def test_kernel_tables_match_oracle_bitwise(self, mesh):
+        a, _ = padded_mesh_pair(mesh)
+        shape = _padded_shape(a.dims)
+        cutoff = float(np.min(np.linalg.norm(a.axes, axis=1)))
+        # the library reuses one buffer, so each table is copied as it comes
+        got = [table.copy() for table in _kernel_table(shape, a.axes, cutoff)]
+        want = dict(zip(COMPONENTS, kernel_tables(shape, a.axes, cutoff)))
+        assert len(got) == len(_COMPONENTS)
+        for table, comp in zip(got, _COMPONENTS):
+            assert np.array_equal(table, want[comp])
+
+    def test_working_set_per_padded_mesh_point(self):
+        # tracemalloc counts numpy's buffers alike on every platform, unlike
+        # RSS; the budgets sit above the 48 and 27 bytes measured at 48^3
+        a, b = tight_pair(dims=48)
+        points = np.prod(_padded_shape(a.dims))
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                zfs_pair_tensor(a, b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _kernel_transforms.cache_clear()
+        assert peak_bytes() / points <= 56  # cold: builds the kernel
+        assert peak_bytes() / points <= 32  # warm: reuses it
 
     def test_normalization_invariance(self):
         a, b = tight_pair(dims=12, length=12.0, width=1.0, offset=3.0)

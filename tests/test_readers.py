@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from odmrsense import (CalibrationSeries, OdmrSenseError, Spectrum, SpectrumMeta, load_cube,
                        read_calibration, read_spectrum, write_calibration, write_spectrum)
 from odmrsense.cli import load_config
+from odmrsense.errors import CubeParseError
+from odmrsense.textio import number_block, numbers
 
 SPECTRUM = "frequency_mhz,signal\n" + "".join(f"{100 + i},0.0\n" for i in range(8))
 CALIBRATION = "control_value,frequency_mhz\n" + "".join(
@@ -59,6 +61,40 @@ def test_reader_raises_only_package_errors(tmp_path, case, prefixed, content):
     except OdmrSenseError as exc:
         # the message leads with the file at fault, as "<path>: ..." or "<path>:<line>: ..."
         assert str(exc).startswith(f"{tmp_path / target}:")
+
+
+def _token_path(lines):
+    """The cube body parsed one float() token at a time, or its error text."""
+    try:
+        return [value for lineno, line in enumerate(lines, start=7)
+                for value in numbers("o.cube", lineno, line.split(), CubeParseError)], None
+    except CubeParseError as exc:
+        return None, str(exc)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+BODY_TOKEN = st.one_of(
+    FLOATS.map(repr), FLOATS.map("%17.9e".__mod__),
+    st.sampled_from(["nan", "-inf", "1e999", "1_0", "0x10", "1,5", "\u0661\u0662", "\0",
+                     "1\0", "-", "."]))
+BODY_LINE = st.one_of(
+    st.just(""), st.just("  \t"),
+    st.lists(BODY_TOKEN, max_size=6).flatmap(
+        lambda tokens: st.sampled_from([" ", "  ", "\t"]).map(lambda sep: sep.join(tokens))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(BODY_LINE, max_size=8))
+def test_number_block_matches_token_path(lines):
+    want, message = _token_path(lines)
+    try:
+        got = number_block("o.cube", 7, lines, CubeParseError)
+    except CubeParseError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
+        assert got.dtype == np.float64
+        assert got.tolist() == want
 
 
 # The writers' bytes, pinned: CSV cells are float reprs and a blank cell

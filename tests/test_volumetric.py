@@ -101,6 +101,22 @@ class TestGaussianOrbital:
             default_orbital(widths=(1.0, 0.0, 1.0))
 
 
+    def test_moments_match_position_formula_on_skewed_lattice(self):
+        axes = np.array([[0.45, 0.0, 0.0], [0.12, 0.5, 0.0], [0.05, -0.08, 0.4]])
+        dims = (20, 16, 12)
+        origin = np.array([0.3, -0.2, 0.1]) - 0.5 * (np.array(dims) - 1) @ axes
+        orb = gaussian_orbital(origin, axes, dims, (0.4, -0.3, 0.2), (1.6, 1.1, 0.9),
+                               node_axis=1)
+        stats = orbital_stats(orb)
+        # the moments over every sample position, as positions() lays them out
+        density = orb.values ** 2 * orb.voxel_volume
+        pos = orb.positions()
+        centroid = np.tensordot(density, pos, axes=3) / density.sum()
+        second = np.tensordot(density, (pos - centroid) ** 2, axes=3) / density.sum()
+        assert np.allclose(stats.centroid, centroid, rtol=1e-12, atol=0)
+        assert np.allclose(stats.spread, np.sqrt(second), rtol=1e-12, atol=0)
+
+
 class TestShiftMetric:
     def test_homo_lumo_shift_in_pm(self):
         homo = orbital_stats(default_orbital())
@@ -166,6 +182,14 @@ class TestCubeIO:
         path = tmp_path / "bad.cube"
         path.write_text("a\nb\n0 0 0 0\n0 1.0 0.0 0.0\n2 0 1 0\n2 0 0 1\n1\n")
         with pytest.raises(CubeParseError, match=r"bad\.cube:4"):
+            load_cube(path)
+
+    def test_oversize_header_refused_before_body(self, tmp_path):
+        path = tmp_path / "huge.cube"
+        # no atom records and no body: the dims alone refuse it
+        path.write_text("a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n")
+        with pytest.raises(CubeParseError,
+                           match=r"huge\.cube: cube of 1000 x 1000 x 1000 samples exceeds"):
             load_cube(path)
 
     def test_too_few_values(self, tmp_path):
