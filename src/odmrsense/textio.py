@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +26,20 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
-def read_text(path, error) -> str:
-    """The UTF-8 text of a file; a file that cannot be read raises error."""
+@contextmanager
+def open_text(path, error):
+    """A file's UTF-8 text stream; a failure to open or read it raises error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as stream:
+            yield stream
     except (OSError, UnicodeDecodeError) as exc:  # an OSError's strerror omits the path
         raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_text(path, error) -> str:
+    """The UTF-8 text of a file; a file that cannot be read raises error."""
+    with open_text(path, error) as stream:
+        return stream.read()
 
 
 def read_json(path, error):
@@ -54,23 +64,25 @@ def numbers(path, lineno: int, tokens, error) -> list[float]:
     return values
 
 
-def number_block(path, first_lineno: int, lines, error) -> np.ndarray:
-    """The finite floats of many lines as one array; numbers() walks them only to name a fault."""
-    body = "\n".join(lines)
-    # np.fromstring parses the body in one C pass, but reads a blank body
+def number_block(path, first_lineno: int, text: str, error) -> np.ndarray:
+    """The finite floats of the lines of text as one array; numbers() walks them only to name a fault."""
+    # np.fromstring parses the text in one C pass, but reads a blank text
     # as [-1.], may stop early at a NUL, and rejects some tokens float()
-    # accepts ("1_0", non-ASCII digits); those bodies, a bad token and a
-    # non-finite value take the token path, which sets every value and
-    # message
-    if body.isascii() and body.strip() and "\0" not in body:
+    # accepts ("1_0", non-ASCII digits); at a bad token older NumPy only
+    # warns (DeprecationWarning) and returns the values before it.  Those
+    # texts, a bad token and a non-finite value take the token path,
+    # which sets every value and message
+    if text.isascii() and text.strip() and "\0" not in text:
         try:
-            values = np.fromstring(body, sep=" ")
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
             pass
         else:
             if np.isfinite(values).all():
                 return values
-    return np.array([value for lineno, line in enumerate(lines, start=first_lineno)
+    return np.array([value for lineno, line in enumerate(text.splitlines(), start=first_lineno)
                      for value in numbers(path, lineno, line.split(), error)])
 
 

@@ -21,13 +21,13 @@ import numpy as np
 
 from .constants import BOHR_RADIUS_ANGSTROM
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
-from .textio import number_block, numbers, read_text, write_lines
+from .textio import number_block, numbers, open_text, write_lines
 
 # Largest cube load_cube reads.  zfs pads an n-sample cube to an FFT mesh
 # of about 8n points and peaks near 62 bytes per mesh point (fresh
 # processes at 48^3-96^3 on x86-64 Linux), about 500 bytes per sample,
 # so a cube at the limit (200^3) peaks near 4 GB.  Larger cubes are
-# refused from the header, before the body is parsed.
+# refused from the header, before any of the body is read.
 MAX_CUBE_SAMPLES = 200 ** 3
 
 
@@ -193,41 +193,51 @@ def homo_lumo_shift(homo: OrbitalStats, lumo: OrbitalStats) -> np.ndarray:
 
 
 def load_cube(path) -> OrbitalGrid:
-    """Parse a cube file into an OrbitalGrid (geometry in angstrom)."""
-    lines = read_text(path, CubeParseError).splitlines()
+    """Parse a cube file into an OrbitalGrid (geometry in angstrom).
 
-    def record(lineno: int, expect: int):
-        """The integer and the expect - 1 numbers that open a header line."""
-        if lineno > len(lines):
-            raise CubeParseError(f"{path}:{lineno}: unexpected end of file")
-        parts = lines[lineno - 1].split()
-        if len(parts) < expect:
+    The header and atom records are read line by line, so a cube larger
+    than MAX_CUBE_SAMPLES is refused before any of its body is read.
+    """
+    with open_text(path, CubeParseError) as stream:
+        lines: list[str] = []  # the file's splitlines(), read as far as needed
+
+        def record(lineno: int, expect: int):
+            """The integer and the expect - 1 numbers that open a header line."""
+            while len(lines) < lineno and (chunk := stream.readline()):
+                lines.extend(chunk.splitlines())
+            if lineno > len(lines):
+                raise CubeParseError(f"{path}:{lineno}: unexpected end of file")
+            parts = lines[lineno - 1].split()
+            if len(parts) < expect:
+                raise CubeParseError(
+                    f"{path}:{lineno}: expected at least {expect} fields, got {len(parts)}")
+            try:
+                count = int(parts[0])
+            except ValueError:
+                raise CubeParseError(f"{path}:{lineno}: bad integer {parts[0]!r}") from None
+            return count, numbers(path, lineno, parts[1:expect], CubeParseError)
+
+        natoms, origin = record(3, 4)
+        dims = []
+        axes = np.zeros((3, 3))
+        for axis in range(3):
+            count, axes[axis] = record(4 + axis, 4)
+            if count <= 0:
+                raise CubeParseError(
+                    f"{path}:{4 + axis}: axis sample count must be positive, got {count}")
+            dims.append(count)
+        if dims[0] * dims[1] * dims[2] > MAX_CUBE_SAMPLES:
             raise CubeParseError(
-                f"{path}:{lineno}: expected at least {expect} fields, got {len(parts)}")
-        try:
-            count = int(parts[0])
-        except ValueError:
-            raise CubeParseError(f"{path}:{lineno}: bad integer {parts[0]!r}") from None
-        return count, numbers(path, lineno, parts[1:expect], CubeParseError)
+                f"{path}: cube of {dims[0]} x {dims[1]} x {dims[2]} samples exceeds "
+                f"the limit of {MAX_CUBE_SAMPLES:,}")
+        first_value_line = 7 + abs(natoms)
+        for lineno in range(7, first_value_line):
+            record(lineno, 5)
+        # a line read past the atom records (one line of the file that
+        # splitlines() splits at a form feed, say) opens the body
+        body = "".join(line + "\n" for line in lines[first_value_line - 1:]) + stream.read()
 
-    natoms, origin = record(3, 4)
-    dims = []
-    axes = np.zeros((3, 3))
-    for axis in range(3):
-        count, axes[axis] = record(4 + axis, 4)
-        if count <= 0:
-            raise CubeParseError(
-                f"{path}:{4 + axis}: axis sample count must be positive, got {count}")
-        dims.append(count)
-    if dims[0] * dims[1] * dims[2] > MAX_CUBE_SAMPLES:
-        raise CubeParseError(
-            f"{path}: cube of {dims[0]} x {dims[1]} x {dims[2]} samples exceeds "
-            f"the limit of {MAX_CUBE_SAMPLES:,}")
-    first_value_line = 7 + abs(natoms)
-    for lineno in range(7, first_value_line):
-        record(lineno, 5)
-
-    values = number_block(path, first_value_line, lines[first_value_line - 1:], CubeParseError)
+    values = number_block(path, first_value_line, body, CubeParseError)
     expected = dims[0] * dims[1] * dims[2]
     if values.size != expected:
         many = "too many" if values.size > expected else "too few"

@@ -8,6 +8,8 @@ prefix, so they reach the row, header and field parsers as well as the
 decoder.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +18,7 @@ from odmrsense import (CalibrationSeries, OdmrSenseError, Spectrum, SpectrumMeta
                        read_calibration, read_spectrum, write_calibration, write_spectrum)
 from odmrsense.cli import load_config
 from odmrsense.errors import CubeParseError
+from odmrsense import textio
 from odmrsense.textio import number_block, numbers
 
 SPECTRUM = "frequency_mhz,signal\n" + "".join(f"{100 + i},0.0\n" for i in range(8))
@@ -63,10 +66,10 @@ def test_reader_raises_only_package_errors(tmp_path, case, prefixed, content):
         assert str(exc).startswith(f"{tmp_path / target}:")
 
 
-def _token_path(lines):
+def _token_path(text):
     """The cube body parsed one float() token at a time, or its error text."""
     try:
-        return [value for lineno, line in enumerate(lines, start=7)
+        return [value for lineno, line in enumerate(text.splitlines(), start=7)
                 for value in numbers("o.cube", lineno, line.split(), CubeParseError)], None
     except CubeParseError as exc:
         return None, str(exc)
@@ -81,20 +84,60 @@ BODY_LINE = st.one_of(
     st.just(""), st.just("  \t"),
     st.lists(BODY_TOKEN, max_size=6).flatmap(
         lambda tokens: st.sampled_from([" ", "  ", "\t"]).map(lambda sep: sep.join(tokens))))
+# what ends a body line: a newline, nothing (the last line), or another
+# character str.splitlines() breaks at, which the file reader keeps
+LINE_END = st.sampled_from(["\n", "\n", "", "\x0b", "\x0c", "\x1c", "\x1e", "\x85"])
+BODY = st.lists(st.tuples(BODY_LINE, LINE_END), max_size=8).map(
+    lambda pairs: "".join(line + end for line, end in pairs))
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=st.lists(BODY_LINE, max_size=8))
-def test_number_block_matches_token_path(lines):
-    want, message = _token_path(lines)
+@given(text=BODY)
+def test_number_block_matches_token_path(text):
+    want, message = _token_path(text)
     try:
-        got = number_block("o.cube", 7, lines, CubeParseError)
+        got = number_block("o.cube", 7, text, CubeParseError)
     except CubeParseError as exc:
         assert str(exc) == message
     else:
         assert message is None
         assert got.dtype == np.float64
         assert got.tolist() == want
+
+
+_FROMSTRING = np.fromstring
+
+
+def _older_fromstring(text, sep):
+    """np.fromstring as NumPy 1.x has it: at a bad token it warns and returns the values before it."""
+    tokens = text.split()
+    for stop in range(len(tokens), -1, -1):
+        try:
+            values = _FROMSTRING(" ".join(tokens[:stop]) or "0", sep=sep)[:stop]
+        except ValueError:
+            continue
+        if stop < len(tokens):
+            warnings.warn("string or file could not be read to its end due to unmatched data",
+                          DeprecationWarning, stacklevel=2)
+        return values
+
+
+@pytest.mark.parametrize("body, where", [("1 2 3 4 5 6 7 8 x\n", ":7: bad number 'x'"),
+                                         ("1 2 3 4\nx 5 6 7 8\n", ":8: bad number 'x'")],
+                         ids=["trailing", "inner"])
+@pytest.mark.parametrize("fromstring", [_FROMSTRING, _older_fromstring],
+                         ids=["numpy", "older-numpy"])
+def test_bad_token_names_its_line(tmp_path, monkeypatch, fromstring, body, where):
+    # the C pass must not return the numbers before a bad token, whether
+    # NumPy raises there or only warns (with the warning hidden)
+    monkeypatch.setattr(textio.np, "fromstring", fromstring)
+    path = tmp_path / "o.cube"
+    path.write_text(CUBE_HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(CubeParseError) as info:
+            load_cube(path)
+    assert str(info.value) == f"{path}{where}"
 
 
 # The writers' bytes, pinned: CSV cells are float reprs and a blank cell

@@ -5,6 +5,8 @@ with standard deviation w/sqrt(2); multiplying the amplitude by x gives a
 density x^2 exp(-x^2/w^2) whose standard deviation is sqrt(3/2) * w.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,10 +188,31 @@ class TestCubeIO:
 
     def test_oversize_header_refused_before_body(self, tmp_path):
         path = tmp_path / "huge.cube"
-        # no atom records and no body: the dims alone refuse it
-        path.write_text("a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n")
-        with pytest.raises(CubeParseError,
-                           match=r"huge\.cube: cube of 1000 x 1000 x 1000 samples exceeds"):
+        # a 16 MB body behind a 1000^3 header: the dims alone refuse it,
+        # and the body is never read into memory
+        path.write_text("a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n"
+                        + "1.0 2.0 3.0 4.0 5.0 6.0\n" * 700_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CubeParseError,
+                               match=r"huge\.cube: cube of 1000 x 1000 x 1000 samples exceeds"):
+                load_cube(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c"], ids=["vt", "ff", "fs"])
+    def test_line_breaks_are_those_of_splitlines(self, tmp_path, brk):
+        # a header line broken by a character str.splitlines() breaks at:
+        # the body starts after it, its line numbers count it
+        path = tmp_path / "brk.cube"
+        path.write_text(f"a\nb\n1 0 0 0\n2 1 0 0\n2 0 1 0\n2 0 0 1\n"
+                        f"1 1.0 0 0 0{brk}1 2 3 4{brk}5 6 7 8\n")
+        assert load_cube(path).values.ravel().tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+        path.write_text(f"a\nb\n1 0 0 0\n2 1 0 0\n2 0 1 0\n2 0 0 1\n"
+                        f"1 1.0 0 0 0{brk}1 2 3 4{brk}5 6 x 8\n")
+        with pytest.raises(CubeParseError, match=r"brk\.cube:9: bad number 'x'"):
             load_cube(path)
 
     def test_too_few_values(self, tmp_path):
