@@ -9,9 +9,11 @@ sensitivity), volumetric (orbital grids and cube files), dipolar
 reader and table writer behind every file format), cli (command-line
 front end).
 
-SciPy is imported inside the functions that use it, never at module
-level: importing the package or the CLI loads no SciPy, which would
-add about a second to every CLI process.
+SciPy is imported inside the one function that uses it,
+kinetics.evolve (its matrix exponential), never at module level: no
+subcommand calls it, so neither importing the package or the CLI nor
+running a subcommand loads SciPy, which would add up to a second to
+every CLI process.
 """
 
 from .constants import (

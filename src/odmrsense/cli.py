@@ -11,13 +11,15 @@ fields, keyed by field name; arrays and tuples become lists, numpy
 scalars Python numbers, and non-finite floats null.  CONFIG_SCHEMA
 declares each parameter once, with its type, bounds, default and help
 text, in its subcommand's section (seed is simulate.seed, threads is
-zfs.threads); every flag but the file names is built from that section
-and stores into its config key.  A flag overrides the config file, which
-overrides the default, and the merged values are checked against the
-same schema whether they came from a flag or a file.  Non-finite numbers
-(NaN, infinities, integers too large for a float) are refused.  Exit
-codes: 0 success, 1 computation failure (e.g. a fit that did not
-converge), 2 bad input or configuration.
+zfs.threads, which is still checked but has no effect: numpy's FFTs run
+on one thread); every flag but the file names is built from that
+section and stores into its config key.  A flag overrides the config
+file, which overrides the default, and the merged values are checked
+against the same schema (by _schema_error, not jsonschema, which would
+add about 80 ms to every process) whether they came from a flag or a
+file.  Non-finite numbers (NaN, infinities, integers too large for a
+float) are refused.  Exit codes: 0 success, 1 computation failure (e.g.
+a fit that did not converge), 2 bad input or configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 import sys
 
 import numpy as np
-import jsonschema
 
 from . import calibration, dipolar, kinetics, spectra, spin, textio, volumetric
 from .errors import (
@@ -105,7 +106,8 @@ CONFIG_SCHEMA = _section(
     ),
     zfs=_section(
         threads={"type": "integer", "minimum": 1, "default": 1,
-                 "description": "FFT worker threads"},
+                 "description": "has no effect (the FFTs run on one thread); kept so "
+                                "existing scripts run"},
         cutoff_angstrom={"type": ["number", "null"], "flag": "--cutoff",
                          "description": "kernel cutoff in angstrom"},
     ),
@@ -122,14 +124,72 @@ CONFIG_SCHEMA = _section(
 )
 
 
+# The JSON types CONFIG_SCHEMA names, checked as JSON Schema 2020-12
+# checks them on JSON data: a bool is no number, and an integral float
+# such as 1.0 is an integer.
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, (int, float)),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+# keyword: (fails, message) of the keywords that bound one number or
+# list; each fails on the comparison jsonschema makes, so NaN passes
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "is less than the minimum of {!r}"),
+    "maximum": (lambda v, b: v > b, "is greater than the maximum of {!r}"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "is less than or equal to the minimum of {!r}"),
+    "minItems": (lambda v, b: len(v) < b, "is too short"),
+    "maxItems": (lambda v, b: len(v) > b, "is too long"),
+}
+
+
+def _schema_error(value, schema: dict, path: tuple = ()):
+    """The first error of value against schema, as (message, path), or None.
+
+    Implements the keywords CONFIG_SCHEMA uses (type, the _BOUNDS,
+    items, properties and additionalProperties: false) with the messages,
+    paths and keyword order of jsonschema's Draft202012Validator.validate,
+    which reports the first error it finds; other keywords are ignored.
+    """
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            types = arg if isinstance(arg, list) else [arg]
+            if not any(_TYPES[t](value) for t in types):
+                return f"{value!r} is not of type {', '.join(map(repr, types))}", path
+        elif keyword in _BOUNDS:
+            fails, message = _BOUNDS[keyword]
+            kind = "array" if keyword.endswith("Items") else "number"
+            if _TYPES[kind](value) and fails(value, arg):
+                return f"{value!r} {message.format(arg)}", path
+        elif keyword == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                if error := _schema_error(item, arg, path + (index,)):
+                    return error
+        elif keyword == "properties" and isinstance(value, dict):
+            for key, spec in arg.items():
+                if key in value and (error := _schema_error(value[key], spec, path + (key,))):
+                    return error
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extra = sorted(set(value) - set(schema.get("properties", {})), key=str)
+            if extra:
+                listed = ", ".join(map(repr, extra))
+                verb = "was" if len(extra) == 1 else "were"
+                return f"Additional properties are not allowed ({listed} {verb} unexpected)", path
+    return None
+
+
 def load_config(path) -> dict:
     """Read and schema-validate a JSON run configuration."""
     data = textio.read_json(path, ConfigError)
-    try:
-        jsonschema.Draft202012Validator(CONFIG_SCHEMA).validate(data)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {exc.message} (at {where})") from exc
+    if error := _schema_error(data, CONFIG_SCHEMA):
+        message, where = error
+        raise ConfigError(f"{path}: {message} (at {'/'.join(map(str, where)) or '<root>'})")
     return data
 
 
@@ -174,12 +234,10 @@ def _params(args, config: dict, section: str) -> dict:
     for key, value in params.items():
         if not _finite(value):
             raise InvalidParameterError(f"{section}.{key} must be a finite number")
-    try:
-        jsonschema.Draft202012Validator(schema).validate(params)
-    except jsonschema.ValidationError as exc:
+    if error := _schema_error(params, schema):
         # the config passed this schema when it was loaded: a flag is at fault
-        raise InvalidParameterError(
-            f"flag for {section}.{exc.absolute_path[0]}: {exc.message}") from None
+        message, where = error
+        raise InvalidParameterError(f"flag for {section}.{where[0]}: {message}")
     return params
 
 
@@ -313,12 +371,12 @@ def _stats_dict(stats: volumetric.OrbitalStats) -> dict:
     }
 
 
-def _analyse_phase(homo_path, lumo_path, cutoff, threads) -> dict:
+def _analyse_phase(homo_path, lumo_path, cutoff) -> dict:
     homo = volumetric.load_cube(homo_path)
     lumo = volumetric.load_cube(lumo_path)
     homo_stats = volumetric.orbital_stats(homo)
     lumo_stats = volumetric.orbital_stats(lumo)
-    tensor = dipolar.zfs_pair_tensor(homo, lumo, cutoff_angstrom=cutoff, threads=threads)
+    tensor = dipolar.zfs_pair_tensor(homo, lumo, cutoff_angstrom=cutoff)
     eigenvalues, _ = spin.ordered_eigensystem(tensor)
     params, _ = spin.tensor_to_parameters(tensor)
     return {
@@ -341,7 +399,7 @@ def _cmd_zfs(args, config: dict) -> int:
         if not (args.homo_b and args.lumo_b):
             raise InvalidParameterError("--homo-b and --lumo-b must come together")
         jobs.append(("b", args.homo_b, args.lumo_b))
-    phases = _plain({name: _analyse_phase(h, l, cutoff, p["threads"]) for name, h, l in jobs})
+    phases = _plain({name: _analyse_phase(h, l, cutoff) for name, h, l in jobs})
     payload: dict = {
         "cutoff_angstrom": cutoff,
         "phases": phases,

@@ -24,10 +24,11 @@ construction.
 
 Memory: each table is built slab by slab into one reused mesh buffer
 beside r^-5, and a pair sum keeps at most two density spectra alive.  On
-the padded mesh that is about 48 bytes per point while the kernel is
-built and 27 once it is cached (numpy buffers at 48^3), about 62 per
-point in process RSS; volumetric.MAX_CUBE_SAMPLES refuses cubes whose
-mesh would not fit.
+the padded mesh that is about 53 bytes per point while the kernel is
+built and 27 once it is cached (numpy buffers at 48^3), 50-55 per point
+of process RSS; volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh
+would not fit.  The transforms are numpy's (pocketfft, one thread) on
+11-smooth padded lengths.
 """
 
 from __future__ import annotations
@@ -88,10 +89,20 @@ def _kernel_table(shape, axes: np.ndarray, cutoff: float):
         yield table
 
 
-def _padded_shape(dims) -> list[int]:
-    from scipy import fft as sp_fft
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer not below n >= 1: a length the FFT handles fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
-    return [sp_fft.next_fast_len(2 * n - 1) for n in dims]
+
+def _padded_shape(dims) -> list[int]:
+    return [_fast_len(2 * n - 1) for n in dims]
 
 
 @lru_cache(maxsize=1)
@@ -102,18 +113,15 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
     stands for the conjugate pair k, -k (1 where they coincide: at 0 and
     at the Nyquist of an even last axis), over the mesh size, so its dot
     product with Re(conj(a^) b^) is the pair sum.  Keyed on the mesh and
-    cutoff alone (axes as a tuple of row tuples, so the key is hashable):
-    it is built at one FFT worker, so a call with another thread count
-    reuses it.  Read-only because it is shared between calls.
+    cutoff alone (axes as a tuple of row tuples, so the key is hashable).
+    Read-only because it is shared between calls.
     """
-    from scipy import fft as sp_fft
-
     shape = _padded_shape(dims)
     k = np.arange(shape[-1] // 2 + 1)
     weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
     kernel = np.empty((len(_COMPONENTS), np.prod(shape[:-1]) * k.size))
     for row, table in zip(kernel, _kernel_table(shape, np.array(axes), cutoff)):
-        spectrum = sp_fft.rfftn(table)
+        spectrum = np.fft.rfftn(table, axes=(0, 1, 2))
         np.multiply(spectrum.real, weight, out=row.reshape(spectrum.shape))
         del spectrum  # before the next table's transform
     kernel.flags.writeable = False
@@ -124,7 +132,6 @@ def zfs_pair_tensor(
     phi_i: OrbitalGrid,
     phi_j: OrbitalGrid,
     cutoff_angstrom: float | None = None,
-    threads: int = 1,
 ) -> ZfsTensor:
     """Dipolar fine-structure tensor (MHz) of two orbitals on one grid.
 
@@ -132,13 +139,8 @@ def zfs_pair_tensor(
     cutoff_angstrom regularizes the kernel by zeroing displacements
     shorter than the cutoff and defaults to the smallest grid step;
     anything below one grid step would keep the singular self-terms and
-    is rejected.  threads sets the workers of the density FFTs and never
-    changes the result.
+    is rejected.
     """
-    from scipy import fft as sp_fft
-
-    if threads < 1:
-        raise InvalidParameterError("threads must be >= 1")
     assert_commensurate(phi_i, phi_j)
     min_step = float(np.min(np.linalg.norm(phi_i.axes, axis=1)))
     if cutoff_angstrom is None:
@@ -156,7 +158,7 @@ def zfs_pair_tensor(
     shape = _padded_shape(phi_i.dims)
 
     def spectrum(density):
-        return sp_fft.rfftn(density, s=shape, workers=threads).ravel()
+        return np.fft.rfftn(density, s=shape, axes=(0, 1, 2)).ravel()
 
     # at most two density spectra are alive at once
     f_i, f_j = spectrum(psi_i ** 2), spectrum(psi_j ** 2)

@@ -5,12 +5,15 @@ are exercised exactly as a shell user would see them.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
-from odmrsense import dipolar, gaussian_orbital, make_grid, save_cube, volumetric
+from odmrsense import cli, dipolar, gaussian_orbital, make_grid, save_cube, volumetric
 from odmrsense.cli import CONFIG_SCHEMA, _plain, build_parser, main
 
 
@@ -474,6 +477,120 @@ class TestConfig:
                    "--noise", "0", "--windows", "--out", a) == 0
         assert run("simulate", "--windows", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+SECTIONS = CONFIG_SCHEMA["properties"]
+
+# any JSON value: null, bools, strings, numbers and nested containers
+JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4)
+
+
+def numbers_near(spec):
+    """Numbers at and just past a slot's bounds, integral floats, NaN and infinities."""
+    edges = [spec[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in spec]
+    near = [e + d for e in edges for d in (-1, 0, 1)]
+    near += [math.nextafter(e, side) for e in edges for side in (-math.inf, math.inf)]
+    near += [0, 1, 1.0, 2.0, -1.0, 0.5, math.nan, math.inf, -math.inf, 10 ** 400, True, False]
+    return st.sampled_from(near) | st.integers() | st.floats()
+
+
+def near_valid(spec):
+    """A value of one of the slot's types, drawn near its bounds and lengths."""
+    kinds = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+    items = spec.get("items", {})
+    length = st.integers(max(spec.get("minItems", 0) - 1, 0), spec.get("maxItems", 4) + 1)
+    draw = {
+        "number": numbers_near(spec), "integer": numbers_near(spec),
+        "array": length.flatmap(lambda n: st.lists(numbers_near(items) | JSON,
+                                                    min_size=n, max_size=n)),
+        "boolean": st.booleans(), "string": st.text(max_size=3), "null": st.none(),
+    }
+    return st.one_of([draw[kind] for kind in kinds])
+
+
+@st.composite
+def configs(draw):
+    """Near-valid sections with up to two faults: an extra key or any JSON value."""
+    config = {}
+    for section in draw(st.lists(st.sampled_from(sorted(SECTIONS)), unique=True)):
+        props = SECTIONS[section]["properties"]
+        keys = draw(st.lists(st.sampled_from(sorted(props)), unique=True))
+        config[section] = {key: draw(near_valid(props[key])) for key in keys}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from([config, *(v for v in config.values()
+                                                  if isinstance(v, dict))]))
+        key = draw(st.sampled_from(sorted(target)) | st.text(max_size=3) if target
+                   else st.text(max_size=3))
+        target[key] = draw(JSON)
+    return draw(st.just(config) | JSON)
+
+
+REFERENCE = Draft202012Validator(CONFIG_SCHEMA)
+
+
+class TestSchemaCheck:
+    """cli._schema_error against jsonschema, the reference implementation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=configs())
+    # each named fault once for certain: a bool where an integer or a
+    # number belongs, 1.0 as an integer, arrays one short and one long,
+    # non-numbers in an array, NaN, values on and just past each kind of
+    # bound, one and two extra keys, and a root that is no object
+    @example({"calibrate": {"segments": True}})
+    @example({"simulate": {"shape_mix": False}})
+    @example({"calibrate": {"segments": 1.0}})
+    @example({"calibrate": {"segments": 1.5}})
+    @example({"simulate": {"amplitudes": [0.01, 0.02]}})
+    @example({"kinetics": {"triplet_decay": [1, 2, 3, 4]}})
+    @example({"fit": {"centers": [1.0, [2.0], None, "3"]}})
+    @example({"simulate": {"noise_sigma": math.nan, "d_mhz": math.inf}})
+    @example({"simulate": {"shape_mix": 1, "linewidth_fwhm": 0}})
+    @example({"simulate": {"shape_mix": math.nextafter(1.0, 2.0)}})
+    @example({"simulate": {"noise_sigma": -1e-300}})
+    @example({"zfs": {"threads": 0, "bogus": 1}})
+    @example({"seed": 5, "threads": 2})
+    @example([])
+    def test_same_verdict_and_first_error_as_jsonschema(self, config):
+        errors = list(REFERENCE.iter_errors(config))
+        got = cli._schema_error(config, CONFIG_SCHEMA)
+        if not errors:
+            assert got is None
+        else:
+            # validate() raises the first error iter_errors yields, so a
+            # config with one fault gets that fault's message and path
+            assert got == (errors[0].message, tuple(errors[0].absolute_path))
+
+    def test_schema_uses_only_implemented_keywords(self):
+        checked = {"type", "items", "properties", "additionalProperties", *cli._BOUNDS}
+        annotations = {"default", "description", "flag"}
+
+        def walk(schema, where):
+            unknown = set(schema) - checked - annotations
+            assert not unknown, (where, unknown)
+            kinds = schema.get("type", [])
+            assert set(kinds if isinstance(kinds, list) else [kinds]) <= set(cli._TYPES), where
+            # only additionalProperties: false is implemented
+            assert schema.get("additionalProperties", False) is False, where
+            for key, spec in schema.get("properties", {}).items():
+                walk(spec, f"{where}/{key}")
+            if "items" in schema:
+                walk(schema["items"], f"{where}/items")
+
+        walk(CONFIG_SCHEMA, "")
+
+    def test_error_lines_name_message_and_path(self, tmp_path, capsys):
+        config = {"simulate": {"amplitudes": [0.01, "x", 0.01]}}
+        assert run("simulate", *write_config(tmp_path, config), "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'run.json'}: 'x' is not of type "
+                                           "'number' (at simulate/amplitudes/1)\n")
+        assert run("simulate", "--amplitudes", "0.01,0.02", "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == ("error: flag for simulate.amplitudes: [0.01, 0.02] "
+                                           "is too short\n")
 
 
 # flags that name files, not a key of the subcommand's config section
