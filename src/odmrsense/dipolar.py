@@ -24,8 +24,8 @@ construction.
 
 Memory: each table is built slab by slab into one reused mesh buffer
 beside r^-5, and a pair sum keeps at most two density spectra alive.  On
-the padded mesh that is about 53 bytes per point while the kernel is
-built and 27 once it is cached (numpy buffers at 48^3), 50-55 per point
+the padded mesh that is about 47 bytes per point while the kernel is
+built and 27 once it is cached (numpy buffers at 48^3), 46-51 per point
 of process RSS; volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh
 would not fit.  The transforms are numpy's (pocketfft, one thread) on
 11-smooth padded lengths.
@@ -120,10 +120,11 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
     k = np.arange(shape[-1] // 2 + 1)
     weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
     kernel = np.empty((len(_COMPONENTS), np.prod(shape[:-1]) * k.size))
+    # one spectrum buffer for all five transforms (out= needs NumPy >= 2.0)
+    spectrum = np.empty((*shape[:-1], k.size), dtype=complex)
     for row, table in zip(kernel, _kernel_table(shape, np.array(axes), cutoff)):
-        spectrum = np.fft.rfftn(table, axes=(0, 1, 2))
+        np.fft.rfftn(table, axes=(0, 1, 2), out=spectrum)
         np.multiply(spectrum.real, weight, out=row.reshape(spectrum.shape))
-        del spectrum  # before the next table's transform
     kernel.flags.writeable = False
     return kernel
 

@@ -1,0 +1,149 @@
+"""Per-end oracle for the segmented fit and the readout inversion.
+
+The library forms span costs tile by tile and inverts readouts on
+Python floats.  This module keeps the plain forms as the reference the
+tests compare them against: one span-cost column and one numpy argmin
+per end index and segment count, and a readout that takes each
+segment's frequency range from SegmentFit.predict.  Both do the same
+floating-point operations in the same order as the library, so the
+comparison is exact.  Quadratic cost in calls as well as arithmetic:
+modest lengths only.
+"""
+
+import numpy as np
+
+from odmrsense import (
+    DivisionDomainError,
+    InvalidParameterError,
+    PiecewiseLinearFit,
+    ReadoutAmbiguityError,
+    ReadoutRangeError,
+    SegmentFit,
+)
+from odmrsense.calibration import _weighted_line_fit
+
+
+def segment_dp(x, y, w, n_segments):
+    """(dp, parent) of the segmentation DP, filled one end index at a time.
+
+    dp[k, j] is the best SSE covering samples 0..j with k segments and
+    parent[k, j] the first sample of the last of them.
+    """
+    n = x.size
+    xc = x - np.average(x, weights=w)
+    yc = y - np.average(y, weights=w)
+    sums = np.zeros((6, n + 1))
+    np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
+              axis=1, out=sums[:, 1:])
+    dp = np.full((n_segments + 1, n), np.inf)
+    parent = np.zeros((n_segments + 1, n), dtype=int)
+    for j in range(1, n) if n_segments > 1 else ():
+        # cost[i]: weighted SSE of the best line on samples i..j, for i < j
+        sw, sx, sy, sxx, sxy, syy = sums[:, j + 1, None] - sums[:, :j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = sw * sxx - sx * sx
+            slope = (sw * sxy - sx * sy) / det
+            intercept = (sy - slope * sx) / sw
+            cost = np.maximum(syy - intercept * sy - slope * sxy, 0.0)
+        cost[np.isnan(cost)] = np.inf
+        dp[1, j] = cost[0]
+        for k in range(2, min(n_segments, (j + 1) // 2) + 1):
+            lo = 2 * (k - 1)
+            cand = dp[k - 1, lo - 1:j - 1] + cost[lo:j]
+            best = int(np.argmin(cand))
+            dp[k, j] = cand[best]
+            parent[k, j] = lo + best
+    return dp, parent
+
+
+def segmented_fit(series, n_segments):
+    """odmrsense.segmented_fit with the DP of segment_dp."""
+    if n_segments < 1:
+        raise InvalidParameterError("n_segments must be >= 1")
+    asc = series.ascending()
+    n = len(asc)
+    if n < 2 * n_segments:
+        raise InvalidParameterError(
+            f"{n_segments} segments need at least {2 * n_segments} points, got {n}")
+    x = asc.control
+    y = asc.freq_mhz
+    known_sigma = asc.freq_sigma is not None
+    w = 1.0 / asc.freq_sigma ** 2 if known_sigma else np.ones(n)
+    _, parent = segment_dp(x, y, w, n_segments)
+
+    bounds = [n]
+    j = n - 1
+    for k in range(n_segments, 1, -1):
+        start = parent[k, j]
+        bounds.append(start)
+        j = start - 1
+    bounds.append(0)
+    bounds.reverse()
+
+    segments = []
+    total_sse = 0.0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        slope, intercept, cov, sse = _weighted_line_fit(
+            x[start:stop], y[start:stop], w[start:stop], known_sigma)
+        total_sse += sse
+        segments.append(SegmentFit(
+            slope=slope,
+            intercept=intercept,
+            slope_sigma=float(np.sqrt(cov[1, 1])),
+            intercept_sigma=float(np.sqrt(cov[0, 0])),
+            cov_slope_intercept=float(cov[0, 1]),
+            index_range=(start, stop),
+            control_range=(float(x[start]), float(x[stop - 1])),
+            sse=sse,
+        ))
+    breakpoints = np.array([
+        0.5 * (x[b - 1] + x[b]) for b in bounds[1:-1]
+    ])
+    return PiecewiseLinearFit(segments, breakpoints, total_sse, n,
+                              asc.control_unit, asc.label)
+
+
+def freq_range(seg):
+    """A segment's calibrated frequency range through numpy's predict."""
+    ends = seg.predict(np.asarray(seg.control_range))
+    return (float(ends.min()), float(ends.max()))
+
+
+def invert_readout(fit, frequency_mhz, segment=None, frequency_sigma=0.0):
+    """odmrsense.invert_readout with numpy scalars throughout."""
+    if not np.isfinite(frequency_mhz):
+        raise InvalidParameterError("frequency_mhz must be finite")
+    if frequency_sigma < 0 or not np.isfinite(frequency_sigma):
+        raise InvalidParameterError("frequency_sigma must be finite and >= 0")
+
+    def in_range(seg: SegmentFit) -> bool:
+        lo, hi = freq_range(seg)
+        pad = 1e-9 * max(abs(lo), abs(hi), 1.0)
+        return lo - pad <= frequency_mhz <= hi + pad
+
+    if segment is None:
+        hits = [k for k, seg in enumerate(fit.segments) if in_range(seg)]
+        if not hits:
+            raise ReadoutRangeError(
+                f"{frequency_mhz} MHz lies outside every calibrated segment")
+        if len(hits) > 1:
+            raise ReadoutAmbiguityError(
+                f"{frequency_mhz} MHz falls in overlapping segments {hits}")
+        segment = hits[0]
+    elif not 0 <= segment < fit.n_segments:
+        raise InvalidParameterError(f"segment index {segment} out of range")
+    seg = fit.segments[segment]
+    if not in_range(seg):
+        raise ReadoutRangeError(
+            f"{frequency_mhz} MHz is outside segment {segment}'s calibrated range")
+    if abs(seg.slope) < 1e-12:
+        raise DivisionDomainError("segment slope is zero; readout is undefined")
+
+    control = (frequency_mhz - seg.intercept) / seg.slope
+    var = frequency_sigma ** 2
+    if np.isfinite(seg.slope_sigma) and np.isfinite(seg.intercept_sigma):
+        var += (seg.intercept_sigma ** 2
+                + control ** 2 * seg.slope_sigma ** 2
+                + 2.0 * control * seg.cov_slope_intercept)
+    sigma = float(np.sqrt(max(var, 0.0))) / abs(seg.slope)
+    return float(control), sigma

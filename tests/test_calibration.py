@@ -2,11 +2,13 @@
 
 The dynamic-programming fit claims global optimality; the oracle for
 that is exhaustive enumeration of every breakpoint placement on a small
-series.  Per-segment uncertainties are checked against
-scipy.stats.linregress, an independent implementation of the same
-regression formulas.
+series.  The tiled DP and the float readout must equal the per-end
+forms in calibration_oracle bit for bit.  Per-segment uncertainties are
+checked against scipy.stats.linregress, an independent implementation
+of the same regression formulas.
 """
 
+import dataclasses
 import itertools
 import json
 import time
@@ -14,13 +16,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import linregress
+
+import calibration_oracle
 
 from odmrsense import (
     CalibrationSeries,
     DataFormatError,
     DivisionDomainError,
     InvalidParameterError,
+    OdmrSenseError,
     PiecewiseLinearFit,
     ReadoutAmbiguityError,
     ReadoutRangeError,
@@ -31,6 +37,8 @@ from odmrsense import (
     sensitivity,
     write_calibration,
 )
+from odmrsense import calibration
+from odmrsense.calibration import _MIN_TILE_ENDS, _TILE_SPANS
 
 
 def brute_force_sse(x, y, n_segments, sigma=None):
@@ -124,19 +132,28 @@ class TestSegmentedFit:
                     oracle = brute_force_sse(ctrl, y, k, sig)
                     assert fit.total_sse == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
-    def test_memory_linear_in_length(self):
-        # one span-cost column at a time: a 2,000-point fit allocates
-        # kilobytes per column, where a full cost matrix is 32 MB per array
-        t = np.linspace(77.0, 330.0, 2000)
+    @staticmethod
+    def peak_bytes(n):
+        t = np.linspace(77.0, 330.0, n)
         rng = np.random.default_rng(5)
         series = CalibrationSeries(t, 1445.0 - 0.1 * t + rng.normal(0, 0.05, t.size))
         tracemalloc.start()
         try:
             segmented_fit(series, 3)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_memory_linear_in_length(self):
+        # no n x n array: a full cost matrix at n = 2,000 is 32 MB per array
+        peak = self.peak_bytes(2000)
         assert peak < 16e6, f"segmented_fit peaked at {peak / 1e6:.1f} MB"
+
+    def test_span_costs_in_one_tile_buffer(self):
+        # the span costs of one tile at a time in a 1 MB work buffer, beside
+        # the O(k n) tables: 1.6 MB in all measured at n = 3,000
+        peak = self.peak_bytes(3000)
+        assert peak < 2.5e6, f"segmented_fit peaked at {peak / 1e6:.1f} MB"
 
     def test_single_segment_skips_the_search(self):
         # k = 1 is one line through every sample: no O(n^2) breakpoint
@@ -150,6 +167,19 @@ class TestSegmentedFit:
         assert elapsed < 0.5, f"k = 1 at n = 20,000 took {elapsed:.2f} s"
         assert fit.segments[0].index_range == (0, 20_000)
         assert fit.breakpoints.size == 0
+
+    def test_two_segments_search_one_end(self):
+        # k = 2 reads the DP's last row at the final sample only: one row
+        # of span costs, not the O(n^2) triangle
+        t = np.linspace(77.0, 330.0, 20_000)
+        rng = np.random.default_rng(6)
+        series = CalibrationSeries(t, 1445.0 - 0.1 * t + np.where(t > 193.0, 2.0, 0.0)
+                                   + rng.normal(0, 0.05, t.size))
+        start = time.perf_counter()
+        fit = segmented_fit(series, 2)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"k = 2 at n = 20,000 took {elapsed:.2f} s"
+        assert fit.breakpoints[0] == pytest.approx(193.0, abs=0.5)
 
     def test_sse_monotone_in_segments(self):
         series = temperature_series(seed=1)
@@ -190,6 +220,149 @@ class TestSegmentedFit:
         assert fit.segment_index(15.0) == 1
         assert fit.predict(4.0) == pytest.approx(4.0, abs=1e-9)
         assert fit.predict(np.array([15.0]))[0] == pytest.approx(5.0, abs=1e-9)
+
+
+def drawn_series(n, seed, weighted=False, descending=False, shape="noisy"):
+    """A three-regime series of n points.
+
+    shape "rounded" rounds frequencies and sigmas to one decimal and "flat"
+    makes every frequency equal, so span costs and candidate sums tie.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.5, 2.0, n)) if seed % 2 else np.arange(float(n))
+    k1, k2 = np.sort(rng.uniform(x[0], x[-1], 2))
+    slopes = rng.normal(0.0, 1.0, 3)
+    y = (slopes[0] * x + np.where(x > k1, 2.0 + slopes[1] * (x - k1), 0.0)
+         + np.where(x > k2, slopes[2] * (x - k2), 0.0) + rng.normal(0.0, 0.3, n))
+    sigma = rng.uniform(0.1, 2.0, n) if weighted else None
+    if shape == "rounded":
+        y = np.round(y, 1)
+        sigma = None if sigma is None else np.round(sigma, 1)
+    elif shape == "flat":
+        y = np.full(n, 1445.0)
+    return CalibrationSeries(x[::-1] if descending else x, y, sigma)
+
+
+def assert_same_bits(got, want):
+    assert (np.asarray(got, dtype=float).tobytes()
+            == np.asarray(want, dtype=float).tobytes()), (got, want)
+
+
+def readout_outcome(invert, *args):
+    try:
+        return invert(*args)
+    except OdmrSenseError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_readout(fit, oracle_fit, *args):
+    """The oracle's (control, sigma) bit for bit, or its error type and text."""
+    got = readout_outcome(invert_readout, fit, *args)
+    want = readout_outcome(calibration_oracle.invert_readout, oracle_fit, *args)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert_same_bits(got, want)
+
+
+def assert_matches_oracle(series, n_segments):
+    """The DP tables, segmented_fit and invert_readout equal the oracle's bit for bit.
+
+    The DP's last row is compared at the final sample, the one entry the
+    library evaluates.
+    """
+    asc = series.ascending()
+    w = np.ones(len(asc)) if asc.freq_sigma is None else 1.0 / asc.freq_sigma ** 2
+    tables = calibration._segment_dp(asc.control, asc.freq_mhz, w, n_segments)
+    oracle_tables = calibration_oracle.segment_dp(asc.control, asc.freq_mhz, w, n_segments)
+    for table, oracle_table in zip(tables, oracle_tables):
+        assert_same_bits(table[:n_segments], oracle_table[:n_segments])
+        assert_same_bits(table[n_segments, -1], oracle_table[n_segments, -1])
+
+    got = segmented_fit(series, n_segments)
+    want = calibration_oracle.segmented_fit(series, n_segments)
+    assert_same_bits(got.breakpoints, want.breakpoints)
+    assert_same_bits(got.total_sse, want.total_sse)
+    assert len(got.segments) == len(want.segments)
+    for seg_got, seg_want in zip(got.segments, want.segments):
+        for field in dataclasses.fields(SegmentFit):
+            assert_same_bits(getattr(seg_got, field.name), getattr(seg_want, field.name))
+
+    freqs = [float("nan"), float("inf"), 1e300]
+    for seg in want.segments:
+        lo, hi = calibration_oracle.freq_range(seg)
+        pad = 1e-9 * max(abs(lo), abs(hi), 1.0)
+        freqs += [lo, hi, 0.5 * (lo + hi), lo - 0.5 * pad, lo - 2.0 * pad, hi + 2.0 * pad]
+    for freq in freqs:
+        for segment in (None, -1, *range(want.n_segments + 1)):
+            for sigma in (0.0, 0.01):
+                assert_same_readout(got, want, freq, segment, sigma)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        assert_same_readout(got, want, freqs[-1], None, sigma)
+
+
+# The tiled DP against the per-end oracle, with the shipped tiles and with
+# small ones (48 spans, at least 2 ends) that give short series blocks of
+# several start tiles and a row 1 of several chunks.  Past the first few
+# blocks a tile is width = spans // min_ends starts wide, and the last
+# block has n - 3 starts, so n = width + 3 fills one tile exactly; row 1
+# fills one chunk at n = spans + 1.
+SMALL_TILES = (48, 2)
+SMALL_WIDTH = SMALL_TILES[0] // SMALL_TILES[1]
+SMALL_EDGES = (SMALL_WIDTH + 2, SMALL_WIDTH + 3, SMALL_WIDTH + 4, 2 * SMALL_WIDTH + 4,
+               SMALL_TILES[0], SMALL_TILES[0] + 1, SMALL_TILES[0] + 2)
+SHIPPED_WIDTH = _TILE_SPANS // _MIN_TILE_ENDS
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(4, 120) | st.sampled_from(SMALL_EDGES),
+           n_segments=st.integers(1, 5), small_tiles=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), weighted=st.booleans(),
+           descending=st.booleans(), shape=st.sampled_from(["noisy", "rounded", "flat"]))
+    # a flat series whose one-sample "spans" would cost 0, below the
+    # rounding left in the valid spans' costs
+    @example(n=9, n_segments=3, small_tiles=False, seed=153,
+             weighted=True, descending=False, shape="flat")
+    @example(n=SHIPPED_WIDTH + 2, n_segments=3, small_tiles=False, seed=1,
+             weighted=True, descending=False, shape="noisy")
+    @example(n=SHIPPED_WIDTH + 3, n_segments=2, small_tiles=False, seed=2,
+             weighted=False, descending=True, shape="rounded")
+    @example(n=SHIPPED_WIDTH + 4, n_segments=4, small_tiles=False, seed=3,
+             weighted=False, descending=False, shape="noisy")
+    def test_fit_and_readout_match_oracle(self, n, n_segments, small_tiles, seed,
+                                          weighted, descending, shape):
+        series = drawn_series(n, seed, weighted, descending, shape)
+        n_segments = min(n_segments, n // 2)
+        if not small_tiles:
+            assert_matches_oracle(series, n_segments)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_TILE_SPANS", SMALL_TILES[0])
+            patch.setattr(calibration, "_MIN_TILE_ENDS", SMALL_TILES[1])
+            assert_matches_oracle(series, n_segments)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e150, 3e153, 1e155])
+    def test_overflowing_moments_match_oracle(self, scale):
+        # squared controls past the float range make some span costs NaN,
+        # which must lose to every finite cost, and at 1e155 every candidate
+        # sum inf: each DP row then keeps its first start
+        x = np.linspace(-scale, scale, 40)
+        y = np.random.default_rng(1).normal(0.0, 1.0, 40)
+        for n_segments in (2, 3, 4):
+            assert_matches_oracle(CalibrationSeries(x, y), n_segments)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("slope, intercept", [(0.0, 100.0), (np.nan, 100.0),
+                                                  (np.inf, 100.0), (-np.inf, 0.0),
+                                                  (2.0, np.nan), (1e-13, 100.0)])
+    def test_hand_built_segments_match_oracle(self, slope, intercept):
+        seg = SegmentFit(slope, intercept, 0.1, 0.2, 0.01, (0, 4), (0.0, 3.0), 0.0)
+        fit = PiecewiseLinearFit([seg], np.array([]), 0.0, 4)
+        for freq in (100.0, 103.0, 0.0, 1e300):
+            for segment in (None, 0):
+                assert_same_readout(fit, fit, freq, segment)
 
 
 class TestInvertReadout:

@@ -135,7 +135,7 @@ class TestPairTensor:
 
     def test_working_set_per_padded_mesh_point(self):
         # tracemalloc counts numpy's buffers alike on every platform, unlike
-        # RSS; the budgets sit above the 48 and 27 bytes measured at 48^3
+        # RSS; the budgets sit above the 47 and 27 bytes measured at 48^3
         a, b = tight_pair(dims=48)
         points = np.prod(_padded_shape(a.dims))
 
