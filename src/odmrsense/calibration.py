@@ -335,7 +335,7 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     bounds = [n]
     j = n - 1
     for k in range(n_segments, 1, -1):
-        start = parent[k, j]
+        start = int(parent[k, j])
         bounds.append(start)
         j = start - 1
     bounds.append(0)

@@ -22,17 +22,26 @@ displacement (K_xx + K_yy + K_zz = 0), so the cache keeps five rows (xx,
 yy, xy, xz, yz) and the tensor takes zz = -(xx + yy), traceless by
 construction.
 
-Memory: each table is built slab by slab into one reused mesh buffer
-beside r^-5, and a pair sum keeps at most two density spectra alive.  On
-the padded mesh that is about 47 bytes per point while the kernel is
-built and 27 once it is cached (numpy buffers at 48^3), 46-51 per point
-of process RSS; volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh
+The cache has two layouts (see _kernel_transforms).  On a lattice with
+diagonal axes, which every make_grid or save_cube grid has, each row is
+even or odd in every axis separately, so its spectrum is fixed by the
+octant of non-negative frequencies: about 5 bytes per padded point.  On
+any other lattice the rows span the rfft half mesh: 20 bytes per point.
+
+Memory: each table is built slab by slab into one reused buffer beside
+r^-5 (on the octant of non-negative offsets for diagonal axes), and a
+pair sum keeps at most two density spectra alive.  In numpy buffers at
+48^3 that is about 29 bytes per padded point while an octant kernel is
+built, 45 while a half-mesh one is, and 23 once it is cached.  A fresh
+process peaks 31-33 (diagonal) or 45-48 (skewed) bytes per point above
+its bare 30 MB; volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh
 would not fit.  The transforms are numpy's (pocketfft, one thread) on
 11-smooth padded lengths.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,20 +57,26 @@ from .volumetric import OrbitalGrid, assert_commensurate
 _COMPONENTS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
 
 
-def _kernel_table(shape, axes: np.ndarray, cutoff: float):
+def _kernel_table(shape, axes: np.ndarray, cutoff: float, octant: bool = False):
     """Yield the five cutoff-regularized kernel tables on the FFT mesh.
 
     Index m along an axis of length N stands for offset m, or m - N past
     the middle, and holds K(o . axes); displacements shorter than cutoff
     (always including zero) are 0.  No in-range mask is needed: the sums
     only reach |o| <= n-1 < N/2, where each table equals its even part,
-    and .real of its transform is the transform of that even part.
+    and .real of its transform is the transform of that even part.  With
+    octant set, the tables hold only the offsets 0..N//2 of every axis,
+    the same samples as the full tables' leading corner.
 
     Every table is written slab by slab along axis 0 into one buffer
     that is reused for the next, so a caller keeps a table past the next
-    step only by copying it.  Beside it only r^-5 lives on the full mesh.
+    step only by copying it.  Beside it only r^-5 lives on the mesh.
     """
-    offsets = [np.arange(n) - n * (np.arange(n) > n // 2) for n in shape]
+    if octant:
+        offsets = [np.arange(n // 2 + 1) for n in shape]
+    else:
+        offsets = [np.arange(n) - n * (np.arange(n) > n // 2) for n in shape]
+    shape = [o.size for o in offsets]
     # the axis-1 and axis-2 parts of each displacement component
     part1 = [offsets[1][:, None] * axes[1, c] for c in range(3)]
     part2 = [offsets[2][None, :] * axes[2, c] for c in range(3)]
@@ -105,28 +120,102 @@ def _padded_shape(dims) -> list[int]:
     return [_fast_len(2 * n - 1) for n in dims]
 
 
+def _is_diagonal(axes: np.ndarray) -> bool:
+    return not np.any(axes[~np.eye(3, dtype=bool)])
+
+
+def _odd_axes(a: int, b: int) -> tuple:
+    """Axes in which kernel row (a, b) is odd on an orthogonal lattice."""
+    return () if a == b else (a, b)
+
+
+def _parity_rfft(values: np.ndarray, n: int, axis: int, odd: bool) -> np.ndarray:
+    """Real spectrum along axis of a period-n sequence given on offsets 0..n//2.
+
+    The values are mirrored onto the negative offsets, with a sign flip
+    if odd.  An even sequence has a real transform and an odd one i
+    times a real one; this returns that real factor (.real or .imag of
+    the rfft), on frequencies 0..n//2.  An odd sequence's sample at an
+    even n's Nyquist offset drops out of .imag, which the pair sums never
+    miss: they only reach offsets below n/2.
+    """
+    mirror = [slice(None)] * values.ndim
+    mirror[axis] = slice(n - values.shape[axis], 0, -1)
+    negative = values[tuple(mirror)]
+    full = np.concatenate([values, -negative if odd else negative], axis=axis)
+    spectrum = np.fft.rfft(full, axis=axis)
+    return spectrum.imag if odd else spectrum.real
+
+
 @lru_cache(maxsize=1)
 def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
-    """Real kernel spectra on the rfft half mesh as one (5, M) array.
+    """Real kernel spectra, over the mesh size and weighted for the rfft half mesh.
 
-    Row c is rfftn(table c).real, times 2 where a half-spectrum entry k
-    stands for the conjugate pair k, -k (1 where they coincide: at 0 and
-    at the Nyquist of an even last axis), over the mesh size, so its dot
-    product with Re(conj(a^) b^) is the pair sum.  Keyed on the mesh and
-    cutoff alone (axes as a tuple of row tuples, so the key is hashable).
-    Read-only because it is shared between calls.
+    A half-spectrum entry with last-axis frequency k stands for the
+    conjugate pair k, -k, so the weight is 2 (1 where they coincide: at 0
+    and at the Nyquist of an even last axis).  Two layouts:
+
+    - General lattice: one (5, M) array over the half mesh, row c being
+      rfftn(table c).real, so its dot product with Re(conj(a^) b^) is
+      the pair sum.  20 bytes per padded point.
+    - Diagonal axes (every make_grid or save_cube grid): each row has a
+      parity in every axis separately (xx, yy even; xy odd in x and y,
+      xz in x and z, yz in y and z), so its spectrum is real, has the
+      same parities in frequency, and is fixed by its octant of
+      non-negative frequencies.  The tables are built on the octant of
+      non-negative offsets and transformed one axis at a time by
+      _parity_rfft; two odd axes give i^2, so those rows carry a sign
+      -1.  One (5, N0//2+1, N1//2+1, N2//2+1) array, about 5 bytes per
+      padded point; _octant_sums reflects the pair spectrum onto it.
+
+    Keyed on the mesh and cutoff alone (axes as a tuple of row tuples,
+    so the key is hashable).  Read-only because it is shared between
+    calls.
     """
     shape = _padded_shape(dims)
+    axes = np.array(axes)
     k = np.arange(shape[-1] // 2 + 1)
     weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
-    kernel = np.empty((len(_COMPONENTS), np.prod(shape[:-1]) * k.size))
-    # one spectrum buffer for all five transforms (out= needs NumPy >= 2.0)
-    spectrum = np.empty((*shape[:-1], k.size), dtype=complex)
-    for row, table in zip(kernel, _kernel_table(shape, np.array(axes), cutoff)):
-        np.fft.rfftn(table, axes=(0, 1, 2), out=spectrum)
-        np.multiply(spectrum.real, weight, out=row.reshape(spectrum.shape))
+    if _is_diagonal(axes):
+        kernel = np.empty((len(_COMPONENTS), *(n // 2 + 1 for n in shape)))
+        tables = _kernel_table(shape, axes, cutoff, True)
+        for row, table, (a, b) in zip(kernel, tables, _COMPONENTS):
+            odd = _odd_axes(a, b)
+            for axis, n in enumerate(shape):
+                table = _parity_rfft(table, n, axis, axis in odd)
+            np.multiply(table, -weight if odd else weight, out=row)
+    else:
+        kernel = np.empty((len(_COMPONENTS), np.prod(shape[:-1]) * k.size))
+        # one spectrum buffer for all five transforms (out= needs NumPy >= 2.0)
+        spectrum = np.empty((*shape[:-1], k.size), dtype=complex)
+        for row, table in zip(kernel, _kernel_table(shape, axes, cutoff)):
+            np.fft.rfftn(table, axes=(0, 1, 2), out=spectrum)
+            np.multiply(spectrum.real, weight, out=row.reshape(spectrum.shape))
     kernel.flags.writeable = False
     return kernel
+
+
+def _octant_sums(kernel: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The five pair sums from the octant kernel and the (N0, N1, N2//2+1) pair spectrum.
+
+    Along axes 0 and 1, frequency N - k is -k and shares the kernel's
+    entry k, with a sign flip where the row is odd in that axis.  Each
+    row is contracted against the four x/y reflections of pair through
+    strided views; no folded copy is made.
+    """
+    halves = []
+    for n, h in zip(pair.shape[:2], kernel.shape[1:3]):
+        # (kernel index, pair index, negative frequencies?)
+        halves.append(((slice(0, h), slice(0, h), False),
+                       (slice(1, n - h + 1), slice(n - 1, h - 1, -1), True)))
+    sums = np.zeros(len(_COMPONENTS))
+    for c, (a, b) in enumerate(_COMPONENTS):
+        odd = _odd_axes(a, b)
+        for (k0, p0, neg0), (k1, p1, neg1) in itertools.product(*halves):
+            flips = (neg0 and 0 in odd) + (neg1 and 1 in odd)
+            term = np.einsum("ijk,ijk->", kernel[c, k0, k1], pair[p0, p1])
+            sums[c] += -term if flips % 2 else term
+    return sums
 
 
 def zfs_pair_tensor(
@@ -161,20 +250,24 @@ def zfs_pair_tensor(
     def spectrum(density):
         return np.fft.rfftn(density, s=shape, axes=(0, 1, 2)).ravel()
 
-    # at most two density spectra are alive at once
+    # at most two density spectra are alive at once, and each product is
+    # written into a spectrum's own half, so no mesh-sized temporary forms
     f_i, f_j = spectrum(psi_i ** 2), spectrum(psi_j ** 2)
     pair = f_i.real * f_j.real  # Re(conj(f_i) f_j)
-    pair += f_i.imag * f_j.imag
+    pair += np.multiply(f_i.imag, f_j.imag, out=f_i.imag)
     del f_i, f_j
     f_g = spectrum(psi_i * psi_j)
     # the exchange term whole before it is subtracted, formed like the
     # direct one, so that a pair of identical orbitals cancels exactly
-    exchange = f_g.real * f_g.real
-    exchange += f_g.imag * f_g.imag
+    exchange = np.multiply(f_g.real, f_g.real, out=f_g.real)
+    exchange += np.multiply(f_g.imag, f_g.imag, out=f_g.imag)
     pair -= exchange
     dv = phi_i.voxel_volume
     scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
-    comps = scale * np.einsum("cm,m->c", kernel, pair)
+    if kernel.ndim == 2:  # half-mesh layout; the octant one is 4-D
+        comps = scale * np.einsum("cm,m->c", kernel, pair)
+    else:
+        comps = scale * _octant_sums(kernel, pair.reshape(*shape[:-1], -1))
     tensor = np.empty((3, 3))
     for value, (a, b) in zip(comps, _COMPONENTS):
         tensor[a, b] = value

@@ -221,6 +221,13 @@ class TestSegmentedFit:
         assert fit.predict(4.0) == pytest.approx(4.0, abs=1e-9)
         assert fit.predict(np.array([15.0]))[0] == pytest.approx(5.0, abs=1e-9)
 
+    def test_index_ranges_are_python_ints(self):
+        # the starts after the first come from the DP's integer parent table
+        fit = segmented_fit(temperature_series(seed=2), 3)
+        ranges = [seg.index_range for seg in fit.segments]
+        assert [type(i) for r in ranges for i in r] == [int] * 6
+        assert [r[1] for r in ranges[:-1]] == [r[0] for r in ranges[1:]]
+
 
 def drawn_series(n, seed, weighted=False, descending=False, shape="noisy"):
     """A three-regime series of n points.

@@ -132,11 +132,34 @@ class TestPairTensor:
         assert len(got) == len(_COMPONENTS)
         for table, comp in zip(got, _COMPONENTS):
             assert np.array_equal(table, want[comp])
+        # the octant tables of orthogonal lattices are the leading corner;
+        # the orthogonal mesh, (25, 15, 20), has odd and even lengths
+        corner = tuple(slice(n // 2 + 1) for n in shape)
+        for table, comp in zip(_kernel_table(shape, a.axes, cutoff, True), _COMPONENTS):
+            assert np.array_equal(table, want[comp][corner])
 
-    def test_working_set_per_padded_mesh_point(self):
+    def test_rotated_lattice_agrees_with_octant_route(self):
+        # rotating an orthogonal lattice sends it down the general route;
+        # a cutoff between the 1 and sqrt(2) A shells keeps rounding in the
+        # rotated steps from moving a voxel across it
+        a, b = padded_mesh_pair("orthogonal")
+        rot, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))
+        turned = [OrbitalGrid(rot @ g.origin, g.axes @ rot.T, g.values) for g in (a, b)]
+        want = rot @ zfs_pair_tensor(a, b, 1.2).tensor @ rot.T
+        assert _kernel_transforms(a.dims, tuple(map(tuple, a.axes)), 1.2).ndim == 4
+        got = zfs_pair_tensor(*turned, 1.2).tensor
+        assert _kernel_transforms(a.dims, tuple(map(tuple, turned[0].axes)), 1.2).ndim == 2
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mesh", ["orthogonal", "skewed"])
+    def test_working_set_per_padded_mesh_point(self, mesh):
         # tracemalloc counts numpy's buffers alike on every platform, unlike
-        # RSS; the budgets sit above the 47 and 27 bytes measured at 48^3
+        # RSS; measured at 48^3: cold 28.9 (orthogonal, octant kernel) and
+        # 45.3 (skewed), warm 23.4 bytes per padded point
         a, b = tight_pair(dims=48)
+        if mesh == "skewed":
+            shear = np.array([[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.1, 0.1, 1.0]])
+            a, b = (OrbitalGrid(g.origin, g.axes @ shear.T, g.values) for g in (a, b))
         points = np.prod(_padded_shape(a.dims))
 
         def peak_bytes():
@@ -148,7 +171,8 @@ class TestPairTensor:
                 tracemalloc.stop()
 
         _kernel_transforms.cache_clear()
-        assert peak_bytes() / points <= 56  # cold: builds the kernel
+        cold = peak_bytes() / points  # builds the kernel
+        assert cold <= (36 if mesh == "orthogonal" else 56)
         assert peak_bytes() / points <= 32  # warm: reuses it
 
     def test_normalization_invariance(self):
