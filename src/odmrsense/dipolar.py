@@ -30,13 +30,16 @@ any other lattice the rows span the rfft half mesh: 20 bytes per point.
 
 Memory: each table is built slab by slab into one reused buffer beside
 r^-5 (on the octant of non-negative offsets for diagonal axes), and a
-pair sum keeps at most two density spectra alive.  In numpy buffers at
-48^3 that is about 29 bytes per padded point while an octant kernel is
-built, 45 while a half-mesh one is, and 23 once it is cached.  A fresh
-process peaks 31-33 (diagonal) or 45-48 (skewed) bytes per point above
-its bare 30 MB; volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh
-would not fit.  The transforms are numpy's (pocketfft, one thread) on
-11-smooth padded lengths.
+pair sum runs in two complex half spectra (8 bytes per padded point
+each), allocated per call: each density spectrum is transformed in
+place into one of them, and the products are written over spectra that
+are spent.  In numpy buffers at 48^3 that is about 24 bytes per padded
+point while an octant kernel is built, 45 while a half-mesh one is, and
+18 once it is cached.  A fresh process peaks 26-28 (diagonal) or 45-48
+(skewed) bytes per point above its bare 30 MB;
+volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh would not fit.  The
+transforms are numpy's (pocketfft, one thread) on 11-smooth padded
+lengths.
 """
 
 from __future__ import annotations
@@ -218,6 +221,26 @@ def _octant_sums(kernel: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _density_spectrum(a: np.ndarray, b: np.ndarray, shape, out: np.ndarray) -> np.ndarray:
+    """rfftn(a * b, s=shape) written into out, one (N0, N1, N2//2+1) complex buffer.
+
+    The product is formed one axis-0 slab at a time and each slab is
+    rfft'd along the last axis straight into out; the axis-1 and axis-0
+    passes then run in place.  These are the 1-D transforms rfftn runs,
+    on the same zero padding, so the spectrum is bitwise rfftn's.  Every
+    entry the slabs do not write is zeroed first, as out may hold an
+    earlier spectrum.
+    """
+    n0, n1 = a.shape[:2]
+    out[n0:] = 0
+    out[:n0, n1:] = 0
+    for i in range(n0):
+        np.fft.rfft(a[i] * b[i], n=shape[-1], axis=-1, out=out[i, :n1])
+    np.fft.fft(out[:n0], axis=1, out=out[:n0])
+    np.fft.fft(out, axis=0, out=out)
+    return out
+
+
 def zfs_pair_tensor(
     phi_i: OrbitalGrid,
     phi_j: OrbitalGrid,
@@ -247,16 +270,18 @@ def zfs_pair_tensor(
     psi_i, psi_j = phi_i.normalized().values, phi_j.normalized().values
     shape = _padded_shape(phi_i.dims)
 
-    def spectrum(density):
-        return np.fft.rfftn(density, s=shape, axes=(0, 1, 2)).ravel()
-
-    # at most two density spectra are alive at once, and each product is
-    # written into a spectrum's own half, so no mesh-sized temporary forms
-    f_i, f_j = spectrum(psi_i ** 2), spectrum(psi_j ** 2)
-    pair = f_i.real * f_j.real  # Re(conj(f_i) f_j)
-    pair += np.multiply(f_i.imag, f_j.imag, out=f_i.imag)
-    del f_i, f_j
-    f_g = spectrum(psi_i * psi_j)
+    # the whole pair phase runs in two half spectra: f_i's buffer takes
+    # the products and then f_g, and pair overwrites the first half of
+    # f_j's once f_j is spent, so no other mesh-sized array forms
+    half_mesh = (*shape[:-1], shape[-1] // 2 + 1)
+    f_i = _density_spectrum(psi_i, psi_i, shape, np.empty(half_mesh, dtype=complex))
+    f_j = _density_spectrum(psi_j, psi_j, shape, np.empty(half_mesh, dtype=complex))
+    # Re(conj(f_i) f_j); pair must be C-contiguous, as a strided .real
+    # view would change the order of the einsum sums below
+    pair = f_j.reshape(-1).view(float)[:f_j.size].reshape(half_mesh)
+    np.add(np.multiply(f_i.real, f_j.real, out=f_i.real),
+           np.multiply(f_i.imag, f_j.imag, out=f_i.imag), out=pair)
+    f_g = _density_spectrum(psi_i, psi_j, shape, f_i)
     # the exchange term whole before it is subtracted, formed like the
     # direct one, so that a pair of identical orbitals cancels exactly
     exchange = np.multiply(f_g.real, f_g.real, out=f_g.real)
@@ -265,9 +290,9 @@ def zfs_pair_tensor(
     dv = phi_i.voxel_volume
     scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
     if kernel.ndim == 2:  # half-mesh layout; the octant one is 4-D
-        comps = scale * np.einsum("cm,m->c", kernel, pair)
+        comps = scale * np.einsum("cm,m->c", kernel, pair.reshape(-1))
     else:
-        comps = scale * _octant_sums(kernel, pair.reshape(*shape[:-1], -1))
+        comps = scale * _octant_sums(kernel, pair)
     tensor = np.empty((3, 3))
     for value, (a, b) in zip(comps, _COMPONENTS):
         tensor[a, b] = value

@@ -25,12 +25,13 @@ from .textio import number_block, numbers, open_text, write_lines
 
 # Largest cube load_cube reads.  zfs pads an n-sample cube to an FFT mesh
 # of about 8n points.  A fresh one-phase run peaks above its bare 30 MB
-# by 45-48 bytes per mesh point on a skewed lattice, whose kernel spans
-# the rfft half mesh, and by 31-33 on a lattice with diagonal axes, whose
-# kernel is one octant (48^3-96^3 on x86-64 Linux).  The cap follows the
-# skewed figure, about 370 bytes per sample: a cube at the limit (200^3,
-# a 400^3 mesh) peaks near 3 GB, or 2 GB with diagonal axes.  Larger
-# cubes are refused from the header, before any of the body is read.
+# by 45-48 bytes per mesh point on a skewed lattice, whose kernel build
+# over the rfft half mesh sets the peak, and by 26-28 on a lattice with
+# diagonal axes, whose kernel is one octant and whose peak is the pair
+# phase's two half spectra (48^3-96^3 on x86-64 Linux).  The cap follows
+# the skewed figure, about 370 bytes per sample: a cube at the limit
+# (200^3, a 400^3 mesh) peaks near 3 GB, or 1.7 GB with diagonal axes.
+# Larger cubes are refused from the header, before any of the body is read.
 MAX_CUBE_SAMPLES = 200 ** 3
 
 

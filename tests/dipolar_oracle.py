@@ -8,12 +8,16 @@ five slab by slab and takes zz from the trace identity; the samples
 agree bitwise, so a disagreement comes from the frequency-space
 mechanics (padding, transforms, the trace identity).  Quadratic cost:
 small grids only.
+
+It also keeps the library's former frequency-space pair phase, one
+rfftn(..., s=) per density, as the bitwise reference for the in-place
+spectra the library now builds.
 """
 
 import numpy as np
 
 from odmrsense import DIPOLAR_PREFACTOR_MHZ_A3, OrbitalGrid, ZfsTensor
-from odmrsense.dipolar import _padded_shape
+from odmrsense.dipolar import _COMPONENTS, _kernel_transforms, _octant_sums, _padded_shape
 
 # All six independent tensor components in (a, b) index pairs.
 COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -80,4 +84,39 @@ def direct_pair_tensor(phi_i: OrbitalGrid, phi_j: OrbitalGrid) -> ZfsTensor:
     for value, (a, b) in zip(comps, COMPONENTS):
         tensor[a, b] = value
         tensor[b, a] = value
+    return ZfsTensor(tensor)
+
+
+def rfftn_pair_tensor(phi_i: OrbitalGrid, phi_j: OrbitalGrid) -> ZfsTensor:
+    """zfs_pair_tensor at its default cutoff, with rfftn's own density spectra.
+
+    The same cached kernel and contraction as the library; each density
+    spectrum is a fresh np.fft.rfftn(..., s=) of the whole product.
+    """
+    cutoff = float(np.min(np.linalg.norm(phi_i.axes, axis=1)))
+    kernel = _kernel_transforms(phi_i.dims, tuple(map(tuple, phi_i.axes)), cutoff)
+    psi_i, psi_j = phi_i.normalized().values, phi_j.normalized().values
+    shape = _padded_shape(phi_i.dims)
+
+    def spectrum(density):
+        return np.fft.rfftn(density, s=shape, axes=(0, 1, 2)).ravel()
+
+    f_i, f_j = spectrum(psi_i ** 2), spectrum(psi_j ** 2)
+    pair = f_i.real * f_j.real
+    pair += np.multiply(f_i.imag, f_j.imag, out=f_i.imag)
+    f_g = spectrum(psi_i * psi_j)
+    exchange = np.multiply(f_g.real, f_g.real, out=f_g.real)
+    exchange += np.multiply(f_g.imag, f_g.imag, out=f_g.imag)
+    pair -= exchange
+    dv = phi_i.voxel_volume
+    scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
+    if kernel.ndim == 2:
+        comps = scale * np.einsum("cm,m->c", kernel, pair)
+    else:
+        comps = scale * _octant_sums(kernel, pair.reshape(*shape[:-1], -1))
+    tensor = np.empty((3, 3))
+    for value, (a, b) in zip(comps, _COMPONENTS):
+        tensor[a, b] = value
+        tensor[b, a] = value
+    tensor[2, 2] = -(comps[0] + comps[1])
     return ZfsTensor(tensor)

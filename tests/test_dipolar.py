@@ -29,10 +29,10 @@ from odmrsense import (
     zfs_pair_tensor,
 )
 
-from odmrsense.dipolar import (_COMPONENTS, _fast_len, _kernel_table, _kernel_transforms,
-                               _padded_shape)
+from odmrsense.dipolar import (_COMPONENTS, _density_spectrum, _fast_len, _kernel_table,
+                               _kernel_transforms, _padded_shape)
 
-from dipolar_oracle import COMPONENTS, direct_pair_tensor, kernel_tables
+from dipolar_oracle import COMPONENTS, direct_pair_tensor, kernel_tables, rfftn_pair_tensor
 
 
 def tight_pair(dims=24, length=18.0, width=0.75, offset=5.0):
@@ -61,6 +61,32 @@ def padded_mesh_pair(mesh):
     a = gaussian_orbital(origin, axes, dims, center, (1.0,) * 3)
     b = gaussian_orbital(origin, axes, dims, -center, (1.0,) * 3)
     return a, b
+
+
+def lattice_pair(dims, skewed=False, shift=0.0):
+    """A Gaussian and a one-node orbital, off-centre, on a 0.9/1.0/0.8 A lattice.
+
+    skewed shears the lattice so that the half-mesh kernel route is taken;
+    shift moves both centres along x.
+    """
+    axes = np.diag([0.9, 1.0, 0.8])
+    if skewed:
+        axes[1, 0], axes[2, 0], axes[2, 1] = 0.25, 0.1, -0.15
+    origin = -0.5 * (np.array(dims) - 1) @ axes
+    center = np.array([0.7, 0.4, 0.9])
+    a = gaussian_orbital(origin, axes, dims, center + (shift, 0, 0), (1.0, 0.8, 1.2))
+    b = gaussian_orbital(origin, axes, dims, -center + (shift, 0, 0), (0.9, 1.1, 0.7),
+                         node_axis=0)
+    return a, b
+
+
+def criterion_9_pair(shift):
+    """HOMO and LUMO of one phase of the criterion-9 CLI run, (20, 16, 12) samples."""
+    dims = (20, 16, 12)
+    origin, axes = make_grid(dims, (10.0, 8.0, 6.0))
+    homo = gaussian_orbital(origin, axes, dims, (shift, 0, 0), (1.5, 0.8, 0.5))
+    lumo = gaussian_orbital(origin, axes, dims, (shift, 0, 0), (1.5, 0.8, 0.5), node_axis=0)
+    return homo, lumo
 
 
 class TestPointDipoleTensor:
@@ -154,8 +180,9 @@ class TestPairTensor:
     @pytest.mark.parametrize("mesh", ["orthogonal", "skewed"])
     def test_working_set_per_padded_mesh_point(self, mesh):
         # tracemalloc counts numpy's buffers alike on every platform, unlike
-        # RSS; measured at 48^3: cold 28.9 (orthogonal, octant kernel) and
-        # 45.3 (skewed), warm 23.4 bytes per padded point
+        # RSS; measured at 48^3: cold 23.8 (orthogonal, octant kernel) and
+        # 45.2 (skewed), warm 18.4 bytes per padded point (the two half
+        # spectra of the pair phase are 16)
         a, b = tight_pair(dims=48)
         if mesh == "skewed":
             shear = np.array([[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.1, 0.1, 1.0]])
@@ -173,7 +200,61 @@ class TestPairTensor:
         _kernel_transforms.cache_clear()
         cold = peak_bytes() / points  # builds the kernel
         assert cold <= (36 if mesh == "orthogonal" else 56)
-        assert peak_bytes() / points <= 32  # warm: reuses it
+        if mesh == "orthogonal":
+            assert cold <= 26
+        warm = peak_bytes() / points  # reuses it
+        assert warm <= 32
+        assert warm <= 20
+
+    @pytest.mark.parametrize("pair", [
+        # orthogonal lattices, padded to (25, 15, 20), 48^3 and (7, 9, 11)
+        *[pytest.param(lambda d=d: lattice_pair(d), id=f"orthogonal-{d}")
+          for d in [(13, 8, 10), (24, 24, 24), (4, 5, 6)]],
+        *[pytest.param(lambda d=d: lattice_pair(d, skewed=True), id=f"skewed-{d}")
+          for d in [(24, 20, 16), (33, 31, 17)]],
+        # single-sample and single-padded-point axes
+        *[pytest.param(lambda d=d: lattice_pair(d), id=f"degenerate-{d}")
+          for d in [(1, 5, 7), (2, 1, 3), (5, 4, 1), (1, 1, 2), (3, 3, 3)]],
+        *[pytest.param(lambda x=x: criterion_9_pair(x), id=f"criterion-9-{x}")
+          for x in (0.0, 0.04)],
+    ])
+    def test_pair_phase_matches_rfftn_bitwise(self, pair):
+        # the in-place half spectra are the 1-D transforms rfftn runs, on
+        # the same zero padding, so nothing may move, not even by rounding
+        a, b = pair()
+        assert np.array_equal(zfs_pair_tensor(a, b).tensor, rfftn_pair_tensor(a, b).tensor)
+        assert np.all(zfs_pair_tensor(b, b).tensor == 0.0)
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_back_to_back_pairs_match_rfftn_bitwise(self, skewed):
+        # a second pair on the same mesh reuses the kernel and must not see
+        # anything of the first
+        first, second = (lattice_pair((9, 8, 7), skewed, shift) for shift in (0.0, 0.3))
+        got = [zfs_pair_tensor(*p).tensor for p in (first, second, first)]
+        want = [rfftn_pair_tensor(*p).tensor for p in (first, second, first)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert not np.array_equal(got[0], got[1])
+
+    def test_density_spectrum_skips_padding_rows(self, monkeypatch):
+        # rows n0: along axis 0 stay zero until the last pass, so the axis-1
+        # pass transforms only the n0 rows that hold data; transforming all
+        # N0 would give the same spectrum at twice the work
+        a, _ = lattice_pair((13, 8, 10))
+        n0 = a.dims[0]
+        shape = _padded_shape(a.dims)
+        half = shape[-1] // 2 + 1
+        out = np.empty((*shape[:-1], half), dtype=complex)
+        fft, passes = np.fft.fft, []
+
+        def counting_fft(x, n=None, axis=-1, norm=None, out=None):
+            passes.append((x.shape[axis], x.size // x.shape[axis]))
+            return fft(x, n, axis, norm, out)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        got = _density_spectrum(a.values, a.values, shape, out)
+        # (transform length, number of 1-D transforms) per pass
+        assert passes == [(shape[1], n0 * half), (shape[0], shape[1] * half)]
+        assert np.array_equal(got, np.fft.rfftn(a.values ** 2, s=shape, axes=(0, 1, 2)))
 
     def test_normalization_invariance(self):
         a, b = tight_pair(dims=12, length=12.0, width=1.0, offset=3.0)
