@@ -70,8 +70,11 @@ class CalibrationSeries:
             sig = _validated_1d(freq_sigma, "freq_sigma")
             if sig.size != freq.size:
                 raise InvalidParameterError("freq_sigma length differs from freq_mhz")
-            if np.any(sig <= 0):
-                raise InvalidParameterError("freq_sigma entries must be positive")
+            with np.errstate(over="ignore", divide="ignore"):
+                weight = 1.0 / sig ** 2  # as segmented_fit weighs the points
+            if not np.all((sig > 0) & (weight > 0) & (weight < np.inf)):
+                raise InvalidParameterError(
+                    "freq_sigma entries must be positive, with 1/sigma^2 finite and non-zero")
         object.__setattr__(self, "control", ctrl)
         object.__setattr__(self, "freq_mhz", freq)
         object.__setattr__(self, "freq_sigma", sig)

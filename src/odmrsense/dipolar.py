@@ -22,20 +22,22 @@ displacement (K_xx + K_yy + K_zz = 0), so the cache keeps five rows (xx,
 yy, xy, xz, yz) and the tensor takes zz = -(xx + yy), traceless by
 construction.
 
-The cache has two layouts (see _kernel_transforms).  On a lattice with
-diagonal axes, which every make_grid or save_cube grid has, each row is
-even or odd in every axis separately, so its spectrum is fixed by the
-octant of non-negative frequencies: about 5 bytes per padded point.  On
-any other lattice the rows span the rfft half mesh: 20 bytes per point.
+The cache has two layouts (see _kernel_transforms), contracted alike by
+_pair_sums.  On a lattice with diagonal axes, which every make_grid or
+save_cube grid has, each row is even or odd in every axis separately,
+so its spectrum is fixed by the octant of non-negative frequencies:
+about 5 bytes per padded point.  On any other lattice the rows span the
+rfft half mesh: 20 bytes per point.
 
-Memory: each table is built slab by slab into one reused buffer beside
-r^-5 (on the octant of non-negative offsets for diagonal axes), and a
-pair sum runs in two complex half spectra (8 bytes per padded point
-each), allocated per call: each density spectrum is transformed in
-place into one of them, and the products are written over spectra that
-are spent.  In numpy buffers at 48^3 that is about 24 bytes per padded
-point while an octant kernel is built, 45 while a half-mesh one is, and
-18 once it is cached.  A fresh process peaks 26-28 (diagonal) or 45-48
+Memory: every 3-D transform (densities, and kernel tables off diagonal
+axes) runs through _half_spectrum, which takes the array as axis-0
+slabs, so no zero-padded real copy forms.  Kernel tables come slab by
+slab beside r^-5 (on the octant of non-negative offsets for diagonal
+axes), and a pair sum runs in two complex half spectra (8 bytes per
+padded point each), the products written over spectra that are spent.
+In numpy buffers at 48^3 a first call takes about 24 bytes per padded
+point with an octant kernel, 39 with a half-mesh one, and 18 once the
+kernel is cached.  A fresh process peaks 26-28 (diagonal) or 41-43
 (skewed) bytes per point above its bare 30 MB;
 volumetric.MAX_CUBE_SAMPLES refuses cubes whose mesh would not fit.  The
 transforms are numpy's (pocketfft, one thread) on 11-smooth padded
@@ -71,15 +73,14 @@ def _kernel_table(shape, axes: np.ndarray, cutoff: float, octant: bool = False):
     octant set, the tables hold only the offsets 0..N//2 of every axis,
     the same samples as the full tables' leading corner.
 
-    Every table is written slab by slab along axis 0 into one buffer
-    that is reused for the next, so a caller keeps a table past the next
-    step only by copying it.  Beside it only r^-5 lives on the mesh.
+    Each table comes as an iterator over its axis-0 slabs, each a fresh
+    array, so a caller streams it into a transform or stacks it.  Beside
+    the slabs only r^-5 lives on the mesh.
     """
     if octant:
         offsets = [np.arange(n // 2 + 1) for n in shape]
     else:
         offsets = [np.arange(n) - n * (np.arange(n) > n // 2) for n in shape]
-    shape = [o.size for o in offsets]
     # the axis-1 and axis-2 parts of each displacement component
     part1 = [offsets[1][:, None] * axes[1, c] for c in range(3)]
     part2 = [offsets[2][None, :] * axes[2, c] for c in range(3)]
@@ -92,19 +93,22 @@ def _kernel_table(shape, axes: np.ndarray, cutoff: float, octant: bool = False):
         d = [disp(i, c) for c in range(3)]
         return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
 
-    inv_r5 = np.empty(shape)
+    inv_r5 = np.empty([o.size for o in offsets])
     with np.errstate(divide="ignore"):
         for i, slab in enumerate(inv_r5):
             r2_i = r2(i)
             slab[:] = np.where(r2_i >= cutoff * cutoff, r2_i ** -2.5, 0.0)
-    table = np.empty(shape)
-    for a, b in _COMPONENTS:
-        for i, slab in enumerate(table):
-            np.multiply(-3.0 * disp(i, a), disp(i, b), out=slab)
+
+    def slabs(a, b):
+        for i, inv_r5_i in enumerate(inv_r5):
+            slab = -3.0 * disp(i, a) * disp(i, b)
             if a == b:
                 slab += r2(i)
-            slab *= inv_r5[i]
-        yield table
+            slab *= inv_r5_i
+            yield slab
+
+    for a, b in _COMPONENTS:
+        yield slabs(a, b)
 
 
 def _fast_len(n: int) -> int:
@@ -121,10 +125,6 @@ def _fast_len(n: int) -> int:
 
 def _padded_shape(dims) -> list[int]:
     return [_fast_len(2 * n - 1) for n in dims]
-
-
-def _is_diagonal(axes: np.ndarray) -> bool:
-    return not np.any(axes[~np.eye(3, dtype=bool)])
 
 
 def _odd_axes(a: int, b: int) -> tuple:
@@ -156,20 +156,19 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
 
     A half-spectrum entry with last-axis frequency k stands for the
     conjugate pair k, -k, so the weight is 2 (1 where they coincide: at 0
-    and at the Nyquist of an even last axis).  Two layouts:
+    and at the Nyquist of an even last axis).  One (5, h0, h1, N2//2+1)
+    array, in one of two layouts, which _pair_sums both contracts:
 
-    - General lattice: one (5, M) array over the half mesh, row c being
-      rfftn(table c).real, so its dot product with Re(conj(a^) b^) is
-      the pair sum.  20 bytes per padded point.
+    - General lattice: h = N, row c being rfftn(table c).real over the
+      whole half mesh.  20 bytes per padded point.
     - Diagonal axes (every make_grid or save_cube grid): each row has a
       parity in every axis separately (xx, yy even; xy odd in x and y,
       xz in x and z, yz in y and z), so its spectrum is real, has the
       same parities in frequency, and is fixed by its octant of
-      non-negative frequencies.  The tables are built on the octant of
-      non-negative offsets and transformed one axis at a time by
-      _parity_rfft; two odd axes give i^2, so those rows carry a sign
-      -1.  One (5, N0//2+1, N1//2+1, N2//2+1) array, about 5 bytes per
-      padded point; _octant_sums reflects the pair spectrum onto it.
+      non-negative frequencies: h = N//2+1.  The tables are built on the
+      octant of non-negative offsets and transformed one axis at a time
+      by _parity_rfft; two odd axes give i^2, so those rows carry a sign
+      -1.  About 5 bytes per padded point.
 
     Keyed on the mesh and cutoff alone (axes as a tuple of row tuples,
     so the key is hashable).  Read-only because it is shared between
@@ -179,32 +178,31 @@ def _kernel_transforms(dims: tuple, axes: tuple, cutoff: float) -> np.ndarray:
     axes = np.array(axes)
     k = np.arange(shape[-1] // 2 + 1)
     weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
-    if _is_diagonal(axes):
-        kernel = np.empty((len(_COMPONENTS), *(n // 2 + 1 for n in shape)))
-        tables = _kernel_table(shape, axes, cutoff, True)
-        for row, table, (a, b) in zip(kernel, tables, _COMPONENTS):
+    octant = not np.any(axes[~np.eye(3, dtype=bool)])  # diagonal axes
+    h = [n // 2 + 1 if octant else n for n in shape[:-1]]
+    kernel = np.empty((len(_COMPONENTS), *h, k.size))
+    tables = _kernel_table(shape, axes, cutoff, octant)
+    for row, slabs, (a, b) in zip(kernel, tables, _COMPONENTS):
+        if octant:
+            table = np.stack(tuple(slabs))
             odd = _odd_axes(a, b)
             for axis, n in enumerate(shape):
                 table = _parity_rfft(table, n, axis, axis in odd)
             np.multiply(table, -weight if odd else weight, out=row)
-    else:
-        kernel = np.empty((len(_COMPONENTS), np.prod(shape[:-1]) * k.size))
-        # one spectrum buffer for all five transforms (out= needs NumPy >= 2.0)
-        spectrum = np.empty((*shape[:-1], k.size), dtype=complex)
-        for row, table in zip(kernel, _kernel_table(shape, axes, cutoff)):
-            np.fft.rfftn(table, axes=(0, 1, 2), out=spectrum)
-            np.multiply(spectrum.real, weight, out=row.reshape(spectrum.shape))
+        else:
+            np.multiply(_half_spectrum(slabs, shape, shape).real, weight, out=row)
     kernel.flags.writeable = False
     return kernel
 
 
-def _octant_sums(kernel: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """The five pair sums from the octant kernel and the (N0, N1, N2//2+1) pair spectrum.
+def _pair_sums(kernel: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The five pair sums from either kernel layout and the (N0, N1, N2//2+1) pair spectrum.
 
-    Along axes 0 and 1, frequency N - k is -k and shares the kernel's
-    entry k, with a sign flip where the row is odd in that axis.  Each
-    row is contracted against the four x/y reflections of pair through
-    strided views; no folded copy is made.
+    Along axes 0 and 1, frequency N - k is -k: an octant kernel (h =
+    N//2+1) holds it at entry k, sign-flipped where the row is odd in
+    that axis; a half-mesh one (h = N) holds it in place, and the
+    negative-frequency slices below are empty.  Each row meets the four
+    x/y reflections of pair through strided views, with no folded copy.
     """
     halves = []
     for n, h in zip(pair.shape[:2], kernel.shape[1:3]):
@@ -221,21 +219,23 @@ def _octant_sums(kernel: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _density_spectrum(a: np.ndarray, b: np.ndarray, shape, out: np.ndarray) -> np.ndarray:
-    """rfftn(a * b, s=shape) written into out, one (N0, N1, N2//2+1) complex buffer.
+def _half_spectrum(slabs, dims, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """rfftn(x, s=shape) in out, one (N0, N1, N2//2+1) complex buffer (new if None).
 
-    The product is formed one axis-0 slab at a time and each slab is
-    rfft'd along the last axis straight into out; the axis-1 and axis-0
-    passes then run in place.  These are the 1-D transforms rfftn runs,
-    on the same zero padding, so the spectrum is bitwise rfftn's.  Every
-    entry the slabs do not write is zeroed first, as out may hold an
-    earlier spectrum.
+    x comes as its dims[0] axis-0 slabs of dims[1] rows, each rfft'd along
+    the last axis straight into out; the axis-1 pass then runs in place on
+    those dims[0] rows and the axis-0 pass on all: the 1-D transforms
+    rfftn runs, on the same zero padding, so the spectrum is bitwise
+    rfftn's.  Entries the slabs do not write are zeroed first, as out
+    may hold an earlier spectrum.
     """
-    n0, n1 = a.shape[:2]
+    if out is None:
+        out = np.empty((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
+    n0, n1 = dims[:2]
     out[n0:] = 0
     out[:n0, n1:] = 0
-    for i in range(n0):
-        np.fft.rfft(a[i] * b[i], n=shape[-1], axis=-1, out=out[i, :n1])
+    for i, slab in enumerate(slabs):
+        np.fft.rfft(slab, n=shape[-1], axis=-1, out=out[i, :n1])
     np.fft.fft(out[:n0], axis=1, out=out[:n0])
     np.fft.fft(out, axis=0, out=out)
     return out
@@ -273,15 +273,14 @@ def zfs_pair_tensor(
     # the whole pair phase runs in two half spectra: f_i's buffer takes
     # the products and then f_g, and pair overwrites the first half of
     # f_j's once f_j is spent, so no other mesh-sized array forms
-    half_mesh = (*shape[:-1], shape[-1] // 2 + 1)
-    f_i = _density_spectrum(psi_i, psi_i, shape, np.empty(half_mesh, dtype=complex))
-    f_j = _density_spectrum(psi_j, psi_j, shape, np.empty(half_mesh, dtype=complex))
+    f_i = _half_spectrum((p * p for p in psi_i), phi_i.dims, shape)
+    f_j = _half_spectrum((p * p for p in psi_j), phi_i.dims, shape)
     # Re(conj(f_i) f_j); pair must be C-contiguous, as a strided .real
     # view would change the order of the einsum sums below
-    pair = f_j.reshape(-1).view(float)[:f_j.size].reshape(half_mesh)
+    pair = f_j.reshape(-1).view(float)[:f_j.size].reshape(f_j.shape)
     np.add(np.multiply(f_i.real, f_j.real, out=f_i.real),
            np.multiply(f_i.imag, f_j.imag, out=f_i.imag), out=pair)
-    f_g = _density_spectrum(psi_i, psi_j, shape, f_i)
+    f_g = _half_spectrum((p * q for p, q in zip(psi_i, psi_j)), phi_i.dims, shape, f_i)
     # the exchange term whole before it is subtracted, formed like the
     # direct one, so that a pair of identical orbitals cancels exactly
     exchange = np.multiply(f_g.real, f_g.real, out=f_g.real)
@@ -289,10 +288,7 @@ def zfs_pair_tensor(
     pair -= exchange
     dv = phi_i.voxel_volume
     scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
-    if kernel.ndim == 2:  # half-mesh layout; the octant one is 4-D
-        comps = scale * np.einsum("cm,m->c", kernel, pair.reshape(-1))
-    else:
-        comps = scale * _octant_sums(kernel, pair)
+    comps = scale * _pair_sums(kernel, pair)
     tensor = np.empty((3, 3))
     for value, (a, b) in zip(comps, _COMPONENTS):
         tensor[a, b] = value

@@ -176,14 +176,12 @@ def synthesize(
     The same (lines, grid, noise_sigma, seed) always produces identical
     samples; noise_sigma = 0 is noiseless regardless of seed.
     """
-    if noise_sigma < 0 or not np.isfinite(noise_sigma):
-        raise InvalidParameterError("noise_sigma must be finite and >= 0")
+    meta = SpectrumMeta(noise_sigma=noise_sigma, seed=seed,
+                        control_value=control_value, control_unit=control_unit)
     signal = evaluate_lines(lines, freqs_mhz)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         signal = signal + rng.normal(0.0, noise_sigma, size=signal.shape)
-    meta = SpectrumMeta(noise_sigma=noise_sigma, seed=seed,
-                        control_value=control_value, control_unit=control_unit)
     return Spectrum(freqs_mhz, signal, meta)
 
 

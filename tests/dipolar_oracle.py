@@ -17,7 +17,7 @@ spectra the library now builds.
 import numpy as np
 
 from odmrsense import DIPOLAR_PREFACTOR_MHZ_A3, OrbitalGrid, ZfsTensor
-from odmrsense.dipolar import _COMPONENTS, _kernel_transforms, _octant_sums, _padded_shape
+from odmrsense.dipolar import _COMPONENTS, _kernel_transforms, _padded_shape, _pair_sums
 
 # All six independent tensor components in (a, b) index pairs.
 COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -99,7 +99,7 @@ def rfftn_pair_tensor(phi_i: OrbitalGrid, phi_j: OrbitalGrid) -> ZfsTensor:
     shape = _padded_shape(phi_i.dims)
 
     def spectrum(density):
-        return np.fft.rfftn(density, s=shape, axes=(0, 1, 2)).ravel()
+        return np.fft.rfftn(density, s=shape, axes=(0, 1, 2))
 
     f_i, f_j = spectrum(psi_i ** 2), spectrum(psi_j ** 2)
     pair = f_i.real * f_j.real
@@ -110,10 +110,7 @@ def rfftn_pair_tensor(phi_i: OrbitalGrid, phi_j: OrbitalGrid) -> ZfsTensor:
     pair -= exchange
     dv = phi_i.voxel_volume
     scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
-    if kernel.ndim == 2:
-        comps = scale * np.einsum("cm,m->c", kernel, pair)
-    else:
-        comps = scale * _octant_sums(kernel, pair.reshape(*shape[:-1], -1))
+    comps = scale * _pair_sums(kernel, pair)
     tensor = np.empty((3, 3))
     for value, (a, b) in zip(comps, _COMPONENTS):
         tensor[a, b] = value

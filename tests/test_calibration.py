@@ -89,9 +89,12 @@ class TestSeriesValidation:
         asc = s.ascending()
         assert asc.control[0] == 1 and asc.freq_mhz[0] == 3
 
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
     def test_sigma_positive(self):
-        with pytest.raises(InvalidParameterError):
-            CalibrationSeries([1, 2, 3, 4], [0, 0, 0, 0], [1, 1, 0, 1])
+        # 0, and sigmas whose weight 1/sigma^2 overflows to inf or falls to 0
+        for sigma in (0.0, 1e-155, 1.4e154):
+            with pytest.raises(InvalidParameterError):
+                CalibrationSeries([1, 2, 3, 4], [0, 0, 0, 0], [1, 1, sigma, 1])
 
     def test_min_length(self):
         with pytest.raises(InvalidParameterError):

@@ -391,6 +391,8 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     write_overlapping_calibration,
     lambda tmp: write_sigma_calibration(tmp, ["nan"] * 8),
     lambda tmp: write_sigma_calibration(tmp, ["0.1"] * 7 + ["inf"]),
+    lambda tmp: write_sigma_calibration(tmp, ["1e-155"] * 8),
+    lambda tmp: write_sigma_calibration(tmp, ["1.4e154"] * 8),
     lambda tmp: write_calibration_with_sidecar(tmp, '{"control_unit": null}'),
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"seed": [1]}'),
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"noise_sigma": NaN, "seed": 5}'),
@@ -409,6 +411,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",
         "pump-rate-config-too-big", "sigma-config-too-big", "config-int-too-many-digits",
         "seed-negative", "invert-frequency-ambiguous", "sigma-all-nan", "sigma-one-inf",
+        "sigma-weight-overflows", "sigma-weight-underflows",
         "calibration-sidecar-unit-null", "spectrum-sidecar-seed-list",
         "spectrum-sidecar-noise-nan", "spectrum-sidecar-noise-minus-inf",
         "spectrum-sidecar-noise-negative", "spectrum-sidecar-seed-negative"])

@@ -29,7 +29,7 @@ from odmrsense import (
     zfs_pair_tensor,
 )
 
-from odmrsense.dipolar import (_COMPONENTS, _density_spectrum, _fast_len, _kernel_table,
+from odmrsense.dipolar import (_COMPONENTS, _fast_len, _half_spectrum, _kernel_table,
                                _kernel_transforms, _padded_shape)
 
 from dipolar_oracle import COMPONENTS, direct_pair_tensor, kernel_tables, rfftn_pair_tensor
@@ -152,8 +152,7 @@ class TestPairTensor:
         a, _ = padded_mesh_pair(mesh)
         shape = _padded_shape(a.dims)
         cutoff = float(np.min(np.linalg.norm(a.axes, axis=1)))
-        # the library reuses one buffer, so each table is copied as it comes
-        got = [table.copy() for table in _kernel_table(shape, a.axes, cutoff)]
+        got = [np.stack(tuple(slabs)) for slabs in _kernel_table(shape, a.axes, cutoff)]
         want = dict(zip(COMPONENTS, kernel_tables(shape, a.axes, cutoff)))
         assert len(got) == len(_COMPONENTS)
         for table, comp in zip(got, _COMPONENTS):
@@ -161,8 +160,23 @@ class TestPairTensor:
         # the octant tables of orthogonal lattices are the leading corner;
         # the orthogonal mesh, (25, 15, 20), has odd and even lengths
         corner = tuple(slice(n // 2 + 1) for n in shape)
-        for table, comp in zip(_kernel_table(shape, a.axes, cutoff, True), _COMPONENTS):
-            assert np.array_equal(table, want[comp][corner])
+        for slabs, comp in zip(_kernel_table(shape, a.axes, cutoff, True), _COMPONENTS):
+            assert np.array_equal(np.stack(tuple(slabs)), want[comp][corner])
+
+    def test_skewed_kernel_spectra_match_rfftn_bitwise(self):
+        # the pair-phase checks below share the library's cached kernel, so
+        # they cannot see its build; each row is rfftn of the oracle's table,
+        # its real part weighted for the half mesh, (18, 15, 14) padded
+        a, _ = padded_mesh_pair("skewed")
+        shape = _padded_shape(a.dims)
+        cutoff = float(np.min(np.linalg.norm(a.axes, axis=1)))
+        k = np.arange(shape[-1] // 2 + 1)
+        weight = np.where(2 * k % shape[-1] == 0, 1.0, 2.0) / np.prod(shape, dtype=float)
+        want = dict(zip(COMPONENTS, kernel_tables(shape, a.axes, cutoff)))
+        kernel = _kernel_transforms(a.dims, tuple(map(tuple, a.axes)), cutoff)
+        assert kernel.shape == (len(_COMPONENTS), *shape[:-1], k.size)
+        for row, comp in zip(kernel, _COMPONENTS):
+            assert np.array_equal(row, np.fft.rfftn(want[comp]).real * weight)
 
     def test_rotated_lattice_agrees_with_octant_route(self):
         # rotating an orthogonal lattice sends it down the general route;
@@ -172,17 +186,20 @@ class TestPairTensor:
         rot, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))
         turned = [OrbitalGrid(rot @ g.origin, g.axes @ rot.T, g.values) for g in (a, b)]
         want = rot @ zfs_pair_tensor(a, b, 1.2).tensor @ rot.T
-        assert _kernel_transforms(a.dims, tuple(map(tuple, a.axes)), 1.2).ndim == 4
+        # the octant kernel spans N//2+1 frequencies on axis 0, the half-mesh one N
+        n0 = _padded_shape(a.dims)[0]
+        assert _kernel_transforms(a.dims, tuple(map(tuple, a.axes)), 1.2).shape[1] == n0 // 2 + 1
         got = zfs_pair_tensor(*turned, 1.2).tensor
-        assert _kernel_transforms(a.dims, tuple(map(tuple, turned[0].axes)), 1.2).ndim == 2
+        assert _kernel_transforms(a.dims, tuple(map(tuple, turned[0].axes)), 1.2).shape[1] == n0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("mesh", ["orthogonal", "skewed"])
     def test_working_set_per_padded_mesh_point(self, mesh):
         # tracemalloc counts numpy's buffers alike on every platform, unlike
         # RSS; measured at 48^3: cold 23.8 (orthogonal, octant kernel) and
-        # 45.2 (skewed), warm 18.4 bytes per padded point (the two half
-        # spectra of the pair phase are 16)
+        # 38.8 (skewed: the 20-byte half-mesh kernel beside the pair phase;
+        # its build alone peaks at 37.5), warm 18.4 bytes per padded point
+        # (the two half spectra of the pair phase are 16)
         a, b = tight_pair(dims=48)
         if mesh == "skewed":
             shear = np.array([[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.1, 0.1, 1.0]])
@@ -199,11 +216,8 @@ class TestPairTensor:
 
         _kernel_transforms.cache_clear()
         cold = peak_bytes() / points  # builds the kernel
-        assert cold <= (36 if mesh == "orthogonal" else 56)
-        if mesh == "orthogonal":
-            assert cold <= 26
+        assert cold <= (26 if mesh == "orthogonal" else 42)
         warm = peak_bytes() / points  # reuses it
-        assert warm <= 32
         assert warm <= 20
 
     @pytest.mark.parametrize("pair", [
@@ -251,7 +265,7 @@ class TestPairTensor:
             return fft(x, n, axis, norm, out)
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
-        got = _density_spectrum(a.values, a.values, shape, out)
+        got = _half_spectrum((p * p for p in a.values), a.dims, shape, out)
         # (transform length, number of 1-D transforms) per pass
         assert passes == [(shape[1], n0 * half), (shape[0], shape[1] * half)]
         assert np.array_equal(got, np.fft.rfftn(a.values ** 2, s=shape, axes=(0, 1, 2)))

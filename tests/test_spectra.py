@@ -125,6 +125,15 @@ class TestSynthesis:
         assert s.meta.seed == 3
         assert s.meta.control_value == 293.0
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
+    def test_negative_seed_refused(self, noise_sigma):
+        # the package's own error with or without noise, never numpy's plain
+        # ValueError from default_rng (InvalidParameterError's base class)
+        f = np.linspace(30, 70, 200)
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            synthesize([LineModel.symmetric(50.0, 4.0, 1.0)], f, noise_sigma=noise_sigma,
+                       seed=-5)
+
     def test_spectrum_validation(self):
         with pytest.raises(InvalidParameterError):
             Spectrum([1, 2, 3], [0, 0, 0])  # too short
