@@ -8,12 +8,6 @@ sensitivity), volumetric (orbital grids and cube files), dipolar
 (spin-spin tensor integration), textio (the one text, JSON and number
 reader and table writer behind every file format), cli (command-line
 front end).
-
-SciPy is imported inside the one function that uses it,
-kinetics.evolve (its matrix exponential), never at module level: no
-subcommand calls it, so neither importing the package or the CLI nor
-running a subcommand loads SciPy, which would add up to a second to
-every CLI process.
 """
 
 from .constants import (

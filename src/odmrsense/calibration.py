@@ -39,6 +39,16 @@ def _validated_1d(values, name: str) -> np.ndarray:
     return arr
 
 
+_SIGMA_RULE = "must be positive, with 1/sigma^2 finite and non-zero"
+
+
+def _sigma_ok(sig: np.ndarray) -> np.ndarray:
+    """Per entry, whether a 1-sigma uncertainty keeps _SIGMA_RULE."""
+    with np.errstate(over="ignore", divide="ignore"):
+        weight = 1.0 / sig ** 2  # as segmented_fit weighs the points
+    return (sig > 0) & (weight > 0) & (weight < np.inf)
+
+
 @dataclass(frozen=True)
 class CalibrationSeries:
     """Frequency response of one transition to a control parameter.
@@ -70,11 +80,8 @@ class CalibrationSeries:
             sig = _validated_1d(freq_sigma, "freq_sigma")
             if sig.size != freq.size:
                 raise InvalidParameterError("freq_sigma length differs from freq_mhz")
-            with np.errstate(over="ignore", divide="ignore"):
-                weight = 1.0 / sig ** 2  # as segmented_fit weighs the points
-            if not np.all((sig > 0) & (weight > 0) & (weight < np.inf)):
-                raise InvalidParameterError(
-                    "freq_sigma entries must be positive, with 1/sigma^2 finite and non-zero")
+            if not np.all(_sigma_ok(sig)):
+                raise InvalidParameterError(f"freq_sigma entries {_SIGMA_RULE}")
         object.__setattr__(self, "control", ctrl)
         object.__setattr__(self, "freq_mhz", freq)
         object.__setattr__(self, "freq_sigma", sig)
@@ -458,8 +465,15 @@ def sensitivity(
             raise InvalidParameterError(f"{name} must be finite and >= 0")
         if val == 0:
             raise DivisionDomainError(f"{name} is zero; sensitivity diverges")
-    eta = sigma * np.sqrt(tau_s) / (signal_slope * calib_slope)
-    return SensitivityReport(float(eta), sigma, tau_s, signal_slope, calib_slope, unit)
+    # on Python floats: the IEEE operations of numpy's, but an overflow or
+    # underflow raises no warning and is refused below
+    slopes = float(signal_slope) * float(calib_slope)
+    eta = float(sigma) * math.sqrt(tau_s) / slopes if slopes else math.inf
+    if not 0.0 < eta < math.inf:
+        raise InvalidParameterError(
+            f"eta = sigma sqrt(tau) / (signal_slope * calib_slope) is {eta}: "
+            "the inputs' magnitudes leave the float range")
+    return SensitivityReport(eta, sigma, tau_s, signal_slope, calib_slope, unit)
 
 
 def write_calibration(series: CalibrationSeries, path) -> Path:
@@ -475,11 +489,14 @@ def read_calibration(path) -> CalibrationSeries:
     # the sigma column is optional so hand-written two-column files load too;
     # only a blank cell means "no sigma", a written nan or inf is refused
     headers = ("control_value,frequency_mhz,sigma_mhz", "control_value,frequency_mhz")
+    lines = read_rows(path, headers)
     rows = [numbers(path, lineno, cells[:2] + [c for c in cells[2:] if c.strip()],
-                    DataFormatError) for lineno, cells in read_rows(path, headers)]
+                    DataFormatError) for lineno, cells in lines]
     sigma = [row[2] for row in rows if len(row) == 3]
     if 0 < len(sigma) < len(rows):
         raise DataFormatError(f"{path}: sigma_mhz must be given for all rows or none")
+    if sigma and not (ok := _sigma_ok(np.array(sigma))).all():
+        raise DataFormatError(f"{path}:{lines[int(np.argmin(ok))][0]}: sigma_mhz {_SIGMA_RULE}")
     meta = read_sidecar(path, {"control_unit": (str, "a string"),
                                "label": (str, "a string")}) or {}
     try:

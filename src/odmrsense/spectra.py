@@ -9,7 +9,7 @@ Spectra are plain (frequency, signal) arrays; signals are typically
 fractional contrast, so lines can point up or down.  Fitting is projected
 Levenberg-Marquardt least squares on a box over all line parameters
 jointly, with 1-sigma center uncertainties taken from the Gauss-Newton
-covariance.  Neither the fit nor the peak finder needs SciPy.
+covariance.
 """
 
 from __future__ import annotations

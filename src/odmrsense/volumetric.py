@@ -83,16 +83,38 @@ class OrbitalGrid:
         idx = np.stack([i, j, k], axis=-1).astype(float)
         return self.origin + idx @ self.axes
 
+    def _scaled_norm_squared(self) -> tuple[float, int]:
+        """(nsq, e): the integral of phi^2 is nsq * 4**e, exactly."""
+        squares, e = _scaled_squares(self.values)
+        return float(np.sum(squares) * self.voxel_volume), e
+
     def norm_squared(self) -> float:
-        """Integral of phi^2 over the box."""
-        return float(np.sum(self.values ** 2) * self.voxel_volume)
+        """Integral of phi^2 over the box (inf or 0.0 past the float range)."""
+        nsq, e = self._scaled_norm_squared()
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(nsq, 2 * e))
 
     def normalized(self) -> "OrbitalGrid":
         """Copy rescaled to unit norm (integral of phi^2 = 1)."""
-        nsq = self.norm_squared()
+        nsq, e = self._scaled_norm_squared()
         if nsq <= 0:
             raise InvalidParameterError("cannot normalize an all-zero orbital")
-        return OrbitalGrid(self.origin, self.axes, self.values / np.sqrt(nsq))
+        return OrbitalGrid(self.origin, self.axes, self.values / np.ldexp(np.sqrt(nsq), e))
+
+
+def _scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(squares, e): (values / 2**e)**2 in one fresh array.
+
+    e is the binary exponent of max |values|, so the squares lie in
+    [0, 1) and neither overflow nor underflow for finite values of any
+    magnitude (Higham 2002, scaling before squaring).  Scaling by a power
+    of two is exact, so where values**2 stays in the float range the
+    squares, and sums and moments formed from them, are those of
+    values**2 times 4**-e bit for bit.
+    """
+    e = int(np.frexp(max(values.max(), -values.min()))[1])
+    squares = np.ldexp(values, -e)
+    return np.square(squares, out=squares), e
 
 
 def assert_commensurate(a: OrbitalGrid, b: OrbitalGrid) -> None:
@@ -171,9 +193,13 @@ def orbital_stats(grid: OrbitalGrid) -> OrbitalStats:
     Positions are affine in the sample index, so the moments come from
     the index moments of the density's 1-D and 2-D marginals: the
     centroid is origin + mean_index @ axes, and the second moments are
-    the diagonal of axes^T C axes for the 3x3 index covariance C.
+    the diagonal of axes^T C axes for the 3x3 index covariance C.  The
+    moments are formed on _scaled_squares, so they are finite for grids
+    of any finite magnitude; norm, the integral of phi^2 itself, is inf
+    where it overflows (values near 1e300) and 0.0 where it underflows.
     """
-    density = grid.values ** 2 * grid.voxel_volume
+    density, e = _scaled_squares(grid.values)
+    density *= grid.voxel_volume
     total = float(density.sum())
     if total <= 0:
         raise InvalidParameterError("orbital has zero norm; moments undefined")
@@ -188,7 +214,9 @@ def orbital_stats(grid: OrbitalGrid) -> OrbitalStats:
     for (a, b), marginal in pairs.items():
         cov[a, b] = cov[b, a] = rel[a] @ marginal @ rel[b] / total
     second = np.einsum("ac,ab,bc->c", grid.axes, cov, grid.axes)
-    return OrbitalStats(norm=total, centroid=grid.origin + mean @ grid.axes,
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(total, 2 * e))
+    return OrbitalStats(norm=norm, centroid=grid.origin + mean @ grid.axes,
                         spread=np.sqrt(second))
 
 

@@ -460,6 +460,15 @@ class TestSensitivity:
         with pytest.raises(InvalidParameterError):
             sensitivity(1.0, 1.0, -2.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
+    @pytest.mark.parametrize("inputs", [(1e300, 1e300, 1e-300, 1e-300),
+                                        (1.0, 1.0, 1e-200, 1e-200),
+                                        (1e-300, 1e-300, 1e300, 1e300)],
+                             ids=["overflows", "slopes-underflow", "underflows"])
+    def test_eta_out_of_float_range(self, inputs):
+        with pytest.raises(InvalidParameterError, match="float range"):
+            sensitivity(*inputs)
+
 
 class TestCalibrationIO:
     def test_round_trip(self, tmp_path):
@@ -496,6 +505,15 @@ class TestCalibrationIO:
         path.write_text("control_value,frequency_mhz,sigma_mhz\n" + "".join(
             f"{k},{10 * k},{cell}\n" for k, cell in enumerate(cells, start=1)))
         with pytest.raises(DataFormatError, match=rf"bad\.csv:{line}: non-finite number"):
+            read_calibration(path)
+
+    @pytest.mark.parametrize("sigma", ["0", "1e-155"])
+    def test_bad_sigma_names_its_line(self, tmp_path, sigma):
+        path = tmp_path / "bad.csv"
+        cells = ["0.1"] * 3 + [sigma] + ["0.1"] * 4
+        path.write_text("control_value,frequency_mhz,sigma_mhz\n" + "".join(
+            f"{k},{10 * k},{cell}\n" for k, cell in enumerate(cells, start=1)))
+        with pytest.raises(DataFormatError, match=r"bad\.csv:5: sigma_mhz must be positive"):
             read_calibration(path)
 
     @pytest.mark.parametrize("field, value", [("control_unit", None), ("label", [1, 2]),

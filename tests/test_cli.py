@@ -374,6 +374,12 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"control_value": NaN}'),
     lambda tmp: (*SENSITIVITY, "--signal-slope", "0", "--calib-slope", "1.8"),
     lambda tmp: (*SENSITIVITY, "--signal-slope", "1.6e-3", "--calib-slope", "0"),
+    lambda tmp: ("sensitivity", "--sigma", "1e300", "--tau", "1e300",
+                 "--signal-slope", "1e-300", "--calib-slope", "1e-300"),
+    lambda tmp: ("sensitivity", "--sigma", "1", "--tau", "1",
+                 "--signal-slope", "1e-200", "--calib-slope", "1e-200"),
+    lambda tmp: ("sensitivity", "--sigma", "1e-300", "--tau", "1e-300",
+                 "--signal-slope", "1e300", "--calib-slope", "1e300"),
     lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json",
                           b"[" * 100_000),
     lambda tmp: ("simulate", *write_config(tmp, {"simulate": {"d_mhz": BIG}}),
@@ -408,6 +414,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "config-not-utf8", "cube-oversize", "cutoff-nan", "cutoff-inf", "cutoff-config-nan", "step-inf",
         "step-config-inf", "control-value-nan", "control-value-config-nan",
         "spectrum-sidecar-control-value-nan", "signal-slope-zero", "calib-slope-zero",
+        "eta-overflows", "eta-slopes-underflow", "eta-underflows",
         "config-nested-too-deep", "d-mhz-config-too-big", "invert-frequency-config-too-big",
         "pump-rate-config-too-big", "sigma-config-too-big", "config-int-too-many-digits",
         "seed-negative", "invert-frequency-ambiguous", "sigma-all-nan", "sigma-one-inf",

@@ -23,6 +23,7 @@ from odmrsense import (
     make_grid,
     orbital_stats,
     save_cube,
+    zfs_pair_tensor,
 )
 
 
@@ -117,6 +118,25 @@ class TestGaussianOrbital:
         second = np.tensordot(density, (pos - centroid) ** 2, axes=3) / density.sum()
         assert np.allclose(stats.centroid, centroid, rtol=1e-12, atol=0)
         assert np.allclose(stats.spread, np.sqrt(second), rtol=1e-12, atol=0)
+
+
+class TestExtremeMagnitude:
+    @pytest.mark.filterwarnings("error")  # no overflow or underflow warning
+    @pytest.mark.parametrize("scale, norm", [(1e300, np.inf), (1e-300, 0.0)])
+    def test_scaled_grid_gives_unit_results(self, scale, norm):
+        dims = (12, 10, 8)
+        origin, axes = make_grid(dims, (10.0, 8.0, 6.0))
+        homo = gaussian_orbital(origin, axes, dims, (0, 0, 0), (1.5, 0.8, 0.5))
+        lumo = gaussian_orbital(origin, axes, dims, (0, 0, 0), (1.5, 0.8, 0.5), node_axis=0)
+        scaled = OrbitalGrid(homo.origin, homo.axes, homo.values * scale)
+        unit = zfs_pair_tensor(homo, lumo).tensor
+        tensor = zfs_pair_tensor(scaled, lumo).tensor
+        assert np.abs(tensor - unit).max() <= 1e-12 * np.abs(unit).max()
+        stats, unit_stats = orbital_stats(scaled), orbital_stats(homo)
+        assert np.allclose(stats.centroid, unit_stats.centroid, rtol=0, atol=1e-12)
+        assert np.allclose(stats.spread, unit_stats.spread, rtol=1e-12, atol=0)
+        # the integral of phi^2, near 1e600 or 1e-600, is out of the float range
+        assert stats.norm == scaled.norm_squared() == norm
 
 
 class TestShiftMetric:
