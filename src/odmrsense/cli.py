@@ -12,7 +12,8 @@ scalars Python numbers, and non-finite floats null.  CONFIG_SCHEMA
 declares each parameter once, with its type, bounds, default and help
 text, in its subcommand's section (seed is simulate.seed, threads is
 zfs.threads, which is still checked but has no effect: numpy's FFTs run
-on one thread); every flag but the file names is built from that
+on one thread, and a forked child parses each phase's LUMO cube when
+two CPUs are usable); every flag but the file names is built from that
 section and stores into its config key.  A flag overrides the config
 file, which overrides the default, and the merged values are checked
 against the same schema (by _schema_error, not jsonschema, which would
@@ -27,6 +28,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -371,9 +375,44 @@ def _stats_dict(stats: volumetric.OrbitalStats) -> dict:
     }
 
 
+def _load_cubes(homo_path, lumo_path):
+    """(homo, lumo) grids; on two usable CPUs a forked child parses the LUMO meanwhile.
+
+    The child pipes back its grid or its error, pickled, and exits 0 once all is
+    written, else this process parses the LUMO; a HOMO error is raised first.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return volumetric.load_cube(homo_path), volumetric.load_cube(lumo_path)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller's stack
+        try:
+            os.close(read_fd)  # a write to a parent gone then fails instead of blocking
+            try:
+                lumo = volumetric.load_cube(lumo_path)
+            except Exception as exc:
+                lumo = exc
+            with open(write_fd, "wb", closefd=False) as pipe:
+                pickle.dump(lumo, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)  # exit closes write_fd: the parent's EOF means the child is done
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            homo = volumetric.load_cube(homo_path)
+            data = pipe.read()
+    finally:  # EOF comes only with the child's exit, which a kill then leaves as it was
+        os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    lumo = pickle.loads(data) if status == 0 else volumetric.load_cube(lumo_path)
+    if isinstance(lumo, Exception):
+        raise lumo
+    return homo, lumo
+
+
 def _analyse_phase(homo_path, lumo_path, cutoff) -> dict:
-    homo = volumetric.load_cube(homo_path)
-    lumo = volumetric.load_cube(lumo_path)
+    homo, lumo = _load_cubes(homo_path, lumo_path)
     homo_stats = volumetric.orbital_stats(homo)
     lumo_stats = volumetric.orbital_stats(lumo)
     tensor = dipolar.zfs_pair_tensor(homo, lumo, cutoff_angstrom=cutoff)
@@ -395,8 +434,8 @@ def _cmd_zfs(args, config: dict) -> int:
     cutoff = p.get("cutoff_angstrom")
 
     jobs = [("a", args.homo, args.lumo)]
-    if args.homo_b or args.lumo_b:
-        if not (args.homo_b and args.lumo_b):
+    if args.homo_b is not None or args.lumo_b is not None:
+        if args.homo_b is None or args.lumo_b is None:
             raise InvalidParameterError("--homo-b and --lumo-b must come together")
         jobs.append(("b", args.homo_b, args.lumo_b))
     phases = _plain({name: _analyse_phase(h, l, cutoff) for name, h, l in jobs})

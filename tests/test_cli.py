@@ -6,6 +6,7 @@ are exercised exactly as a shell user would see them.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +258,103 @@ class TestZfs:
         assert run("zfs", "--homo", homo, "--lumo", small) == 2
 
 
+def spoil_line(path, lineno, token="x"):
+    """Replace the first number on one line of a cube file by token."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = " ".join([token] + lines[lineno - 1].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+# a 1000^3 header, past volumetric.MAX_CUBE_SAMPLES, with no body
+OVERSIZE_HEADER = "a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n"
+
+
+class TestZfsCubePairs:
+    """Each phase's LUMO is parsed in a forked child on two usable CPUs, in turn on one."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the usable CPU count and counts forks; no child may outlive the test."""
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def usable(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+            forks.clear()
+            return forks
+        yield usable
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def two_phase(self, tmp_path, tag):
+        homo, lumo = write_cubes(tmp_path)
+        homo_b, lumo_b = write_cubes(tmp_path, shifted=True)
+        out, table = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        assert run("zfs", "--homo", homo, "--lumo", lumo, "--homo-b", homo_b,
+                   "--lumo-b", lumo_b, "--out", out, "--table", table) == 0
+        return out.read_bytes(), table.read_bytes()
+
+    def test_forked_and_in_turn_bytes_identical(self, tmp_path, cpus):
+        forks = cpus(2)
+        forked = self.two_phase(tmp_path, "forked")
+        assert len(forks) == 2  # one child per phase
+        forks = cpus(1)
+        assert self.two_phase(tmp_path, "in_turn") == forked
+        assert forks == []
+
+    def test_child_without_result_falls_back(self, tmp_path, cpus, monkeypatch):
+        cpus(1)
+        in_turn = self.two_phase(tmp_path, "in_turn")
+        parent, loads = os.getpid(), []
+        load_cube = volumetric.load_cube
+
+        def dies_in_child(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            loads.append(path.rsplit(os.sep, 1)[-1])
+            return load_cube(path)
+        monkeypatch.setattr(volumetric, "load_cube", dies_in_child)
+        forks = cpus(2)
+        assert self.two_phase(tmp_path, "fallback") == in_turn
+        assert len(forks) == 2
+        assert loads == ["homo.cube", "lumo.cube", "homo_b.cube", "lumo_b.cube"]
+
+    @pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "in-turn"])
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda homo, lumo: spoil_line(lumo, 10), "lumo.cube:10: bad number 'x'"),
+        (lambda homo, lumo: (spoil_line(homo, 12), spoil_line(lumo, 10)),
+         "homo.cube:12: bad number 'x'"),
+        (lambda homo, lumo: lumo.write_text(OVERSIZE_HEADER),
+         f"lumo.cube: cube of 1000 x 1000 x 1000 samples exceeds the limit of "
+         f"{volumetric.MAX_CUBE_SAMPLES:,}"),
+        (lambda homo, lumo: (lumo.write_text(OVERSIZE_HEADER), spoil_line(homo, 12, "nan")),
+         "homo.cube:12: non-finite number 'nan'"),
+    ], ids=["lumo-bad-token", "both-bad-homo-first", "lumo-oversize", "homo-first-over-oversize"])
+    def test_cube_faults_exit_2_with_the_in_turn_message(self, tmp_path, capsys, cpus,
+                                                         n_cpus, spoil, message):
+        homo, lumo = write_cubes(tmp_path)
+        spoil(homo, lumo)
+        forks = cpus(n_cpus)
+        assert run("zfs", "--homo", homo, "--lumo", lumo) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}{os.sep}{message}\n"
+        assert len(forks) == (n_cpus > 1)
+
+    @pytest.mark.parametrize("phase_b, message", [
+        (("--homo-b", "", "--lumo-b", ""), "error: : cannot read: "),
+        (("--lumo-b", ""), "error: --homo-b and --lumo-b must come together"),
+    ], ids=["both-empty", "lumo-empty"])
+    def test_empty_phase_b_paths_refused(self, tmp_path, capsys, phase_b, message):
+        """An empty phase-b path counts as given, not absent, and is refused."""
+        homo, lumo = write_cubes(tmp_path)
+        out = tmp_path / "zfs.json"
+        assert run("zfs", "--homo", homo, "--lumo", lumo, *phase_b, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestSensitivity:
     def test_value(self, tmp_path, capsys):
         code = run("sensitivity", "--sigma", "2e-4", "--tau", "1.0",
@@ -360,7 +458,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
                       "o.cube"),
     lambda tmp: overwrite(tmp, ("sensitivity", *write_config(tmp, {})), "run.json"),
     lambda tmp: overwrite(tmp, ("zfs", "--homo", tmp / "o.cube", "--lumo", tmp / "o.cube"),
-                          "o.cube", b"a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n"),
+                          "o.cube", OVERSIZE_HEADER.encode()),
     lambda tmp: ("zfs", *cube_flags(tmp), "--cutoff", "nan"),
     lambda tmp: ("zfs", *cube_flags(tmp), "--cutoff", "inf"),
     lambda tmp: ("zfs", *write_config(tmp, {"zfs": {"cutoff_angstrom": float("nan")}}),
