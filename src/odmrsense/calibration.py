@@ -27,7 +27,7 @@ from .errors import (
     ReadoutAmbiguityError,
     ReadoutRangeError,
 )
-from .textio import numbers, read_rows, read_sidecar, write_table
+from .textio import read_sidecar, read_table, write_table
 
 
 def _validated_1d(values, name: str) -> np.ndarray:
@@ -489,19 +489,12 @@ def read_calibration(path) -> CalibrationSeries:
     # the sigma column is optional so hand-written two-column files load too;
     # only a blank cell means "no sigma", a written nan or inf is refused
     headers = ("control_value,frequency_mhz,sigma_mhz", "control_value,frequency_mhz")
-    lines = read_rows(path, headers)
-    rows = [numbers(path, lineno, cells[:2] + [c for c in cells[2:] if c.strip()],
-                    DataFormatError) for lineno, cells in lines]
-    sigma = [row[2] for row in rows if len(row) == 3]
-    if 0 < len(sigma) < len(rows):
-        raise DataFormatError(f"{path}: sigma_mhz must be given for all rows or none")
-    if sigma and not (ok := _sigma_ok(np.array(sigma))).all():
-        raise DataFormatError(f"{path}:{lines[int(np.argmin(ok))][0]}: sigma_mhz {_SIGMA_RULE}")
+    columns = read_table(path, headers, {"sigma_mhz": (_sigma_ok, _SIGMA_RULE)}).T.copy()
+    sigma = columns[2] if len(columns) > 2 and not np.isnan(columns[2]).any() else None
     meta = read_sidecar(path, {"control_unit": (str, "a string"),
                                "label": (str, "a string")}) or {}
     try:
-        return CalibrationSeries([row[0] for row in rows], [row[1] for row in rows],
-                                 sigma or None, meta.get("control_unit", ""),
+        return CalibrationSeries(columns[0], columns[1], sigma, meta.get("control_unit", ""),
                                  meta.get("label", ""))
     except InvalidParameterError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

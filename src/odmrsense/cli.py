@@ -43,11 +43,6 @@ from .errors import (
     OdmrSenseError,
 )
 
-# Largest frequency grid simulate builds (a run at the limit with --svg
-# peaks near 290 MB RSS); larger grids are refused before anything is
-# allocated.
-MAX_GRID_SAMPLES = 1_000_000
-
 
 def _section(**properties) -> dict:
     """A JSON object schema that admits only the given properties."""
@@ -305,12 +300,14 @@ def _cmd_simulate(args, config: dict) -> int:
         if p["fmax"] <= p["fmin"]:
             raise InvalidParameterError("fmax must exceed fmin")
         spans = [(p["fmin"], p["fmax"])]
-    # count before allocating: a mistyped step must not reach np.arange
+    # count before allocating: a mistyped step must not reach np.arange.  The
+    # limit is the readers' row limit, so fit reads what simulate writes; a
+    # run at the limit with --svg peaks near 290 MB RSS
     n_samples = sum((hi - lo) / step + 1.0 for lo, hi in spans)
-    if not n_samples <= MAX_GRID_SAMPLES:
+    if not n_samples <= textio.MAX_TABLE_ROWS:
         raise InvalidParameterError(
             f"frequency grid would hold {n_samples:.4g} samples, "
-            f"above the limit of {MAX_GRID_SAMPLES:,}")
+            f"above the limit of {textio.MAX_TABLE_ROWS:,}")
     freqs = np.unique(np.concatenate(
         [np.arange(lo, hi + step / 2.0, step) for lo, hi in spans]))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, FitConvergenceError, InvalidParameterError
-from .textio import numbers, read_rows, read_sidecar, sidecar_path, write_table
+from .textio import read_sidecar, read_table, sidecar_path, write_table
 
 _LN2 = np.log(2.0)
 
@@ -452,14 +452,13 @@ def write_spectrum(spectrum: Spectrum, path) -> Path:
 
 def read_spectrum(path) -> Spectrum:
     """Read a spectrum CSV; picks up the .meta.json sidecar when present."""
-    rows = [numbers(path, lineno, cells, DataFormatError)
-            for lineno, cells in read_rows(path, ("frequency_mhz,signal",))]
+    freqs, signal = read_table(path, ("frequency_mhz,signal",)).T.copy()  # contiguous columns
     meta = read_sidecar(path, _SIDECAR_TYPES)
     try:
         meta = None if meta is None else SpectrumMeta(**meta)
     except InvalidParameterError as exc:
         raise DataFormatError(f"{sidecar_path(path)}: {exc}") from exc
     try:
-        return Spectrum([row[0] for row in rows], [row[1] for row in rows], meta)
+        return Spectrum(freqs, signal, meta)
     except InvalidParameterError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -6,19 +6,37 @@ unreadable, non-UTF-8 or malformed file, or a bad or non-finite number,
 raises the reader's error class with a message that begins with the file
 path, plus ":<line>" when one line is at fault.  An output path that
 cannot be written raises DataFormatError "<path>: cannot write: ...".
+
+Spectrum and calibration CSVs are read by read_table: a file of plain
+numbers in one np.loadtxt pass, any other file or a pipe one line and
+one float() at a time, with the same values and messages either way.  A
+table past MAX_TABLE_BYTES bytes or MAX_TABLE_ROWS rows is refused
+before it is read whole.
 """
 
 from __future__ import annotations
 
 import json
+import lzma
 import math
+import os
+import re
 import warnings
+from array import array
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
+
+# The most rows a table holds (the most samples simulate writes), and the
+# most bytes: a header and that many of write_table's longest rows, three
+# 24-character float reprs, two commas and a newline
+MAX_TABLE_ROWS = 1_000_000
+MAX_TABLE_BYTES = (MAX_TABLE_ROWS + 1) * 75
+_PLAIN = b"0123456789+-.eE, \t\r\n"  # what np.loadtxt may see below a header
 
 
 def sidecar_path(path) -> Path:
@@ -86,18 +104,124 @@ def number_block(path, first_lineno: int, text: str, error) -> np.ndarray:
                      for value in numbers(path, lineno, line.split(), error)])
 
 
-def read_rows(path, headers) -> list[tuple[int, list[str]]]:
-    """(line number, cells) of each non-blank row below one of headers."""
-    lines = read_text(path, DataFormatError).splitlines()
-    header = lines[0].strip() if lines else ""
+def _lines(text: str):
+    """(number, line) of each line of text as str.splitlines() counts them, one at a time."""
+    pieces = (match.group() for match in re.finditer(r"[^\n]*\n?", text))
+    return enumerate((line for piece in pieces for line in piece.splitlines()), start=1)
+
+
+def _rows(text: str):
+    """(line number, line) of each non-blank line of a table below its header."""
+    return ((lineno, line) for lineno, line in _lines(text) if lineno > 1 and line.strip())
+
+
+def _past_limit(path, count: int, limit: int, unit: str) -> None:
+    if count > limit:
+        raise DataFormatError(f"{path}: more than {limit:,} {unit}, the limit for a table")
+
+
+def _blank_or_float(cell: str) -> float:
+    return float(cell) if cell.strip() else math.nan
+
+
+def _refusal(table, names, checks) -> tuple[int | None, str, str] | None:
+    """(row, column name, rule) of the first rule a parsed table breaks, or None.
+
+    row is None where no one row is at fault: a column blank in some rows only.
+    """
+    for j, name in enumerate(names):
+        blank = np.isnan(table[:, j])
+        if blank.any() and not blank.all():
+            return None, name, "must be given for all rows or none"
+        if name in checks and not blank.any() and not (ok := checks[name][0](table[:, j])).all():
+            return int(np.argmin(ok)), name, checks[name][1]
+    return None
+
+
+def _c_pass(path, headers, required: int, checks) -> np.ndarray | None:
+    """read_table's array in one np.loadtxt pass, or None for a file only the walk may read."""
+    # np.loadtxt breaks lines and strips cells at other characters than
+    # str.splitlines() and float() do, so it sees only a header line that
+    # matches as it stands and a body of _PLAIN bytes.  It is given a path,
+    # as on a file object it reads line by line in Python; an absolute one,
+    # which numpy takes for no URL.  numpy picks a decompressor by suffix,
+    # which fails on a text file
+    try:
+        with open(path, "rb") as stream:
+            header = stream.readline().rstrip(b"\r\n").strip(b" \t").decode("latin-1")
+            if header not in headers or any(chunk.translate(None, _PLAIN) for chunk in
+                                            iter(lambda: stream.read(1 << 20), b"")):
+                return None
+        names = header.split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows; a blank line
+            table = np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, skiprows=1,
+                               ndmin=2, encoding="utf-8", max_rows=MAX_TABLE_ROWS + 1,
+                               converters=dict.fromkeys(range(required, len(names)),
+                                                        _blank_or_float))
+    except (OSError, ValueError, lzma.LZMAError):
+        return None
+    _past_limit(path, len(table), MAX_TABLE_ROWS, "rows")
+    # a NaN is a blank cell, as _PLAIN spells no nan
+    if table.shape[1] != len(names) or np.isinf(table).any() or _refusal(table, names, checks):
+        return None
+    return table
+
+
+def _walk(path, headers, required: int, checks) -> np.ndarray:
+    """read_table's array one line and one float() at a time; it names every fault."""
+    data = bytearray()
+    with open_text(path, DataFormatError) as stream:  # read once, as path may be a pipe
+        while chunk := stream.buffer.read(1 << 20):
+            data += chunk
+            _past_limit(path, len(data), MAX_TABLE_BYTES, "bytes")
+        text = data.decode("utf-8")  # untranslated: str.splitlines() breaks at \r, \r\n too
+    del data  # the text alone from here on
+    header = next(_lines(text), (1, ""))[1].strip()
     if header not in headers:
         raise DataFormatError(f"{path}:1: expected header {' or '.join(map(repr, headers))}")
-    ncols = header.count(",") + 1
-    rows = [(n, line.split(",")) for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    for lineno, cells in rows:
-        if len(cells) != ncols:
-            raise DataFormatError(f"{path}:{lineno}: expected {ncols} columns, got {len(cells)}")
-    return rows
+    names = header.split(",")
+    values, fault = array("d"), None
+    for nrows, (lineno, line) in enumerate(_rows(text), start=1):
+        cells = line.split(",")
+        if len(cells) != len(names):  # a wrong row comes before any bad number
+            raise DataFormatError(f"{path}:{lineno}: expected {len(names)} columns, "
+                                  f"got {len(cells)}")
+        _past_limit(path, nrows, MAX_TABLE_ROWS, "rows")
+        kept = [j for j, cell in enumerate(cells) if j < required or cell.strip()]
+        try:
+            row = dict(zip(kept, numbers(path, lineno, [cells[j] for j in kept], DataFormatError)))
+        except DataFormatError as exc:
+            fault, row = fault or exc, {}
+        values.extend(row.get(j, math.nan) for j in range(len(names)))
+    if fault:
+        raise fault
+    table = np.array(values).reshape(-1, len(names))
+    if refusal := _refusal(table, names, checks):
+        row, name, rule = refusal
+        where = "" if row is None else f":{next(islice(_rows(text), row, None))[0]}"
+        raise DataFormatError(f"{path}{where}: {name} {rule}")
+    return table
+
+
+def read_table(path, headers, checks=None) -> np.ndarray:
+    """The (rows, columns) floats of a CSV below one of headers, NaN for a blank cell.
+
+    Blank lines are skipped.  A column that not every header has may be
+    blank in every row or in none; any other cell is a finite number.
+    checks maps a column name to (test, rule): test takes the column's
+    values and tells which keep the rule, and the first that does not is
+    refused at its line as "<name> <rule>".  A file past MAX_TABLE_BYTES
+    bytes or MAX_TABLE_ROWS rows is refused before it is read whole.
+    """
+    checks = checks or {}
+    required = min(header.count(",") for header in headers) + 1
+    if os.path.isfile(path):  # a pipe cannot be read twice, nor sized
+        _past_limit(path, os.path.getsize(path), MAX_TABLE_BYTES, "bytes")
+        table = _c_pass(path, headers, required, checks)
+        if table is not None:
+            return table
+    return _walk(path, headers, required, checks)
 
 
 def read_sidecar(path, types) -> dict | None:
