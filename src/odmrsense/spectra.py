@@ -305,8 +305,7 @@ def _unpack(vec: np.ndarray) -> list[LineModel]:
     out = []
     for k in range(0, vec.size, 5):
         c, wl, wr, a, m = vec[k:k + 5]
-        out.append(LineModel(float(c), max(float(wl), 1e-300), max(float(wr), 1e-300),
-                             float(a), float(np.clip(m, 0.0, 1.0))))
+        out.append(LineModel(float(c), float(wl), float(wr), float(a), float(m)))
     return out
 
 

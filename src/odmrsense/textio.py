@@ -7,11 +7,13 @@ raises the reader's error class with a message that begins with the file
 path, plus ":<line>" when one line is at fault.  An output path that
 cannot be written raises DataFormatError "<path>: cannot write: ...".
 
-Spectrum and calibration CSVs are read by read_table: a file of plain
-numbers in one np.loadtxt pass, any other file or a pipe one line and
-one float() at a time, with the same values and messages either way.  A
-table past MAX_TABLE_BYTES bytes or MAX_TABLE_ROWS rows is refused
-before it is read whole.
+Every input is read once, in bytes, by read_text (a cube's header in
+capped lines) and refused past its cap: MAX_JSON_BYTES for a config or
+sidecar, a cap from its dims for a cube.  Spectrum and calibration CSVs
+are read by read_table: a file of plain numbers in one np.loadtxt pass,
+any other file or a pipe one line and one float() at a time, with the
+same values and messages either way.  A table past MAX_TABLE_BYTES
+bytes or MAX_TABLE_ROWS rows is refused before it is read whole.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import re
 import warnings
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from .errors import DataFormatError
 # 24-character float reprs, two commas and a newline
 MAX_TABLE_ROWS = 1_000_000
 MAX_TABLE_BYTES = (MAX_TABLE_ROWS + 1) * 75
+MAX_JSON_BYTES = 1 << 20  # a config or a sidecar, each under 1 KB
 _PLAIN = b"0123456789+-.eE, \t\r\n"  # what np.loadtxt may see below a header
 
 
@@ -45,26 +48,30 @@ def sidecar_path(path) -> Path:
 
 
 @contextmanager
-def open_text(path, error):
-    """A file's UTF-8 text stream; a failure to open or read it raises error."""
+def open_input(path, error):
+    """A file's binary stream; a failure to open, read or decode it as UTF-8 raises error."""
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(path, "rb") as stream:
             yield stream
     except (OSError, UnicodeDecodeError) as exc:  # an OSError's strerror omits the path
         raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def read_text(path, error) -> str:
-    """The UTF-8 text of a file; a file that cannot be read raises error."""
-    with open_text(path, error) as stream:
-        return stream.read()
+def read_text(path, error, limit=MAX_TABLE_BYTES, kind="a table", stream=None) -> str:
+    """The UTF-8 text of a file or the rest of its open stream, refused past limit bytes."""
+    with open_input(path, error) if stream is None else nullcontext(stream) as stream:
+        data = bytearray()
+        while chunk := stream.read(1 << 20):
+            data += chunk
+            _past_limit(path, len(data), limit, "bytes", kind, error)
+        return data.decode("utf-8")
 
 
 def read_json(path, error):
     """The JSON value a file holds; malformed JSON raises error."""
-    text = read_text(path, error)
-    try:
-        return json.loads(text)
+    text = read_text(path, error, MAX_JSON_BYTES, "a JSON file")
+    try:  # line ends translated, as json counts lines and columns at \n only
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
@@ -115,9 +122,9 @@ def _rows(text: str):
     return ((lineno, line) for lineno, line in _lines(text) if lineno > 1 and line.strip())
 
 
-def _past_limit(path, count: int, limit: int, unit: str) -> None:
+def _past_limit(path, count: int, limit: int, unit: str, kind="a table", error=DataFormatError):
     if count > limit:
-        raise DataFormatError(f"{path}: more than {limit:,} {unit}, the limit for a table")
+        raise error(f"{path}: more than {limit:,} {unit}, the limit for {kind}")
 
 
 def _blank_or_float(cell: str) -> float:
@@ -170,13 +177,8 @@ def _c_pass(path, headers, required: int, checks) -> np.ndarray | None:
 
 def _walk(path, headers, required: int, checks) -> np.ndarray:
     """read_table's array one line and one float() at a time; it names every fault."""
-    data = bytearray()
-    with open_text(path, DataFormatError) as stream:  # read once, as path may be a pipe
-        while chunk := stream.buffer.read(1 << 20):
-            data += chunk
-            _past_limit(path, len(data), MAX_TABLE_BYTES, "bytes")
-        text = data.decode("utf-8")  # untranslated: str.splitlines() breaks at \r, \r\n too
-    del data  # the text alone from here on
+    # read once, as path may be a pipe; str.splitlines() breaks at \r, \r\n too
+    text = read_text(path, DataFormatError)
     header = next(_lines(text), (1, ""))[1].strip()
     if header not in headers:
         raise DataFormatError(f"{path}:1: expected header {' or '.join(map(repr, headers))}")

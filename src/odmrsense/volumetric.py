@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import BOHR_RADIUS_ANGSTROM
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
-from .textio import number_block, numbers, open_text, write_lines
+from .textio import number_block, numbers, open_input, read_text, write_lines
 
 # Largest cube load_cube reads.  zfs pads an n-sample cube to an FFT mesh
 # of about 8n points.  A fresh one-phase run peaks above its bare 30 MB
@@ -34,6 +34,7 @@ from .textio import number_block, numbers, open_text, write_lines
 # near 2.6 GB, or 1.7 GB with diagonal axes.
 # Larger cubes are refused from the header, before any of the body is read.
 MAX_CUBE_SAMPLES = 200 ** 3
+MAX_LINE_BYTES = 1 << 20  # the longest header or atom line, read one at a time
 
 
 @dataclass(frozen=True)
@@ -228,16 +229,20 @@ def homo_lumo_shift(homo: OrbitalStats, lumo: OrbitalStats) -> np.ndarray:
 def load_cube(path) -> OrbitalGrid:
     """Parse a cube file into an OrbitalGrid (geometry in angstrom).
 
-    The header and atom records are read line by line, so a cube larger
-    than MAX_CUBE_SAMPLES is refused before any of its body is read.
+    Read once, in bytes: the header and atom lines one at a time, each
+    refused past MAX_LINE_BYTES, so a cube above MAX_CUBE_SAMPLES is refused
+    before its body; a body is refused past 64 bytes a sample plus 1 MiB.
     """
-    with open_text(path, CubeParseError) as stream:
+    with open_input(path, CubeParseError) as stream:
         lines: list[str] = []  # the file's splitlines(), read as far as needed
 
         def record(lineno: int, expect: int):
             """The integer and the expect - 1 numbers that open a header line."""
-            while len(lines) < lineno and (chunk := stream.readline()):
-                lines.extend(chunk.splitlines())
+            while len(lines) < lineno and (chunk := stream.readline(MAX_LINE_BYTES + 1)):
+                if len(chunk) > MAX_LINE_BYTES:
+                    raise CubeParseError(f"{path}:{len(lines) + 1}: more than "
+                                         f"{MAX_LINE_BYTES:,} bytes, the limit for a header line")
+                lines.extend(chunk.decode("utf-8").splitlines())
             if lineno > len(lines):
                 raise CubeParseError(f"{path}:{lineno}: unexpected end of file")
             parts = lines[lineno - 1].split()
@@ -259,7 +264,8 @@ def load_cube(path) -> OrbitalGrid:
                 raise CubeParseError(
                     f"{path}:{4 + axis}: axis sample count must be positive, got {count}")
             dims.append(count)
-        if dims[0] * dims[1] * dims[2] > MAX_CUBE_SAMPLES:
+        expected = dims[0] * dims[1] * dims[2]
+        if expected > MAX_CUBE_SAMPLES:
             raise CubeParseError(
                 f"{path}: cube of {dims[0]} x {dims[1]} x {dims[2]} samples exceeds "
                 f"the limit of {MAX_CUBE_SAMPLES:,}")
@@ -268,10 +274,10 @@ def load_cube(path) -> OrbitalGrid:
             record(lineno, 5)
         # a line read past the atom records (one line of the file that
         # splitlines() splits at a form feed, say) opens the body
-        body = "".join(line + "\n" for line in lines[first_value_line - 1:]) + stream.read()
+        body = "".join(line + "\n" for line in lines[first_value_line - 1:]) + read_text(
+            path, CubeParseError, 64 * expected + (1 << 20), "this cube", stream)
 
     values = number_block(path, first_value_line, body, CubeParseError)
-    expected = dims[0] * dims[1] * dims[2]
     if values.size != expected:
         many = "too many" if values.size > expected else "too few"
         raise CubeParseError(f"{path}: {many} values: expected {expected}, got {values.size}")

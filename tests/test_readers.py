@@ -8,17 +8,22 @@ prefix, so they reach the row, header and field parsers as well as the
 decoder.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import odmrsense
 from odmrsense import (CalibrationSeries, OdmrSenseError, Spectrum, SpectrumMeta, load_cube,
                        read_calibration, read_spectrum, write_calibration, write_spectrum)
 from odmrsense.cli import load_config
-from odmrsense.errors import CubeParseError
-from odmrsense import textio
+from odmrsense.errors import ConfigError, CubeParseError
+from odmrsense import textio, volumetric
 from odmrsense.textio import number_block, numbers
 
 SPECTRUM = "frequency_mhz,signal\n" + "".join(f"{100 + i},0.0\n" for i in range(8))
@@ -191,3 +196,101 @@ def test_write_calibration_bytes(tmp_path, sigma, unit, label, cells, meta):
     path = write_calibration(series, tmp_path / "c.csv")
     assert path.read_bytes() == CALIBRATION_CSV.format(*cells).encode()
     assert (tmp_path / "c.meta.json").read_bytes() == meta.encode()
+
+
+# Inputs with no end, or with more bytes than their kind may hold, each
+# run through cli.main in a child process held to 1 GB of address space:
+# a reader that reads them whole fails there fast (MemoryError, exit 1)
+# instead of taking the test machine's memory.
+BOUNDED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from odmrsense.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+LINE = f"{volumetric.MAX_LINE_BYTES:,} bytes, the limit for a header line"
+JSON_FILE = f"{textio.MAX_JSON_BYTES:,} bytes, the limit for a JSON file"
+
+
+def zero_sidecar(tmp, name, text):
+    """A table written to tmp whose sidecar is a link to /dev/zero."""
+    (tmp / f"{name}.csv").write_text(text)
+    os.symlink("/dev/zero", tmp / f"{name}.meta.json")
+    return f"{name}.csv"
+
+
+def cube_past_its_header(tmp, text, size=None):
+    """A cube of text written to tmp, its size then set to size."""
+    (tmp / "o.cube").write_text(text)
+    if size is not None:
+        os.truncate(tmp / "o.cube", size)  # a sparse tail of NULs
+    return ["--homo", "o.cube", "--lumo", "o.cube"]
+
+
+@pytest.mark.parametrize("command, inputs, message", [
+    ("zfs", lambda tmp: ["--homo", "/dev/zero", "--lumo", "/dev/zero"],
+     f"/dev/zero:1: more than {LINE}"),
+    ("sensitivity", lambda tmp: ["--config", "/dev/zero"], f"/dev/zero: more than {JSON_FILE}"),
+    ("fit", lambda tmp: ["--input", zero_sidecar(tmp, "s", SPECTRUM)],
+     f"s.meta.json: more than {JSON_FILE}"),
+    ("calibrate", lambda tmp: ["--input", zero_sidecar(tmp, "c", CALIBRATION)],
+     f"c.meta.json: more than {JSON_FILE}"),
+    ("zfs", lambda tmp: cube_past_its_header(tmp, CUBE_HEADER, 4 << 30),
+     f"o.cube: more than {64 * 8 + (1 << 20):,} bytes, the limit for this cube"),
+    ("zfs", lambda tmp: cube_past_its_header(
+        tmp, "c" * volumetric.MAX_LINE_BYTES + "\n" + CUBE_HEADER[2:] + "1 2 3 4 5 6 7 8\n"),
+     f"o.cube:1: more than {LINE}"),
+], ids=["cube-dev-zero", "config-dev-zero", "spectrum-sidecar-dev-zero",
+        "calibration-sidecar-dev-zero", "cube-sparse-tail", "cube-long-comment"])
+def test_endless_or_oversize_input_exits_2(tmp_path, command, inputs, message):
+    src = str(Path(odmrsense.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",  # few thread stacks under the limit
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", BOUNDED, command, *inputs(tmp_path),
+                            "--out", "out.json"],
+                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("line", [2, 1])
+def test_header_line_cap(tmp_path, line):
+    # a header line of the cap's bytes, its newline counted, is read; one
+    # byte more is refused at that line's number
+    path = tmp_path / "o.cube"
+    lines = CUBE_HEADER.splitlines(keepends=True)
+    lines[line - 1] = "c" * (volumetric.MAX_LINE_BYTES - 1) + "\n"
+    path.write_text("".join(lines) + "1 2 3 4 5 6 7 8\n")
+    assert load_cube(path).values.ravel().tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+    lines[line - 1] = "c" + lines[line - 1]
+    path.write_text("".join(lines) + "1 2 3 4 5 6 7 8\n")
+    with pytest.raises(CubeParseError) as info:
+        load_cube(path)
+    assert str(info.value) == f"{path}:{line}: more than {LINE}"
+
+
+def test_body_cap_follows_the_dims(tmp_path):
+    # a 2 x 2 x 2 body may hold 64 bytes a sample plus 1 MiB, and no more
+    path = tmp_path / "o.cube"
+    cap = 64 * 8 + (1 << 20)
+    values = "1 2 3 4 5 6 7 8"
+    path.write_text(CUBE_HEADER + values + " " * (cap - len(values)))
+    assert load_cube(path).values.ravel().tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+    path.write_text(CUBE_HEADER + values + " " * (cap + 1 - len(values)))
+    with pytest.raises(CubeParseError) as info:
+        load_cube(path)
+    assert str(info.value) == f"{path}: more than {cap:,} bytes, the limit for this cube"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_json_fault_position_ignores_line_ends(tmp_path, newline):
+    # json counts lines and columns at \n alone; a config or sidecar with
+    # CR or CRLF line ends names the same position as with LF
+    text = '{\n  "simulate": {\n    "step": 0.5,\n    "seed": x\n  }\n}\n'
+    messages = []
+    for name, ends in (("lf.json", "\n"), ("other.json", newline)):
+        (tmp_path / name).write_bytes(text.replace("\n", ends).encode())
+        with pytest.raises(ConfigError) as info:
+            load_config(tmp_path / name)
+        messages.append(str(info.value).partition(": ")[2])
+    assert messages[0] == messages[1] == (
+        "not valid JSON: Expecting value: line 4 column 13 (char 47)")
