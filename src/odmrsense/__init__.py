@@ -8,7 +8,26 @@ sensitivity), volumetric (orbital grids and cube files), dipolar
 (spin-spin tensor integration), textio (the one text, JSON and number
 reader and table writer behind every file format), cli (command-line
 front end).
+
+Importing the package first loads numpy with one OpenBLAS thread, unless
+numpy is loaded already or OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set; the environment is left as it was.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS sizes its thread pool once, as numpy loads it.  No routine here
+# gains from a second thread, which costs each fresh process about 0.1 s of
+# CPU, so the caller's choice is kept and otherwise the pool gets one thread.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .constants import (
     BOHR_RADIUS_ANGSTROM,

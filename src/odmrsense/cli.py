@@ -11,16 +11,17 @@ fields, keyed by field name; arrays and tuples become lists, numpy
 scalars Python numbers, and non-finite floats null.  CONFIG_SCHEMA
 declares each parameter once, with its type, bounds, default and help
 text, in its subcommand's section (seed is simulate.seed, threads is
-zfs.threads, which is still checked but has no effect: numpy's FFTs run
-on one thread, and a forked child parses each phase's LUMO cube when
-two CPUs are usable); every flag but the file names is built from that
-section and stores into its config key.  A flag overrides the config
-file, which overrides the default, and the merged values are checked
-against the same schema (by _schema_error, not jsonschema, which would
-add about 80 ms to every process) whether they came from a flag or a
-file.  Non-finite numbers (NaN, infinities, integers too large for a
-float) are refused.  Exit codes: 0 success, 1 computation failure (e.g.
-a fit that did not converge), 2 bad input or configuration.
+zfs.threads, which is still checked but has no effect: numpy's FFTs and
+BLAS run on one thread, and a forked child parses each phase's LUMO cube
+when two CPUs are usable and the file has at least _FORK_MIN_BYTES);
+every flag but the file names is built from that section and stores into
+its config key.  A flag overrides the config file, which overrides the
+default, and the merged values are checked against the same schema (by
+_schema_error, not jsonschema, which would add about 80 ms to every
+process) whether they came from a flag or a file.  Non-finite numbers
+(NaN, infinities, integers too large for a float) are refused.  Exit
+codes: 0 success, 1 computation failure (e.g. a fit that did not
+converge), 2 bad input or configuration.
 """
 
 from __future__ import annotations
@@ -372,13 +373,25 @@ def _stats_dict(stats: volumetric.OrbitalStats) -> dict:
     }
 
 
+# A forked LUMO parse costs 8-9 ms per phase in a fresh process and saves at
+# most the parse itself, about 27 ns per cube byte: a LUMO under 330 kB
+# cannot repay it, and where two vCPUs overlap only in part (as shared ones
+# do) one under about 1 MB does not.  A 32^3 cube (590 kB) stays in turn.
+_FORK_MIN_BYTES = 1 << 20
+
+
 def _load_cubes(homo_path, lumo_path):
-    """(homo, lumo) grids; on two usable CPUs a forked child parses the LUMO meanwhile.
+    """(homo, lumo) grids; on two usable CPUs a forked child parses a large LUMO meanwhile.
 
     The child pipes back its grid or its error, pickled, and exits 0 once all is
     written, else this process parses the LUMO; a HOMO error is raised first.
     """
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    try:
+        lumo_bytes = os.path.getsize(lumo_path)  # a pipe or a device reports 0
+    except OSError:  # load_cube reports it, after any HOMO error
+        lumo_bytes = 0
+    if (lumo_bytes < _FORK_MIN_BYTES or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
         return volumetric.load_cube(homo_path), volumetric.load_cube(lumo_path)
     read_fd, write_fd = os.pipe()
     pid = os.fork()

@@ -138,7 +138,7 @@ _SIDECAR_TYPES = {
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Signal sampled on a strictly increasing frequency grid (MHz)."""
+    """Signal sampled on a strictly increasing frequency grid (MHz); every |sample| <= 2**500."""
 
     freqs_mhz: np.ndarray
     signal: np.ndarray
@@ -153,6 +153,11 @@ class Spectrum:
             raise InvalidParameterError("spectrum needs at least 8 samples")
         if not np.all(np.isfinite(f)) or not np.all(np.isfinite(s)):
             raise InvalidParameterError("spectrum contains non-finite values")
+        # 2**500 keeps a sum of squares over any table's rows (fewer than
+        # 2**20) below 2**1020, so the fit's costs and covariance stay finite
+        for name, values in (("freqs_mhz", f), ("signal", s)):
+            if not np.all(np.abs(values) <= 2.0 ** 500):
+                raise InvalidParameterError(f"{name} entries must be at most 2**500 in magnitude")
         if np.any(np.diff(f) <= 0):
             raise InvalidParameterError("frequency grid must be strictly increasing")
         object.__setattr__(self, "freqs_mhz", f)

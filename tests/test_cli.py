@@ -7,6 +7,7 @@ are exercised exactly as a shell user would see them.
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from odmrsense import cli, dipolar, gaussian_orbital, make_grid, save_cube, volumetric
+from odmrsense import (LineModel, cli, dipolar, gaussian_orbital, make_grid, save_cube,
+                       synthesize, volumetric)
 from odmrsense.cli import CONFIG_SCHEMA, _plain, build_parser, main
 
 
@@ -93,6 +95,37 @@ class TestFit:
         out = tmp_path / "fit.json"
         assert run("fit", "--input", spec, "--out", out) == 0
         assert len(json.loads(out.read_text())["peaks"]) == 3
+
+    @pytest.mark.parametrize("guesses", [("--centers", "1339,1445"), ()], ids=["centers", "auto"])
+    @pytest.mark.parametrize("column, row, value", [
+        ("signal", 200, 2.0 ** 500), ("signal", 200, -2.0 ** 500),
+        ("signal", 200, math.nextafter(2.0 ** 500, math.inf)), ("signal", 200, 1e300),
+        ("freqs_mhz", 399, 2.0 ** 500), ("freqs_mhz", 399, math.nextafter(2.0 ** 500, math.inf))],
+        ids=["signal-at-bound", "signal-at-minus-bound", "signal-past-bound", "signal-1e300",
+             "frequency-at-bound", "frequency-past-bound"])
+    def test_sample_magnitude_bound(self, tmp_path, capsys, guesses, column, row, value):
+        """A sample past 2**500 ends in one error line; one at the bound fits quietly."""
+        lines = [LineModel.symmetric(c, 2.0, a) for c, a in ((1339.0, 0.01), (1445.0, -0.01))]
+        spectrum = synthesize(lines, np.linspace(1330.0, 1455.0, 400), noise_sigma=5e-4, seed=7)
+        table = np.column_stack([spectrum.freqs_mhz, spectrum.signal])
+        table[row, ("freqs_mhz", "signal").index(column)] = value
+        path, out = tmp_path / "spec.csv", tmp_path / "fit.json"
+        path.write_text("frequency_mhz,signal\n"
+                        + "".join(f"{f!r},{s!r}\n" for f, s in table.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", "--input", path, *guesses, "--out", out)
+        err = capsys.readouterr().err
+        if abs(value) <= 2.0 ** 500:
+            assert (code, err) == (0, "")
+            payload = strict_json(out)
+            assert payload["peaks"]
+            assert None not in [p[key] for p in payload["peaks"]
+                                for key in ("center_sigma", "residual_rms")]
+        else:
+            assert (code, err) == (2, f"error: {path}: {column} entries must be at most "
+                                      f"2**500 in magnitude\n")
+            assert not out.exists()
 
     def test_flat_spectrum_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -270,14 +303,17 @@ OVERSIZE_HEADER = "a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n"
 
 
 class TestZfsCubePairs:
-    """Each phase's LUMO is parsed in a forked child on two usable CPUs, in turn on one."""
+    """A phase's LUMO of at least _FORK_MIN_BYTES is parsed in a forked child on two
+    usable CPUs; on one, or when smaller, it is parsed in turn."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Sets the usable CPU count and counts forks; no child may outlive the test."""
+        """Sets the usable CPU count and counts forks, with no LUMO too small to fork;
+        no child may outlive the test."""
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
 
         def usable(n):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
@@ -303,6 +339,15 @@ class TestZfsCubePairs:
         forks = cpus(1)
         assert self.two_phase(tmp_path, "in_turn") == forked
         assert forks == []
+
+    @pytest.mark.parametrize("over, n_forks", [(0, 1), (1, 0)], ids=["at-size", "below-size"])
+    def test_lumo_below_the_fork_size_parsed_in_turn(self, tmp_path, cpus, monkeypatch,
+                                                     over, n_forks):
+        homo, lumo = write_cubes(tmp_path)
+        forks = cpus(2)
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", lumo.stat().st_size + over)
+        assert run("zfs", "--homo", homo, "--lumo", lumo, "--out", tmp_path / "zfs.json") == 0
+        assert len(forks) == n_forks
 
     def test_child_without_result_falls_back(self, tmp_path, cpus, monkeypatch):
         cpus(1)

@@ -9,6 +9,10 @@ runs the steps in the order of STEPS: the five subcommands (calibrate
 with three segments and a readout) and a library call of kinetics.evolve
 over 1e4 us.  Each step reports its exit code (or the exception it
 raised) and the attempts made by its end.
+
+Importing the package first also loads numpy with one OpenBLAS thread,
+unless numpy came first or the caller set a thread count; fresh
+interpreters show each case, and that the environment is left as it was.
 """
 
 import json
@@ -106,3 +110,76 @@ def test_scipy_modules_loaded(report, step):
     code, attempts = report[step]
     assert code == 0
     assert attempts == []
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# runs its first argument, then reports OpenBLAS's thread count as
+# perfbench/worker.py:blas_threads reads it, every os.environ key written,
+# and whether the environment (Python's and the C library's) is as before
+BLAS_PROBE = """
+import ctypes, json, os, sys
+
+writes = []
+
+class Recording(type(os.environ)):
+    def __setitem__(self, key, value):
+        writes.append(key)
+        super().__setitem__(key, value)
+
+before = dict(os.environ)
+os.environ.__class__ = Recording
+exec(sys.argv[1])
+threads = None
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+for lib in libs:
+    handle = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(handle, symbol, None)
+        if fn is not None and threads is None:
+            fn.restype = ctypes.c_int
+            threads = int(fn())
+libc_getenv = ctypes.CDLL(None).getenv
+libc_getenv.restype = ctypes.c_char_p
+json.dump({"threads": threads, "writes": writes,
+           "environ_kept": dict(os.environ) == before
+           and all((libc_getenv(k.encode()) or b"").decode() == before.get(k, "")
+                   for k in %r)}, sys.stdout)
+""" % (BLAS_THREAD_VARS,)
+
+
+def blas_probe(code, **variables) -> dict:
+    """BLAS_PROBE's report on code run in a fresh interpreter with only the given variables
+    of BLAS_THREAD_VARS set."""
+    src = str(Path(odmrsense.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(variables)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE, code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return json.loads(out)
+
+
+@pytest.fixture(scope="module")
+def default_blas_threads():
+    """numpy's own OpenBLAS thread count here; the cases differ only from two threads."""
+    threads = blas_probe("import numpy")["threads"]
+    if threads is None:
+        pytest.skip("numpy has no OpenBLAS mapped")
+    if threads < 2:
+        pytest.skip("OpenBLAS starts one thread here by default")
+    return threads
+
+
+@pytest.mark.parametrize("code, variables, threads, writes", [
+    ("import odmrsense", {}, 1, ["OPENBLAS_NUM_THREADS"]),
+    ("import numpy, odmrsense", {}, None, []),
+    ("import odmrsense", {"OPENBLAS_NUM_THREADS": "2"}, 2, []),
+    ("import odmrsense", {"OMP_NUM_THREADS": "2"}, 2, []),
+], ids=["package-first", "numpy-first", "openblas-set", "omp-set"])
+def test_blas_threads_at_load(default_blas_threads, code, variables, threads, writes):
+    assert blas_probe(code, **variables) == {
+        "threads": threads or default_blas_threads, "writes": writes, "environ_kept": True}

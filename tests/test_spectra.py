@@ -139,6 +139,13 @@ class TestSynthesis:
             Spectrum([1, 2, 3], [0, 0, 0])  # too short
         with pytest.raises(InvalidParameterError):
             Spectrum(np.zeros(10), np.zeros(10))  # not increasing
+        bound, grid = 2.0 ** 500, np.linspace(0.1, 1.0, 10)
+        Spectrum(grid * bound, np.full(10, -bound))  # a frequency and signals at the bound
+        past = np.nextafter(bound, np.inf)
+        with pytest.raises(InvalidParameterError, match=r"^freqs_mhz entries must be at most"):
+            Spectrum(grid * past, np.zeros(10))
+        with pytest.raises(InvalidParameterError, match=r"^signal entries must be at most"):
+            Spectrum(grid, np.full(10, -past))
 
 
 class TestFitting:
