@@ -339,6 +339,12 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     y = asc.freq_mhz
     known_sigma = asc.freq_sigma is not None
     w = 1.0 / asc.freq_sigma ** 2 if known_sigma else np.ones(n)
+    # Weights far from 1 over- or underflow the weighted moments, so the fit
+    # runs on them scaled by an even power of two: exact, and exact for their
+    # square roots too, so the optimum cannot move.  Ordinary weights stay.
+    e = math.frexp(w.max())[1]
+    shift = e - e % 2 if abs(e) > 200 else 0
+    w = np.ldexp(w, -shift)
     _, parent = _segment_dp(x, y, w, n_segments)
 
     # recover segment start indices
@@ -356,6 +362,7 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     for start, stop in zip(bounds[:-1], bounds[1:]):
         slope, intercept, cov, sse = _weighted_line_fit(
             x[start:stop], y[start:stop], w[start:stop], known_sigma)
+        cov, sse = np.ldexp(cov, -shift), float(np.ldexp(sse, shift))
         total_sse += sse
         segments.append(SegmentFit(
             slope=slope,

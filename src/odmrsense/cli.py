@@ -13,7 +13,8 @@ declares each parameter once, with its type, bounds, default and help
 text, in its subcommand's section (seed is simulate.seed, threads is
 zfs.threads, which is still checked but has no effect: numpy's FFTs and
 BLAS run on one thread, and a forked child parses each phase's LUMO cube
-when two CPUs are usable and the file has at least _FORK_MIN_BYTES);
+when two CPUs are usable and the file has at least _FORK_MIN_BYTES; a LUMO
+it does not deliver is parsed in turn);
 every flag but the file names is built from that section and stores into
 its config key.  A flag overrides the config file, which overrides the
 default, and the merged values are checked against the same schema (by
@@ -256,9 +257,12 @@ def _plain(obj):
     return obj
 
 
-def write_svg(path, x, y, width: int = 640, height: int = 360,
-              title: str = "") -> None:
+_SVG_WIDTH, _SVG_HEIGHT = 640, 360  # pixels
+
+
+def write_svg(path, x, y, title: str = "") -> None:
     """Minimal deterministic polyline plot."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     margin = 40.0
@@ -383,8 +387,10 @@ _FORK_MIN_BYTES = 1 << 20
 def _load_cubes(homo_path, lumo_path):
     """(homo, lumo) grids; on two usable CPUs a forked child parses a large LUMO meanwhile.
 
-    The child pipes back its grid or its error, pickled, and exits 0 once all is
-    written, else this process parses the LUMO; a HOMO error is raised first.
+    The child pipes back the LUMO grid, pickled, and exits 0 once all is
+    written, or 1 on any failure, a faulty cube included.  A LUMO it does not
+    deliver is parsed here after the HOMO, so every cube error comes from the
+    in-turn parse, a HOMO error first; a faulty LUMO is thus parsed twice.
     """
     try:
         lumo_bytes = os.path.getsize(lumo_path)  # a pipe or a device reports 0
@@ -398,10 +404,7 @@ def _load_cubes(homo_path, lumo_path):
     if pid == 0:  # the child never returns into the caller's stack
         try:
             os.close(read_fd)  # a write to a parent gone then fails instead of blocking
-            try:
-                lumo = volumetric.load_cube(lumo_path)
-            except Exception as exc:
-                lumo = exc
+            lumo = volumetric.load_cube(lumo_path)
             with open(write_fd, "wb", closefd=False) as pipe:
                 pickle.dump(lumo, pipe, pickle.HIGHEST_PROTOCOL)
             os._exit(0)  # exit closes write_fd: the parent's EOF means the child is done
@@ -415,10 +418,7 @@ def _load_cubes(homo_path, lumo_path):
     finally:  # EOF comes only with the child's exit, which a kill then leaves as it was
         os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
-    lumo = pickle.loads(data) if status == 0 else volumetric.load_cube(lumo_path)
-    if isinstance(lumo, Exception):
-        raise lumo
-    return homo, lumo
+    return homo, pickle.loads(data) if status == 0 else volumetric.load_cube(lumo_path)
 
 
 def _analyse_phase(homo_path, lumo_path, cutoff) -> dict:
@@ -448,16 +448,15 @@ def _cmd_zfs(args, config: dict) -> int:
         if args.homo_b is None or args.lumo_b is None:
             raise InvalidParameterError("--homo-b and --lumo-b must come together")
         jobs.append(("b", args.homo_b, args.lumo_b))
-    phases = _plain({name: _analyse_phase(h, l, cutoff) for name, h, l in jobs})
+    phases = {name: _analyse_phase(h, l, cutoff) for name, h, l in jobs}
     payload: dict = {
         "cutoff_angstrom": cutoff,
         "phases": phases,
         "comparison": None,
     }
     if len(jobs) == 2:
-        tensor_a = spin.ZfsTensor(np.asarray(phases["a"]["tensor_mhz"]))
-        tensor_b = spin.ZfsTensor(np.asarray(phases["b"]["tensor_mhz"]))
-        payload["comparison"] = dipolar.compare_phases(tensor_a, tensor_b)
+        payload["comparison"] = dipolar.compare_phases(
+            spin.ZfsTensor(phases["a"]["tensor_mhz"]), spin.ZfsTensor(phases["b"]["tensor_mhz"]))
     textio.write_json(args.out, _plain(payload))
 
     if args.table:

@@ -197,6 +197,33 @@ class TestCalibrate:
     def test_missing_file(self, tmp_path):
         assert run("calibrate", "--input", tmp_path / "nope.csv") == 2
 
+    @pytest.mark.parametrize("sigma", ["1e-153", "1e-76", "1e85", "1e100", "1e153"])
+    def test_uniform_sigma_of_any_magnitude(self, tmp_path, capsys, sigma):
+        """One sigma on every row leaves the breakpoints and the readout where
+        sigma = 1 puts them, and scales the slope and intercept sigmas with it."""
+        t = np.geomspace(77.0, 330.0, 12)
+        f = np.where(t <= 200.0, 1445.0 - 0.04 * (t - 77.0), 1440.08 - 0.2 * (t - 200.0))
+        f += np.random.default_rng(0).normal(0.0, 0.05, t.size)
+        fits = []
+        for cell in ("1", sigma):
+            path, out = tmp_path / f"cal_{cell}.csv", tmp_path / f"cal_{cell}.json"
+            path.write_text("control_value,frequency_mhz,sigma_mhz\n" + "".join(
+                f"{c!r},{v!r},{cell}\n" for c, v in zip(t.tolist(), f.tolist())))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run("calibrate", "--input", path, "--segments", 2,
+                           "--invert-frequency", 1443, "--out", out)
+            assert (code, capsys.readouterr().err) == (0, "")
+            assert "null" not in out.read_text()
+            fits.append(strict_json(out))
+        unit, scaled = fits
+        assert scaled["breakpoints"] == unit["breakpoints"]
+        assert scaled["readout"]["control"] == pytest.approx(unit["readout"]["control"],
+                                                             rel=1e-12)
+        for a, b in zip(unit["segments"], scaled["segments"]):
+            for key in ("slope_sigma", "intercept_sigma"):
+                assert b[key] / float(sigma) == pytest.approx(a[key], rel=1e-9)
+
     def test_ambiguous_frequency_names_segments(self, tmp_path, capsys):
         assert run(*write_overlapping_calibration(tmp_path)) == 2
         err = capsys.readouterr().err
@@ -365,6 +392,24 @@ class TestZfsCubePairs:
         assert self.two_phase(tmp_path, "fallback") == in_turn
         assert len(forks) == 2
         assert loads == ["homo.cube", "lumo.cube", "homo_b.cube", "lumo_b.cube"]
+
+    def test_faulty_lumo_parsed_again_in_turn(self, tmp_path, capsys, cpus, monkeypatch):
+        """The child reports no cube error: this process parses a faulty LUMO itself."""
+        homo, lumo = write_cubes(tmp_path)
+        spoil_line(lumo, 10)
+        parent, loads = os.getpid(), []
+        load_cube = volumetric.load_cube
+
+        def recorded(path):
+            if os.getpid() == parent:
+                loads.append(os.path.basename(path))
+            return load_cube(path)
+        monkeypatch.setattr(volumetric, "load_cube", recorded)
+        forks = cpus(2)
+        assert run("zfs", "--homo", homo, "--lumo", lumo) == 2
+        assert capsys.readouterr().err == f"error: {lumo}:10: bad number 'x'\n"
+        assert len(forks) == 1
+        assert loads == ["homo.cube", "lumo.cube"]
 
     @pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "in-turn"])
     @pytest.mark.parametrize("spoil, message", [
