@@ -2,10 +2,13 @@
 
 A calibration series maps a strictly monotone control parameter
 (temperature, pressure) to a measured transition frequency.  The central
-tool is an exact dynamic-programming segmented linear fit: for a given
-number of segments it minimizes the total (weighted) squared error over
-all possible breakpoint placements, which makes the optimum reproducible
-and the residual provably non-increasing in the segment count.
+tool is an exact segmented linear fit: for a given number of segments it
+minimizes the total (weighted) squared error over all possible breakpoint
+placements, which makes the optimum reproducible and the residual
+provably non-increasing in the segment count.  A dynamic program over
+span costs finds the optimum for any segment count; for three segments
+a branch-and-bound search finds the same breakpoints first and falls
+back on the program when pruning fails.
 
 On top of that sit inversion of a piecewise fit back to the control
 parameter with uncertainty propagation, and the shot-noise sensitivity
@@ -15,6 +18,7 @@ figure eta = sigma sqrt(tau) / (signal_slope * calib_slope).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +79,12 @@ class CalibrationSeries:
         steps = np.diff(ctrl)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise InvalidParameterError("control must be strictly monotone")
+        # a fit squares control offsets: a spread whose square underflows
+        # leaves every segment's normal equations singular or imprecise
+        spread = abs(float(ctrl[-1] - ctrl[0]))
+        if spread * spread < sys.float_info.min:
+            raise InvalidParameterError(
+                f"control spread {spread:g} is too narrow: its square underflows")
         sig = None
         if freq_sigma is not None:
             sig = _validated_1d(freq_sigma, "freq_sigma")
@@ -209,19 +219,32 @@ _TILE_SPANS = 16384
 _MIN_TILE_ENDS = 4
 
 
-def _span_costs(sums, j0, j1, s0, s1, scratch):
-    """(cost, spare): cost[e, s] is the weighted SSE of the best line on
-    samples s0 + s .. j0 + e.
+def _moment_sums(x, y, w):
+    """(6, n + 1) prefix sums of the centred, weighted moments w, w x, w y,
+    w x^2, w x y and w y^2: column b minus column a sums samples a..b-1.
 
-    Both are views into scratch, which holds eight tiles; spare is a
-    tile of the same shape free for the caller.  Spans of fewer than two
-    samples and degenerate spans (NaN) cost inf.  Callers ignore divide
-    and invalid floating-point errors.
+    They make every span sum O(1); centring keeps them well conditioned
+    even when the raw second moments dwarf the residuals.
     """
-    shape = (j1 - j0, s1 - s0)
-    work = scratch[:8 * shape[0] * shape[1]].reshape(8, *shape)
+    xc = x - np.average(x, weights=w)
+    yc = y - np.average(y, weights=w)
+    sums = np.zeros((6, x.size + 1))
+    np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
+              axis=1, out=sums[:, 1:])
+    return sums
+
+
+def _line_costs(upper, lower, work):
+    """(cost, spare): the weighted SSE of the best line on each span whose
+    six moment sums are upper - lower, broadcast to the shape of a row of work.
+
+    Both are views into work, eight arrays of that shape; spare is free
+    for the caller, and work[0] and work[3] keep the spans' weight sums
+    and determinants sw sxx - sx^2.  Degenerate spans (NaN) cost inf.
+    Callers ignore divide and invalid floating-point errors.
+    """
     sw, sx, sy, sxx, sxy, syy, a, b = work
-    np.subtract(sums[:, j0 + 1:j1 + 1, None], sums[:, None, s0:s1], out=work[:6])
+    np.subtract(upper, lower, out=work[:6])
     # det = sw * sxx - sx * sx, into sxx
     np.multiply(sw, sxx, out=sxx)
     np.multiply(sx, sx, out=a)
@@ -242,6 +265,21 @@ def _span_costs(sums, j0, j1, s0, s1, scratch):
     np.subtract(a, b, out=a)
     np.maximum(a, 0.0, out=a)
     np.copyto(a, np.inf, where=np.isnan(a))
+    return a, b
+
+
+def _span_costs(sums, j0, j1, s0, s1, scratch):
+    """(cost, spare): cost[e, s] is the weighted SSE of the best line on
+    samples s0 + s .. j0 + e.
+
+    Both are views into scratch, which holds eight tiles; spare is a
+    tile of the same shape free for the caller.  Spans of fewer than two
+    samples and degenerate spans (NaN) cost inf.  Callers ignore divide
+    and invalid floating-point errors.
+    """
+    shape = (j1 - j0, s1 - s0)
+    work = scratch[:8 * shape[0] * shape[1]].reshape(8, *shape)
+    a, b = _line_costs(sums[:, j0 + 1:j1 + 1, None], sums[:, None, s0:s1], work)
     if s1 > j0:  # the tile reaches spans that start at or after their end
         c0 = max(j0 - s0, 0)
         np.copyto(a[:, c0:], np.inf, where=np.arange(s0 + c0, s1) >= np.arange(j0, j1)[:, None])
@@ -258,14 +296,7 @@ def _segment_dp(x, y, w, n_segments):
     k = 2 searches a single end.
     """
     n = x.size
-    # prefix sums of the centred, weighted moments make every span sum
-    # O(1); centring keeps them well conditioned even when the raw second
-    # moments dwarf the residuals
-    xc = x - np.average(x, weights=w)
-    yc = y - np.average(y, weights=w)
-    sums = np.zeros((6, n + 1))
-    np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
-              axis=1, out=sums[:, 1:])
+    sums = _moment_sums(x, y, w)
     dp = np.full((n_segments + 1, n), np.inf)
     parent = np.zeros((n_segments + 1, n), dtype=int)
     # one segment spans every sample, so k = 1 has no breakpoint to search
@@ -317,16 +348,169 @@ def _segment_dp(x, y, w, n_segments):
     return dp, parent
 
 
+# The three-segment search splits boxes of breakpoint pairs down to
+# _LEAF_SIDE on a side and evaluates the leaves left in full.  It hands the
+# fit to the DP when its leaves would hold more pairs than _search_budget
+# allows, or when a level would hold more than _MAX_BOXES_PER_POINT boxes
+# per sample, which keeps its memory O(n).
+_LEAF_SIDE = 16
+_BUDGET_SHARE = 20
+_MIN_BUDGET = 1 << 16
+_MAX_BOXES_PER_POINT = 1
+
+
+def _search_budget(n):
+    """Pairs the three-segment search may evaluate on an n-point series:
+    one in _BUDGET_SHARE of the (i, j) with 2 <= i, i + 2 <= j <= n - 2,
+    and never fewer than _MIN_BUDGET."""
+    return max((n - 4) * (n - 5) // 2 // _BUDGET_SHARE, _MIN_BUDGET)
+
+
+def _three_segment_bounds(x, y, w):
+    """Segment bounds [0, i, j, n] of the exact three-segment fit, or None.
+
+    Branch and bound over the second and third segment starts (i, j) that
+    returns what _segment_dp's parent walk returns.  With C(a, b) the cost
+    of samples a..b-1, which cannot fall as its span grows, every pair of a
+    box i0 <= i < i1, j0 <= j < j1 costs at least C(0, i0) + C(i1 - 1, j0)
+    + C(j1 - 1, n).  The outer terms come from two O(n) vectors as running
+    minima, so they bound the computed costs exactly.  The inner term is
+    lowered by a margin that bounds its rounding to first order, 64 n u W
+    Y^2 (1 + W^2 X^2 / det): prefix sums of n terms err by n u times their
+    magnitudes (u the unit roundoff, W the total weight, X the control
+    range, which bounds every centred |x|, and Y the largest centred |y|),
+    and a span's determinant det = sw sxx - sx^2 amplifies the error by
+    W^2 X^2 / det.
+
+    The first upper bound is the best pair of a grid of starts.  Boxes
+    whose bound exceeds it go, the others split four ways, level by level,
+    and the leaves left are evaluated with _span_costs, so every cost and
+    sum is bitwise the DP's.  Ties fall as in the DP: for each j the first
+    i of least C(0, i) + C(i, j), then the first j of least total.  None
+    hands the fit to the DP: when the leaves would exceed _search_budget(n)
+    pairs, a level would hold more than _MAX_BOXES_PER_POINT n boxes, or no
+    total is finite.
+    """
+    n = x.size
+    sums = _moment_sums(x, y, w)
+    scratch = np.empty(8 * _TILE_SPANS)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # c0[i] = C(0, i), the DP's row 1, and cn[j] = C(j, n)
+        c0 = np.full(n + 1, np.inf)
+        for j0 in range(1, n, _TILE_SPANS):
+            j1 = min(j0 + _TILE_SPANS, n)
+            c0[j0 + 1:j1 + 1] = _span_costs(sums, j0, j1, 0, 1, scratch)[0][:, 0]
+        cn = np.full(n + 1, np.inf)
+        for s0 in range(0, n - 1, _TILE_SPANS):
+            s1 = min(s0 + _TILE_SPANS, n - 1)
+            cn[s0:s1] = _span_costs(sums, n - 1, n, s0, s1, scratch)[0][0]
+
+        # every pair of an m-cell grid of starts, from one tile of the spans
+        # between grid points: total[r, c] is the cost at i = grid[c + 1],
+        # j = grid[r + 1] (inf where a span would cover a single cell)
+        m = min(math.isqrt(_TILE_SPANS), n)
+        grid = np.arange(m + 1) * n // m
+        cost, total = _span_costs(sums[:, grid], 0, m, 0, m, scratch)
+        total = total[:m - 1, :m - 1]
+        np.add(cost[None, :m - 1, 0], cost[:m - 1, 1:], out=total)
+        np.add(total, cost[m - 1, 1:, None], out=total)
+        best = total.min()
+        if not best < np.inf:
+            return None
+
+        c0_floor = np.minimum.accumulate(c0[::-1])[::-1]  # least C(0, i') for i' >= i
+        cn_floor = np.minimum.accumulate(cn)  # least C(j', n) for j' <= j
+        weight = sums[0, n]
+        slack = 2.0 ** -47 * n * weight * np.abs(y - np.average(y, weights=w)).max() ** 2
+        amplified = slack * (weight * (x[-1] - x[0])) ** 2
+        # boxes per bound pass, whose two gathers of six moments each stay
+        # within one and a half tiles
+        chunk = max(_TILE_SPANS // 8, 1)
+
+        def box_ranges(p, q, side):
+            i0, j0 = np.maximum(p * side, 2), np.maximum(q * side, 4)
+            return i0, np.minimum(p * side + side, n - 3), j0, np.minimum(q * side + side, n - 1)
+
+        side = _LEAF_SIDE
+        while side < n:
+            side *= 2
+        p = q = np.zeros(1, dtype=np.int64)
+        while True:
+            i0, i1, j0, j1 = box_ranges(p, q, side)
+            valid = (i0 < i1) & (j0 < j1) & (i0 + 2 < j1)  # some j >= i + 2
+            p, q, i0, i1, j0, j1 = (a[valid] for a in (p, q, i0, i1, j0, j1))
+            keep = np.empty(p.size, dtype=bool)
+            for b in range(0, p.size, chunk):
+                box = slice(b, b + chunk)
+                bi1, bj0 = i1[box], j0[box]
+                # the inner span [i1 - 1, j0), where it has two samples
+                work = scratch[:8 * bi1.size].reshape(8, bi1.size)
+                mid, _ = _line_costs(sums[:, bj0], sums[:, np.minimum(bi1 - 1, bj0)], work)
+                np.subtract(mid, slack + amplified / work[3], out=mid)
+                mid[~((mid > 0) & (mid < np.inf) & (work[3] > 0) & (bj0 > bi1))] = 0.0
+                keep[box] = c0_floor[i0[box]] + mid + cn_floor[j1[box] - 1] <= best
+            p, q = p[keep], q[keep]
+            if side == _LEAF_SIDE:
+                break
+            if 4 * p.size > _MAX_BOXES_PER_POINT * n:
+                return None
+            side //= 2
+            p = (2 * p[:, None] + (0, 1, 0, 1)).ravel()
+            q = (2 * q[:, None] + (0, 0, 1, 1)).ravel()
+
+        # leaves of one row that touch merge into runs of starts
+        order = np.lexsort((p, q))
+        p, q = p[order], q[order]
+        new_run = np.ones(p.size, dtype=bool)
+        new_run[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1] + 1)
+        heads = np.flatnonzero(new_run)
+        tails = np.append(heads[1:], p.size) - 1
+        i0, _, j0, j1 = box_ranges(p[heads], q[heads], side)
+        i1 = np.minimum(np.minimum(p[tails] * side + side, n - 3), j1 - 2)
+        if np.sum((j1 - j0) * np.maximum(i1 - i0, 0)) > _search_budget(n):
+            return None
+
+        # per third start j, the least C(0, i) + C(i, j) found and its first
+        # i: runs come by ascending j and i, so as in the DP the running best
+        # is replaced only when strictly less
+        inner = np.full(n + 1, np.inf)
+        start = np.zeros(n + 1, dtype=np.int64)
+        for r0, r1, e0, e1 in zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist()):
+            width = max(_TILE_SPANS // (e1 - e0), 1)
+            for s0 in range(r0, r1, width):
+                s1 = min(s0 + width, r1)
+                cost, sums_ij = _span_costs(sums, e0 - 1, e1 - 1, s0, s1, scratch)
+                np.add(c0[s0:s1], cost, out=sums_ij)
+                at = np.argmin(sums_ij, axis=1)
+                value = sums_ij[np.arange(e1 - e0), at]
+                at += s0
+                better = value < inner[e0:e1]
+                np.copyto(inner[e0:e1], value, where=better)
+                np.copyto(start[e0:e1], at, where=better)
+        total = inner[4:n - 1] + cn[4:n - 1]
+        j = int(np.argmin(total))
+        if not total[j] < np.inf:
+            return None
+        return [0, int(start[j + 4]), j + 4, n]
+
+
 def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinearFit:
     """Globally optimal piecewise-linear fit with n_segments pieces.
 
-    Dynamic programming over all breakpoint placements (each segment gets
-    at least two samples), so the returned SSE is the exact minimum for
-    the requested segment count.  O(k n^2) time and O(k n) memory for
-    k >= 3 segments of an n-point series: at k = 3 about 0.10 s for
-    n = 3,000 and 3.8 s for n = 20,000 on a 2-vCPU machine.  One or two
-    segments skip the full triangle of span costs and take O(n) time.
-    No size is refused.
+    The returned SSE is the exact minimum over all breakpoint placements
+    (each segment gets at least two samples) for the requested segment
+    count.  One or two segments skip the full triangle of span costs and
+    take O(n) time.  Three segments are searched by branch and bound
+    (_three_segment_bounds), which returns the dynamic program's
+    breakpoints bit for bit: on a kinked or curved n-point log it prunes
+    all but a small share of the breakpoint pairs, and takes about 3 ms
+    for n = 3,000, 10 ms for 20,000 and 65-130 ms for 100,000 on a 2-vCPU
+    machine.  Where pruning fails, as on pure noise, it hands the fit to
+    the dynamic program (_segment_dp) before evaluating more than about
+    5 % of the pairs, so the worst case is the program's own: O(k n^2)
+    time and O(k n) memory, at k = 3 about 0.10 s for n = 3,000 and 3.8 s
+    for 20,000.  Four or more segments always take the program.  No size
+    is refused.
     """
     if n_segments < 1:
         raise InvalidParameterError("n_segments must be >= 1")
@@ -345,31 +529,35 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     e = math.frexp(w.max())[1]
     shift = e - e % 2 if abs(e) > 200 else 0
     w = np.ldexp(w, -shift)
-    _, parent = _segment_dp(x, y, w, n_segments)
-
-    # recover segment start indices
-    bounds = [n]
-    j = n - 1
-    for k in range(n_segments, 1, -1):
-        start = int(parent[k, j])
-        bounds.append(start)
-        j = start - 1
-    bounds.append(0)
-    bounds.reverse()
+    bounds = _three_segment_bounds(x, y, w) if n_segments == 3 else None
+    if bounds is None:
+        _, parent = _segment_dp(x, y, w, n_segments)
+        # recover segment start indices
+        bounds = [n]
+        j = n - 1
+        for k in range(n_segments, 1, -1):
+            start = int(parent[k, j])
+            bounds.append(start)
+            j = start - 1
+        bounds.append(0)
+        bounds.reverse()
 
     segments = []
     total_sse = 0.0
     for start, stop in zip(bounds[:-1], bounds[1:]):
         slope, intercept, cov, sse = _weighted_line_fit(
             x[start:stop], y[start:stop], w[start:stop], known_sigma)
-        cov, sse = np.ldexp(cov, -shift), float(np.ldexp(sse, shift))
+        # the sigmas are unscaled after their square roots, by half the even
+        # shift: exact, and finite where the variances would overflow
+        sigmas = np.ldexp(np.sqrt(cov.diagonal()), -shift // 2)
+        sse = float(np.ldexp(sse, shift))
         total_sse += sse
         segments.append(SegmentFit(
             slope=slope,
             intercept=intercept,
-            slope_sigma=float(np.sqrt(cov[1, 1])),
-            intercept_sigma=float(np.sqrt(cov[0, 0])),
-            cov_slope_intercept=float(cov[0, 1]),
+            slope_sigma=float(sigmas[1]),
+            intercept_sigma=float(sigmas[0]),
+            cov_slope_intercept=float(np.ldexp(cov[0, 1], -shift)),
             index_range=(start, stop),
             control_range=(float(x[start]), float(x[stop - 1])),
             sse=sse,
@@ -379,6 +567,9 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     ])
     return PiecewiseLinearFit(segments, breakpoints, total_sse, n,
                               asc.control_unit, asc.label)
+
+
+_SQUARE_SAFE = 2.0 ** 200
 
 
 def invert_readout(
@@ -424,12 +615,28 @@ def invert_readout(
         raise DivisionDomainError("segment slope is zero; readout is undefined")
 
     control = (frequency_mhz - seg.intercept) / seg.slope
-    var = frequency_sigma ** 2
-    if math.isfinite(seg.slope_sigma) and math.isfinite(seg.intercept_sigma):
-        var += (seg.intercept_sigma ** 2
-                + control ** 2 * seg.slope_sigma ** 2
-                + 2.0 * control * seg.cov_slope_intercept)
+    f_sigma, i_sigma, s_sigma, cov = (frequency_sigma, seg.intercept_sigma,
+                                      seg.slope_sigma, seg.cov_slope_intercept)
+    calibrated = math.isfinite(s_sigma) and math.isfinite(i_sigma)
+    # The squares of sigmas past 2**200 can leave the float range, so the
+    # variance is then summed in units of 2**(2 h): exact for a power of two.
+    h = 0
+    if (f_sigma > _SQUARE_SAFE
+            or calibrated and (i_sigma > _SQUARE_SAFE or s_sigma > _SQUARE_SAFE)):
+        h = math.frexp(max(f_sigma, i_sigma, s_sigma) if calibrated else f_sigma)[1]
+        f_sigma, i_sigma, s_sigma = (math.ldexp(v, -h) for v in (f_sigma, i_sigma, s_sigma))
+        cov = math.ldexp(cov, -2 * h)
+    var = f_sigma ** 2
+    if calibrated:
+        var += (i_sigma ** 2
+                + control ** 2 * s_sigma ** 2
+                + 2.0 * control * cov)
     sigma = math.sqrt(max(var, 0.0)) / abs(seg.slope)
+    if h:
+        try:
+            sigma = math.ldexp(sigma, h)
+        except OverflowError:  # the readout sigma itself leaves the float range
+            sigma = math.inf
     return float(control), sigma
 
 

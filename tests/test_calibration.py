@@ -2,10 +2,10 @@
 
 The dynamic-programming fit claims global optimality; the oracle for
 that is exhaustive enumeration of every breakpoint placement on a small
-series.  The tiled DP and the float readout must equal the per-end
-forms in calibration_oracle bit for bit.  Per-segment uncertainties are
-checked against scipy.stats.linregress, an independent implementation
-of the same regression formulas.
+series.  The tiled DP, the three-segment branch-and-bound search and the
+float readout must equal the per-end forms in calibration_oracle bit for
+bit.  Per-segment uncertainties are checked against scipy.stats.linregress,
+an independent implementation of the same regression formulas.
 """
 
 import dataclasses
@@ -67,8 +67,9 @@ def brute_force_sse(x, y, n_segments, sigma=None):
     return best
 
 
-def temperature_series(seed: int, noise: float = 0.05) -> CalibrationSeries:
-    t = np.arange(77.0, 331.0, 1.0)
+def temperature_series(seed: int, noise: float = 0.05, n: int | None = None) -> CalibrationSeries:
+    """The three-regime temperature log: 1 K steps, or n points over 77-330 K."""
+    t = np.arange(77.0, 331.0, 1.0) if n is None else np.linspace(77.0, 330.0, n)
     v1 = 1445.0 - 0.040 * (193.0 - 77.0)
     v2 = v1 + 2.0 - 0.247 * (260.0 - 193.0)
     f = np.where(t <= 193.0, 1445.0 - 0.040 * (t - 77.0),
@@ -95,6 +96,16 @@ class TestSeriesValidation:
         for sigma in (0.0, 1e-155, 1.4e154):
             with pytest.raises(InvalidParameterError):
                 CalibrationSeries([1, 2, 3, 4], [0, 0, 0, 0], [1, 1, sigma, 1])
+
+    def test_control_spread_square_must_not_underflow(self):
+        # the fit squares control offsets; squares past the top of the float
+        # range stay accepted (the overflow cases of TestOracleEquivalence)
+        y = [0.0, 1.0, 0.0, 1.0]
+        for scale in (1e-160, 1e-200):
+            with pytest.raises(InvalidParameterError, match="its square underflows"):
+                CalibrationSeries(np.arange(4.0) * scale, y)
+        CalibrationSeries(np.arange(4.0) * 1e155, y)
+        CalibrationSeries(np.arange(4.0) * 1e-150, y)
 
     def test_min_length(self):
         with pytest.raises(InvalidParameterError):
@@ -223,6 +234,22 @@ class TestSegmentedFit:
         assert fit.segment_index(15.0) == 1
         assert fit.predict(4.0) == pytest.approx(4.0, abs=1e-9)
         assert fit.predict(np.array([15.0]))[0] == pytest.approx(5.0, abs=1e-9)
+
+    def test_searched_path_in_one_tile_buffer(self):
+        # the twin of the bound above on a kinked log, which the three-segment
+        # search fits without the DP: its boxes, O(n) vectors and leaves stay
+        # in the same budget (1.5 MB measured at n = 3,000)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_segment_dp", lambda *a: calls.append(a))
+            tracemalloc.start()
+            try:
+                segmented_fit(temperature_series(seed=3, n=3000), 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert not calls, "the kinked log fell back to the DP"
+        assert peak < 2.5e6, f"segmented_fit peaked at {peak / 1e6:.1f} MB"
 
     def test_index_ranges_are_python_ints(self):
         # the starts after the first come from the DP's integer parent table
@@ -373,6 +400,101 @@ class TestOracleEquivalence:
         for freq in (100.0, 103.0, 0.0, 1e300):
             for segment in (None, 0):
                 assert_same_readout(fit, fit, freq, segment)
+
+
+def structured_series(n, seed, shape, weighted, ties, sigma_scale):
+    """A kinked or curved n-point log that the three-segment search fits
+    without the DP.
+
+    ties gives each pair of neighbouring rows one frequency, rounded to
+    0.01 MHz, so span costs and candidate sums tie; sigma_scale multiplies
+    every sigma (or sets a uniform one), reaching the weights
+    segmented_fit rescales.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.5, 2.0, n)) if seed % 2 else np.linspace(77.0, 330.0, n)
+    u = (x - x[0]) / (x[-1] - x[0])
+    if shape == "kinked":
+        k1 = rng.uniform(0.2, 0.45)
+        k2 = rng.uniform(k1 + 0.15, 0.8)
+        slopes = np.cumsum(rng.choice([-1.0, 1.0], 3) * rng.uniform(1.0, 3.0, 3))
+        y = (slopes[0] * u + np.where(u > k1, rng.uniform(-0.2, 0.2)
+                                      + (slopes[1] - slopes[0]) * (u - k1), 0.0)
+             + np.where(u > k2, (slopes[2] - slopes[1]) * (u - k2), 0.0))
+    else:
+        y = (rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 5.0) * u ** 2
+             + rng.uniform(-3.0, 3.0) * u ** 3)
+    y = 1445.0 + y + rng.normal(0.0, 0.01, n)
+    if ties:
+        y = np.round(np.repeat(y[::2], 2)[:n], 2)
+    sigma = rng.uniform(0.005, 0.02, n) if weighted else np.full(n, 0.01)
+    if not weighted and sigma_scale == 1.0:
+        sigma = None
+    return CalibrationSeries(x, y, None if sigma is None else sigma * sigma_scale)
+
+
+def dp_bounds(x, y, w):
+    """Segment bounds from the three-segment DP's parent walk."""
+    n = x.size
+    _, parent = calibration._segment_dp(x, y, w, 3)
+    third = int(parent[3, n - 1])
+    return [0, int(parent[2, third - 1]), third, n]
+
+
+class TestThreeSegmentSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(150, 2500), seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["kinked", "curved"]), weighted=st.booleans(),
+           ties=st.booleans(), sigma_scale=st.sampled_from([1.0, 1e-150, 1e150]))
+    @example(n=2500, seed=1, shape="curved", weighted=True, ties=True, sigma_scale=1e150)
+    @example(n=150, seed=2, shape="kinked", weighted=False, ties=True, sigma_scale=1e-150)
+    def test_search_matches_dp(self, n, seed, shape, weighted, ties, sigma_scale):
+        # the search sees the weights segmented_fit scaled, so the DP is run
+        # on its very arguments; ordinary sigmas also match the per-end oracle
+        series = structured_series(n, seed, shape, weighted, ties, sigma_scale)
+        search = calibration._three_segment_bounds
+        calls = []
+
+        def spy(*args):
+            calls.append((args, search(*args)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_three_segment_bounds", spy)
+            fit = segmented_fit(series, 3)
+        [(args, bounds)] = calls
+        assert bounds is not None, "the search fell back to the DP"
+        assert bounds == dp_bounds(*args)
+        assert [seg.index_range for seg in fit.segments] == list(zip(bounds[:-1], bounds[1:]))
+        if sigma_scale == 1.0:
+            want = calibration_oracle.segmented_fit(series, 3)
+            assert_same_bits(fit.breakpoints, want.breakpoints)
+            assert_same_bits(fit.total_sse, want.total_sse)
+
+    def test_noise_falls_back_within_budget(self):
+        # pure noise leaves too many boxes to prune: the search hands over
+        # to the DP before its leaves pass the budget.  Counted: every span
+        # cost formed on the full prefix sums before the DP starts
+        n = 3000
+        t = np.linspace(77.0, 330.0, n)
+        series = CalibrationSeries(t, 1445.0 + np.random.default_rng(5).normal(0, 0.05, n))
+        span_costs, segment_dp = calibration._span_costs, calibration._segment_dp
+        searched, dp_calls = [], []
+
+        def counting_span_costs(sums, j0, j1, s0, s1, scratch):
+            if sums.shape[1] == n + 1 and not dp_calls:
+                searched.append((j1 - j0) * (s1 - s0))
+            return span_costs(sums, j0, j1, s0, s1, scratch)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_span_costs", counting_span_costs)
+            patch.setattr(calibration, "_segment_dp",
+                          lambda *args: dp_calls.append(args) or segment_dp(*args))
+            fit = segmented_fit(series, 3)
+        assert len(dp_calls) == 1
+        assert sum(searched) <= calibration._search_budget(n)
+        want = calibration_oracle.segmented_fit(series, 3)
+        assert_same_bits(fit.breakpoints, want.breakpoints)
 
 
 class TestInvertReadout:

@@ -197,7 +197,7 @@ class TestCalibrate:
     def test_missing_file(self, tmp_path):
         assert run("calibrate", "--input", tmp_path / "nope.csv") == 2
 
-    @pytest.mark.parametrize("sigma", ["1e-153", "1e-76", "1e85", "1e100", "1e153"])
+    @pytest.mark.parametrize("sigma", ["1e-153", "1e-76", "1e85", "1e100", "1e153", "1.2e154"])
     def test_uniform_sigma_of_any_magnitude(self, tmp_path, capsys, sigma):
         """One sigma on every row leaves the breakpoints and the readout where
         sigma = 1 puts them, and scales the slope and intercept sigmas with it."""
@@ -497,6 +497,15 @@ def write_overlapping_calibration(tmp_path):
     return ("calibrate", "--input", path, "--segments", "2", "--invert-frequency", "1412")
 
 
+def write_narrow_calibration(tmp_path, scale):
+    """The 12-point 77-330 K log with every control multiplied by scale."""
+    t = np.geomspace(77.0, 330.0, 12) * scale
+    path = tmp_path / "cal.csv"
+    path.write_text("control_value,frequency_mhz\n" + "".join(
+        f"{c!r},{1445.0 - 0.1 * i!r}\n" for i, c in enumerate(t.tolist())))
+    return ("calibrate", "--input", path, "--segments", "2")
+
+
 def write_fit_centers(tmp_path, centers):
     path = tmp_path / "spec.csv"
     rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(16))
@@ -593,6 +602,8 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"noise_sigma": -1e999}'),
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"noise_sigma": -0.001}'),
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"seed": -5}'),
+    lambda tmp: write_narrow_calibration(tmp, 1e-200),
+    lambda tmp: write_narrow_calibration(tmp, 1e-160),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
@@ -609,7 +620,8 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "sigma-weight-overflows", "sigma-weight-underflows",
         "calibration-sidecar-unit-null", "spectrum-sidecar-seed-list",
         "spectrum-sidecar-noise-nan", "spectrum-sidecar-noise-minus-inf",
-        "spectrum-sidecar-noise-negative", "spectrum-sidecar-seed-negative"])
+        "spectrum-sidecar-noise-negative", "spectrum-sidecar-seed-negative",
+        "control-spread-squared-zero", "control-spread-squared-subnormal"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
