@@ -10,9 +10,10 @@ span costs finds the optimum for any segment count; for three segments
 a branch-and-bound search finds the same breakpoints first and falls
 back on the program when pruning fails.
 
-On top of that sit inversion of a piecewise fit back to the control
-parameter with uncertainty propagation, and the shot-noise sensitivity
-figure eta = sigma sqrt(tau) / (signal_slope * calib_slope).
+On top of that sits inversion of a piecewise fit back to the control
+parameter with uncertainty propagation.  The shot-noise sensitivity
+figure (SensitivityReport, sensitivity) lives in the numpy-free
+shotnoise module and is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DataFormatError,
     DivisionDomainError,
@@ -31,6 +31,7 @@ from .errors import (
     ReadoutAmbiguityError,
     ReadoutRangeError,
 )
+from .shotnoise import SensitivityReport, sensitivity  # noqa: F401 (re-exported)
 from .textio import read_sidecar, read_table, write_table
 
 
@@ -548,16 +549,20 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
         slope, intercept, cov, sse = _weighted_line_fit(
             x[start:stop], y[start:stop], w[start:stop], known_sigma)
         # the sigmas are unscaled after their square roots, by half the even
-        # shift: exact, and finite where the variances would overflow
-        sigmas = np.ldexp(np.sqrt(cov.diagonal()), -shift // 2)
-        sse = float(np.ldexp(sse, shift))
+        # shift: exact, and finite where the variances would overflow.  An
+        # SSE or a covariance whose true value leaves the float range
+        # overflows silently to inf (null in JSON)
+        with np.errstate(over="ignore"):
+            sigmas = np.ldexp(np.sqrt(cov.diagonal()), -shift // 2)
+            sse = float(np.ldexp(sse, shift))
+            cov_slope_intercept = float(np.ldexp(cov[0, 1], -shift))
         total_sse += sse
         segments.append(SegmentFit(
             slope=slope,
             intercept=intercept,
             slope_sigma=float(sigmas[1]),
             intercept_sigma=float(sigmas[0]),
-            cov_slope_intercept=float(np.ldexp(cov[0, 1], -shift)),
+            cov_slope_intercept=cov_slope_intercept,
             index_range=(start, stop),
             control_range=(float(x[start]), float(x[stop - 1])),
             sse=sse,
@@ -638,56 +643,6 @@ def invert_readout(
         except OverflowError:  # the readout sigma itself leaves the float range
             sigma = math.inf
     return float(control), sigma
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Shot-noise-limited sensitivity of a frequency-readout sensor."""
-
-    eta: float
-    sigma: float
-    tau_s: float
-    signal_slope: float
-    calib_slope: float
-    unit: str = ""
-
-    def consistency_residual(self) -> float:
-        """|eta * slopes - sigma sqrt(tau)|; zero by construction."""
-        return abs(self.eta * self.signal_slope * self.calib_slope
-                   - self.sigma * np.sqrt(self.tau_s))
-
-
-def sensitivity(
-    sigma: float,
-    tau_s: float,
-    signal_slope: float,
-    calib_slope: float,
-    unit: str = "",
-) -> SensitivityReport:
-    """eta = sigma sqrt(tau) / (signal_slope * calib_slope).
-
-    sigma is the per-shot signal noise, tau_s the shot duration in
-    seconds, signal_slope the signal change per MHz of detuning, and
-    calib_slope the MHz shift per control unit.  eta then carries
-    control-units per sqrt(Hz).  Slopes enter as magnitudes.
-    """
-    for name, val in (("sigma", sigma), ("tau_s", tau_s)):
-        if not np.isfinite(val) or val <= 0:
-            raise InvalidParameterError(f"{name} must be finite and positive")
-    for name, val in (("signal_slope", signal_slope), ("calib_slope", calib_slope)):
-        if not np.isfinite(val) or val < 0:
-            raise InvalidParameterError(f"{name} must be finite and >= 0")
-        if val == 0:
-            raise DivisionDomainError(f"{name} is zero; sensitivity diverges")
-    # on Python floats: the IEEE operations of numpy's, but an overflow or
-    # underflow raises no warning and is refused below
-    slopes = float(signal_slope) * float(calib_slope)
-    eta = float(sigma) * math.sqrt(tau_s) / slopes if slopes else math.inf
-    if not 0.0 < eta < math.inf:
-        raise InvalidParameterError(
-            f"eta = sigma sqrt(tau) / (signal_slope * calib_slope) is {eta}: "
-            "the inputs' magnitudes leave the float range")
-    return SensitivityReport(eta, sigma, tau_s, signal_slope, calib_slope, unit)
 
 
 def write_calibration(series: CalibrationSeries, path) -> Path:

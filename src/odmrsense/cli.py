@@ -23,6 +23,11 @@ process) whether they came from a flag or a file.  Non-finite numbers
 (NaN, infinities, integers too large for a float) are refused.  Exit
 codes: 0 success, 1 computation failure (e.g. a fit that did not
 converge), 2 bad input or configuration.
+
+Each subcommand imports the modules it runs as it starts, and calls them
+through their module attributes: sensitivity, --help, a usage error and
+a refused config load no numpy, and no run compiles a module it never
+calls.
 """
 
 from __future__ import annotations
@@ -31,19 +36,20 @@ import argparse
 import dataclasses
 import math
 import os
-import pickle
 import signal
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import calibration, dipolar, kinetics, spectra, spin, textio, volumetric
+from . import textio
 from .errors import (
     DataFormatError,
     ConfigError,
     InvalidParameterError,
     OdmrSenseError,
 )
+
+if TYPE_CHECKING:
+    from . import volumetric
 
 
 def _section(**properties) -> dict:
@@ -244,13 +250,14 @@ def _params(args, config: dict, section: str) -> dict:
 
 def _plain(obj):
     """obj as JSON data: dataclass fields by name, lists, Python numbers, None for non-finite."""
+    np = sys.modules.get("numpy")  # without it there is no array or numpy scalar to convert
     if dataclasses.is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)) or np and isinstance(obj, np.ndarray):
         return [_plain(value) for value in obj]
-    if isinstance(obj, np.generic):
+    if np and isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
@@ -262,6 +269,7 @@ _SVG_WIDTH, _SVG_HEIGHT = 640, 360  # pixels
 
 def write_svg(path, x, y, title: str = "") -> None:
     """Minimal deterministic polyline plot."""
+    from ._numpy import np
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -284,12 +292,15 @@ def write_svg(path, x, y, title: str = "") -> None:
 
 
 def _cmd_simulate(args, config: dict) -> int:
+    from . import spectra, spin
+    from ._numpy import np
     p = _params(args, config, "simulate")
     step = p["step"]
 
     transitions = spin.transitions_from_zfs(spin.ZfsParameters(p["d_mhz"], p["e_mhz"]))
     amps = p.get("amplitudes")
     if amps is None:
+        from . import kinetics
         rates = {key: tuple(v) if isinstance(v, list) else v
                  for key, v in _params(None, config, "kinetics").items()}
         contrast = kinetics.contrast_spectrum_amplitudes(kinetics.KineticsParams(**rates),
@@ -327,6 +338,8 @@ def _cmd_simulate(args, config: dict) -> int:
 
 
 def _cmd_fit(args, config: dict) -> int:
+    from . import spectra
+    from ._numpy import np
     p = _params(args, config, "fit")
     spectrum = spectra.read_spectrum(args.input)
     centers = p.get("centers")
@@ -353,6 +366,7 @@ def _cmd_fit(args, config: dict) -> int:
 
 
 def _cmd_calibrate(args, config: dict) -> int:
+    from . import calibration
     p = _params(args, config, "calibrate")
     series = calibration.read_calibration(args.input)
     fit = calibration.segmented_fit(series, p["segments"])
@@ -392,6 +406,7 @@ def _load_cubes(homo_path, lumo_path):
     deliver is parsed here after the HOMO, so every cube error comes from the
     in-turn parse, a HOMO error first; a faulty LUMO is thus parsed twice.
     """
+    from . import volumetric
     try:
         lumo_bytes = os.path.getsize(lumo_path)  # a pipe or a device reports 0
     except OSError:  # load_cube reports it, after any HOMO error
@@ -399,6 +414,7 @@ def _load_cubes(homo_path, lumo_path):
     if (lumo_bytes < _FORK_MIN_BYTES or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2):
         return volumetric.load_cube(homo_path), volumetric.load_cube(lumo_path)
+    import pickle
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into the caller's stack
@@ -422,6 +438,7 @@ def _load_cubes(homo_path, lumo_path):
 
 
 def _analyse_phase(homo_path, lumo_path, cutoff) -> dict:
+    from . import dipolar, spin, volumetric
     homo, lumo = _load_cubes(homo_path, lumo_path)
     homo_stats = volumetric.orbital_stats(homo)
     lumo_stats = volumetric.orbital_stats(lumo)
@@ -440,6 +457,7 @@ def _analyse_phase(homo_path, lumo_path, cutoff) -> dict:
 
 
 def _cmd_zfs(args, config: dict) -> int:
+    from . import dipolar, spin
     p = _params(args, config, "zfs")
     cutoff = p.get("cutoff_angstrom")
 
@@ -472,7 +490,8 @@ def _cmd_sensitivity(args, config: dict) -> int:
                if key not in p]
     if missing:
         raise InvalidParameterError(f"missing sensitivity inputs: {', '.join(missing)}")
-    textio.write_json(args.out, _plain(calibration.sensitivity(**p)))
+    from . import shotnoise
+    textio.write_json(args.out, _plain(shotnoise.sensitivity(**p)))
     return 0
 
 

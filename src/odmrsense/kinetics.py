@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DegenerateKineticsError, DivisionDomainError, InvalidParameterError
 
 LEVELS = ("S0", "S1", "Tx", "Ty", "Tz")

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataFormatError, FitConvergenceError, InvalidParameterError
 from .textio import read_sidecar, read_table, sidecar_path, write_table
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidParameterError
 
 AXIS_LABELS = ("x", "y", "z")

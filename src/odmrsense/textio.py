@@ -19,7 +19,6 @@ bytes or MAX_TABLE_ROWS rows is refused before it is read whole.
 from __future__ import annotations
 
 import json
-import lzma
 import math
 import os
 import re
@@ -28,10 +27,12 @@ from array import array
 from contextlib import contextmanager, nullcontext
 from itertools import islice
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataFormatError
+
+if TYPE_CHECKING:  # numpy loads only where a table or a cube body is parsed
+    from ._numpy import np
 
 # The most rows a table holds (the most samples simulate writes), and the
 # most bytes: a header and that many of write_table's longest rows, three
@@ -91,6 +92,7 @@ def numbers(path, lineno: int, tokens, error) -> list[float]:
 
 def number_block(path, first_lineno: int, text: str, error) -> np.ndarray:
     """The finite floats of the lines of text as one array; numbers() walks them only to name a fault."""
+    from ._numpy import np
     # np.fromstring parses the text in one C pass, but reads a blank text
     # as [-1.], may stop early at a NUL, and rejects some tokens float()
     # accepts ("1_0", non-ASCII digits); at a bad token older NumPy only
@@ -136,6 +138,7 @@ def _refusal(table, names, checks) -> tuple[int | None, str, str] | None:
 
     row is None where no one row is at fault: a column blank in some rows only.
     """
+    from ._numpy import np
     for j, name in enumerate(names):
         blank = np.isnan(table[:, j])
         if blank.any() and not blank.all():
@@ -147,6 +150,8 @@ def _refusal(table, names, checks) -> tuple[int | None, str, str] | None:
 
 def _c_pass(path, headers, required: int, checks) -> np.ndarray | None:
     """read_table's array in one np.loadtxt pass, or None for a file only the walk may read."""
+    import lzma
+    from ._numpy import np
     # np.loadtxt breaks lines and strips cells at other characters than
     # str.splitlines() and float() do, so it sees only a header line that
     # matches as it stands and a body of _PLAIN bytes.  It is given a path,
@@ -177,6 +182,7 @@ def _c_pass(path, headers, required: int, checks) -> np.ndarray | None:
 
 def _walk(path, headers, required: int, checks) -> np.ndarray:
     """read_table's array one line and one float() at a time; it names every fault."""
+    from ._numpy import np
     # read once, as path may be a pipe; str.splitlines() breaks at \r, \r\n too
     text = read_text(path, DataFormatError)
     header = next(_lines(text), (1, ""))[1].strip()

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .constants import BOHR_RADIUS_ANGSTROM
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
 from .textio import number_block, numbers, open_input, read_text, write_lines

@@ -560,6 +560,14 @@ class TestSensitivity:
     def test_consistency_residual(self):
         report = sensitivity(1.3e-3, 0.5, 2.2e-3, 0.247)
         assert report.consistency_residual() < 1e-18
+        assert type(report.consistency_residual()) is float
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_integer_past_float_range_refused(self, position):
+        inputs = [1, 1, 1, 1]
+        inputs[position] = 10 ** 400
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            sensitivity(*inputs)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(17)

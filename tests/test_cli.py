@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from odmrsense import (LineModel, cli, dipolar, gaussian_orbital, make_grid, save_cube,
-                       synthesize, volumetric)
+from odmrsense import (CalibrationSeries, LineModel, OrbitalGrid, cli, dipolar,
+                       gaussian_orbital, make_grid, save_cube, synthesize, volumetric,
+                       write_calibration)
 from odmrsense.cli import CONFIG_SCHEMA, _plain, build_parser, main
 
 
@@ -224,6 +225,30 @@ class TestCalibrate:
             for key in ("slope_sigma", "intercept_sigma"):
                 assert b[key] / float(sigma) == pytest.approx(a[key], rel=1e-9)
 
+    def test_sse_past_float_range_is_null_without_warning(self, tmp_path, capsys):
+        """sigma = 1e-154 on a 3,000-point three-region log: each weighted SSE
+        tops 1e308 and is written null, the fit itself is found, and nothing
+        warns."""
+        t = np.linspace(77.0, 330.0, 3000)
+        v1 = 1445.0 - 0.040 * (193.0 - 77.0)
+        v2 = v1 + 2.0 - 0.247 * (260.0 - 193.0)
+        f = np.where(t <= 193.0, 1445.0 - 0.040 * (t - 77.0),
+                     np.where(t <= 260.0, v1 + 2.0 - 0.247 * (t - 193.0),
+                              v2 - 0.101 * (t - 260.0)))
+        f += np.random.default_rng(7).normal(0.0, 0.05, t.size)
+        path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
+        write_calibration(CalibrationSeries(t, f, np.full(t.size, 1e-154)), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("calibrate", "--input", path, "--segments", 3, "--out", out)
+        assert (code, capsys.readouterr().err) == (0, "")
+        payload = strict_json(out)
+        assert payload["total_sse"] is None
+        assert [seg["sse"] for seg in payload["segments"]] == [None] * 3
+        assert all(0.0 < seg[key] < 1e-150 for seg in payload["segments"]
+                   for key in ("slope_sigma", "intercept_sigma"))
+        assert payload["breakpoints"] == pytest.approx([193.0, 260.0], abs=2.0)
+
     def test_ambiguous_frequency_names_segments(self, tmp_path, capsys):
         assert run(*write_overlapping_calibration(tmp_path)) == 2
         err = capsys.readouterr().err
@@ -231,6 +256,24 @@ class TestCalibrate:
 
 
 class TestZfs:
+    @pytest.mark.parametrize("scale", [1e60, 1e-60])
+    def test_tensor_past_float_range_one_error_line(self, tmp_path, capsys, scale):
+        """A grid whose pair phase overflows is refused with one error line and no warning."""
+        dims = (12, 10, 8)
+        origin, axes = make_grid(dims, (10.0, 8.0, 6.0))
+        paths = []
+        for name, node in (("homo", None), ("lumo", 0)):
+            grid = gaussian_orbital(origin, axes, dims, (0, 0, 0), (1.5, 0.8, 0.5),
+                                    node_axis=node)
+            paths.append(save_cube(OrbitalGrid(grid.origin * scale, grid.axes * scale,
+                                               grid.values), tmp_path / f"{name}.cube"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("zfs", "--homo", paths[0], "--lumo", paths[1],
+                       "--out", tmp_path / "zfs.json")
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "error: tensor contains non-finite entries\n")
+
     def test_single_phase_json(self, tmp_path):
         homo, lumo = write_cubes(tmp_path)
         out = tmp_path / "zfs.json"

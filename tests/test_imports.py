@@ -10,7 +10,10 @@ with three segments and a readout) and a library call of kinetics.evolve
 over 1e4 us.  Each step reports its exit code (or the exception it
 raised) and the attempts made by its end.
 
-Importing the package first also loads numpy with one OpenBLAS thread,
+Importing the package loads neither numpy nor any numeric module; each
+name loads its module on first access, and each subcommand imports only
+the modules it runs, so sensitivity, --help and refusals run without
+numpy.  The first numeric import loads numpy with one OpenBLAS thread,
 unless numpy came first or the caller set a thread count; fresh
 interpreters show each case, and that the environment is left as it was.
 """
@@ -91,17 +94,25 @@ def write_inputs(tmp) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("imports")
-    steps = write_inputs(tmp)
+def package_env(env) -> dict:
+    """env with this checkout's package first on PYTHONPATH."""
     src = str(Path(odmrsense.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                                                 else []))
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    return tmp, write_inputs(tmp)
+
+
+@pytest.fixture(scope="module")
+def report(inputs):
+    tmp, steps = inputs
     order = [(name, steps[name]) for name in STEPS if name in steps]
     subprocess.run([sys.executable, "-c", PROBE, json.dumps(order), str(tmp / "report.json")],
-                   env=env, cwd=tmp, check=True, timeout=120)
+                   env=package_env(os.environ), cwd=tmp, check=True, timeout=120)
     return json.loads((tmp / "report.json").read_text())
 
 
@@ -153,12 +164,9 @@ json.dump({"threads": threads, "writes": writes,
 def blas_probe(code, **variables) -> dict:
     """BLAS_PROBE's report on code run in a fresh interpreter with only the given variables
     of BLAS_THREAD_VARS set."""
-    src = str(Path(odmrsense.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(variables)
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                                                 else []))
-    out = subprocess.run([sys.executable, "-c", BLAS_PROBE, code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE, code],
+                         env=package_env({**env, **variables}), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     return json.loads(out)
 
@@ -174,12 +182,99 @@ def default_blas_threads():
     return threads
 
 
+# spin stands for every numeric module: each takes numpy from odmrsense._numpy
 @pytest.mark.parametrize("code, variables, threads, writes", [
-    ("import odmrsense", {}, 1, ["OPENBLAS_NUM_THREADS"]),
-    ("import numpy, odmrsense", {}, None, []),
-    ("import odmrsense", {"OPENBLAS_NUM_THREADS": "2"}, 2, []),
-    ("import odmrsense", {"OMP_NUM_THREADS": "2"}, 2, []),
+    ("import odmrsense.spin", {}, 1, ["OPENBLAS_NUM_THREADS"]),
+    ("import numpy, odmrsense.spin", {}, None, []),
+    ("import odmrsense.spin", {"OPENBLAS_NUM_THREADS": "2"}, 2, []),
+    ("import odmrsense.spin", {"OMP_NUM_THREADS": "2"}, 2, []),
 ], ids=["package-first", "numpy-first", "openblas-set", "omp-set"])
 def test_blas_threads_at_load(default_blas_threads, code, variables, threads, writes):
     assert blas_probe(code, **variables) == {
         "threads": threads or default_blas_threads, "writes": writes, "environ_kept": True}
+
+
+def test_package_import_maps_no_blas():
+    assert blas_probe("import odmrsense") == {"threads": None, "writes": [],
+                                              "environ_kept": True}
+
+
+# runs main(argv) and reports its exit code and every module then loaded
+MODULES_PROBE = """
+import json, sys
+from odmrsense.cli import main
+try:
+    code = main(json.loads(sys.argv[1]))
+except SystemExit as exc:  # --help and argparse's usage errors
+    code = exc.code
+with open(sys.argv[2], "w") as out:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, out)
+"""
+
+
+def modules_after(tmp, argv) -> tuple[int, set]:
+    """(exit code, loaded module names) of main(argv) in a fresh interpreter."""
+    subprocess.run([sys.executable, "-c", MODULES_PROBE, json.dumps(argv),
+                    str(tmp / "modules.json")], env=package_env(os.environ), cwd=tmp,
+                   capture_output=True, check=True, timeout=60)
+    report = json.loads((tmp / "modules.json").read_text())
+    return report["code"], set(report["modules"])
+
+
+@pytest.mark.parametrize("case", ["sensitivity", "help", "usage-error", "config-refusal"])
+def test_numpy_not_loaded(inputs, case):
+    tmp, steps = inputs
+    (tmp / "bad.json").write_text('{"sensitivity": {"sigma": "x"}}')
+    argv, code = {"sensitivity": (steps["sensitivity"], 0), "help": (["--help"], 0),
+                  "usage-error": (["sensitivity", "--sigma", "x"], 2),
+                  "config-refusal": (["sensitivity", "--config", str(tmp / "bad.json")], 2)}[case]
+    got, modules = modules_after(tmp, argv)
+    assert got == code
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("step, unused", [
+    ("calibrate", {"dipolar", "kinetics", "spectra", "volumetric"}),
+    ("zfs", {"calibration", "kinetics", "spectra"}),
+], ids=["calibrate", "zfs"])
+def test_subcommand_loads_only_what_it_runs(inputs, step, unused):
+    tmp, steps = inputs
+    code, modules = modules_after(tmp, steps[step])
+    assert code == 0
+    assert {f"odmrsense.{name}" for name in unused}.isdisjoint(modules)
+
+
+# odmrsense.__all__, pinned: loading names lazily must not change the public set
+PUBLIC_NAMES = {
+    "BOHR_RADIUS_ANGSTROM", "CalibrationSeries", "ConfigError", "CubeParseError",
+    "DIPOLAR_PREFACTOR_MHZ_A3", "DataFormatError", "DegenerateKineticsError",
+    "DivisionDomainError", "FitConvergenceError", "GridMismatchError", "InvalidParameterError",
+    "KineticsParams", "LineModel", "OdmrSenseError", "OrbitalGrid", "OrbitalStats", "PeakFit",
+    "PhaseComparison", "PiecewiseLinearFit", "PopulationState", "ReadoutAmbiguityError",
+    "ReadoutError", "ReadoutRangeError", "SegmentFit", "SensitivityReport", "Spectrum",
+    "SpectrumMeta", "TransitionSet", "ZfsParameters", "ZfsTensor", "assert_commensurate",
+    "auto_guesses", "calibration", "compare_phases", "constants", "contrast_spectrum_amplitudes",
+    "delta_d_estimate", "dipolar", "errors", "evaluate_lines", "evolve", "fit_peaks",
+    "gaussian_orbital", "homo_lumo_shift", "invert_readout", "kinetics", "load_cube",
+    "make_grid", "odmr_contrast", "orbital_stats", "ordered_eigensystem",
+    "parameters_to_tensor", "point_dipole_tensor", "rate_matrix", "read_calibration",
+    "read_spectrum", "robust_noise_sigma", "save_cube", "segmented_fit", "sensitivity",
+    "spectra", "spin", "steady_state", "synthesize", "tensor_to_parameters", "textio",
+    "transitions_from_zfs", "volumetric", "write_calibration", "write_spectrum",
+    "zfs_from_transitions", "zfs_pair_tensor",
+}
+
+
+def test_public_names_unchanged():
+    """__all__ holds the pinned names, and a star import in a fresh interpreter
+    binds each of them to the package's own attribute."""
+    assert set(odmrsense.__all__) == PUBLIC_NAMES
+    code = ("import json, sys\n"
+            "import odmrsense\n"
+            "names = {}\n"
+            "exec('from odmrsense import *', names)\n"
+            "json.dump({name: getattr(odmrsense, name) is value for name, value in names.items()\n"
+            "           if name != '__builtins__'}, sys.stdout)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(os.environ),
+                         capture_output=True, check=True, text=True, timeout=60).stdout
+    assert json.loads(out) == dict.fromkeys(PUBLIC_NAMES, True)

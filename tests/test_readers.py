@@ -134,8 +134,9 @@ def _older_fromstring(text, sep):
                          ids=["numpy", "older-numpy"])
 def test_bad_token_names_its_line(tmp_path, monkeypatch, fromstring, body, where):
     # the C pass must not return the numbers before a bad token, whether
-    # NumPy raises there or only warns (with the warning hidden)
-    monkeypatch.setattr(textio.np, "fromstring", fromstring)
+    # NumPy raises there or only warns (with the warning hidden); textio
+    # takes numpy.fromstring as it parses, so the patch is numpy's own
+    monkeypatch.setattr(np, "fromstring", fromstring)
     path = tmp_path / "o.cube"
     path.write_text(CUBE_HEADER + body)
     with warnings.catch_warnings():
