@@ -12,9 +12,7 @@ scalars Python numbers, and non-finite floats null.  CONFIG_SCHEMA
 declares each parameter once, with its type, bounds, default and help
 text, in its subcommand's section (seed is simulate.seed, threads is
 zfs.threads, which is still checked but has no effect: numpy's FFTs and
-BLAS run on one thread, and a forked child parses each phase's LUMO cube
-when two CPUs are usable and the file has at least _FORK_MIN_BYTES; a LUMO
-it does not deliver is parsed in turn);
+BLAS run on one thread, and each phase's cubes are parsed in turn);
 every flag but the file names is built from that section and stores into
 its config key.  A flag overrides the config file, which overrides the
 default, and the merged values are checked against the same schema (by
@@ -35,8 +33,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
-import signal
 import sys
 from typing import TYPE_CHECKING
 
@@ -391,55 +387,9 @@ def _stats_dict(stats: volumetric.OrbitalStats) -> dict:
     }
 
 
-# A forked LUMO parse costs 8-9 ms per phase in a fresh process and saves at
-# most the parse itself, about 27 ns per cube byte: a LUMO under 330 kB
-# cannot repay it, and where two vCPUs overlap only in part (as shared ones
-# do) one under about 1 MB does not.  A 32^3 cube (590 kB) stays in turn.
-_FORK_MIN_BYTES = 1 << 20
-
-
-def _load_cubes(homo_path, lumo_path):
-    """(homo, lumo) grids; on two usable CPUs a forked child parses a large LUMO meanwhile.
-
-    The child pipes back the LUMO grid, pickled, and exits 0 once all is
-    written, or 1 on any failure, a faulty cube included.  A LUMO it does not
-    deliver is parsed here after the HOMO, so every cube error comes from the
-    in-turn parse, a HOMO error first; a faulty LUMO is thus parsed twice.
-    """
-    from . import volumetric
-    try:
-        lumo_bytes = os.path.getsize(lumo_path)  # a pipe or a device reports 0
-    except OSError:  # load_cube reports it, after any HOMO error
-        lumo_bytes = 0
-    if (lumo_bytes < _FORK_MIN_BYTES or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return volumetric.load_cube(homo_path), volumetric.load_cube(lumo_path)
-    import pickle
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into the caller's stack
-        try:
-            os.close(read_fd)  # a write to a parent gone then fails instead of blocking
-            lumo = volumetric.load_cube(lumo_path)
-            with open(write_fd, "wb", closefd=False) as pipe:
-                pickle.dump(lumo, pipe, pickle.HIGHEST_PROTOCOL)
-            os._exit(0)  # exit closes write_fd: the parent's EOF means the child is done
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            homo = volumetric.load_cube(homo_path)
-            data = pipe.read()
-    finally:  # EOF comes only with the child's exit, which a kill then leaves as it was
-        os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    return homo, pickle.loads(data) if status == 0 else volumetric.load_cube(lumo_path)
-
-
 def _analyse_phase(homo_path, lumo_path, cutoff) -> dict:
     from . import dipolar, spin, volumetric
-    homo, lumo = _load_cubes(homo_path, lumo_path)
+    homo, lumo = volumetric.load_cube(homo_path), volumetric.load_cube(lumo_path)
     homo_stats = volumetric.orbital_stats(homo)
     lumo_stats = volumetric.orbital_stats(lumo)
     tensor = dipolar.zfs_pair_tensor(homo, lumo, cutoff_angstrom=cutoff)

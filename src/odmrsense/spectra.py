@@ -137,7 +137,7 @@ _SIDECAR_TYPES = {
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Signal sampled on a strictly increasing frequency grid (MHz); every |sample| <= 2**500."""
+    """Signal on a strictly increasing grid (MHz) spanning >= 2**-500; every |sample| <= 2**500."""
 
     freqs_mhz: np.ndarray
     signal: np.ndarray
@@ -159,6 +159,10 @@ class Spectrum:
                 raise InvalidParameterError(f"{name} entries must be at most 2**500 in magnitude")
         if np.any(np.diff(f) <= 0):
             raise InvalidParameterError("frequency grid must be strictly increasing")
+        # a span of at least 2**-500 does the same for the fit's Jacobian,
+        # whose center and width derivatives grow near 1 / span
+        if f[-1] - f[0] < 2.0 ** -500:
+            raise InvalidParameterError("frequency grid must span at least 2**-500 MHz")
         object.__setattr__(self, "freqs_mhz", f)
         object.__setattr__(self, "signal", s)
         object.__setattr__(self, "meta", meta)

@@ -7,13 +7,16 @@ raises the reader's error class with a message that begins with the file
 path, plus ":<line>" when one line is at fault.  An output path that
 cannot be written raises DataFormatError "<path>: cannot write: ...".
 
-Every input is read once, in bytes, by read_text (a cube's header in
+Every input is read once, in bytes, by read_bytes (a cube's header in
 capped lines) and refused past its cap: MAX_JSON_BYTES for a config or
 sidecar, a cap from its dims for a cube.  Spectrum and calibration CSVs
 are read by read_table: a file of plain numbers in one np.loadtxt pass,
 any other file or a pipe one line and one float() at a time, with the
 same values and messages either way.  A table past MAX_TABLE_BYTES
-bytes or MAX_TABLE_ROWS rows is refused before it is read whole.
+bytes or MAX_TABLE_ROWS rows is refused before it is read whole.  A cube
+body is parsed by number_block: a body whose numbers share one exponent
+layout in one vectorized pass that gives float()'s value for each, any
+other body or a faulty one line and one float() at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import re
 import warnings
 from array import array
 from contextlib import contextmanager, nullcontext
+from functools import cache
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -58,14 +62,26 @@ def open_input(path, error):
         raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def read_bytes(path, error, limit=MAX_TABLE_BYTES, kind="a table", stream=None) -> bytes:
+    """The UTF-8 bytes of a file or the rest of its open stream, refused past limit bytes."""
+    with open_input(path, error) if stream is None else nullcontext(stream) as stream:
+        # a regular file's rest comes in one read, the bytes of a pipe or a
+        # device (whose size reads 0) and any past the size 1 MiB at a time
+        rest = os.fstat(stream.fileno()).st_size - stream.tell() if stream.seekable() else 0
+        chunks, size = [], 0
+        while chunk := stream.read(min(max(rest + 1 - size, 1 << 20), limit + 1 - size)):
+            chunks.append(chunk)
+            size += len(chunk)
+            _past_limit(path, size, limit, "bytes", kind, error)
+        data = b"".join(chunks)
+        if not data.isascii():
+            data.decode("utf-8")  # a fault raises in open_input
+        return data
+
+
 def read_text(path, error, limit=MAX_TABLE_BYTES, kind="a table", stream=None) -> str:
     """The UTF-8 text of a file or the rest of its open stream, refused past limit bytes."""
-    with open_input(path, error) if stream is None else nullcontext(stream) as stream:
-        data = bytearray()
-        while chunk := stream.read(1 << 20):
-            data += chunk
-            _past_limit(path, len(data), limit, "bytes", kind, error)
-        return data.decode("utf-8")
+    return read_bytes(path, error, limit, kind, stream).decode("utf-8")
 
 
 def read_json(path, error):
@@ -90,27 +106,128 @@ def numbers(path, lineno: int, tokens, error) -> list[float]:
     return values
 
 
-def number_block(path, first_lineno: int, text: str, error) -> np.ndarray:
-    """The finite floats of the lines of text as one array; numbers() walks them only to name a fault."""
+def number_block(path, first_lineno: int, body: bytes, error) -> np.ndarray:
+    """The finite floats of the lines of UTF-8 body bytes as one array.
+
+    _exact_pass reads a body in exponent notation; any other body, and a
+    faulty one, is walked by numbers() line by line, which names the fault.
+    """
     from ._numpy import np
-    # np.fromstring parses the text in one C pass, but reads a blank text
-    # as [-1.], may stop early at a NUL, and rejects some tokens float()
-    # accepts ("1_0", non-ASCII digits); at a bad token older NumPy only
-    # warns (DeprecationWarning) and returns the values before it.  Those
-    # texts, a bad token and a non-finite value take the token path,
-    # which sets every value and message
-    if text.isascii() and text.strip() and "\0" not in text:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                values = np.fromstring(text, sep=" ")
-        except (ValueError, DeprecationWarning):
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values
-    return np.array([value for lineno, line in enumerate(text.splitlines(), start=first_lineno)
+    if (values := _exact_pass(body)) is not None:
+        return values
+    return np.array([value for lineno, line in enumerate(body.decode("utf-8").splitlines(),
+                                                         start=first_lineno)
                      for value in numbers(path, lineno, line.split(), error)])
+
+
+# _exact_pass reads a body _WINDOW bytes at a time, each window cut after a
+# space byte, and takes a window whose bytes are all _BODY_BYTES: there a
+# line break is a space, and str.split() and bytes.split() agree
+_WINDOW = 1 << 15
+_BODY_BYTES = bytes(range(32, 127)) + b"\t\r\n"
+_POWERS = range(-270, 271)  # the powers of ten the pass scales by
+_token_float = float  # float() of a token the pass leaves undecided
+
+
+def _exact_pass(body: bytes):
+    """float(token) of every token of body, or None where the walk must read it: each
+    token of a window has its first token's layout, [+-]d.ddd[eE][+-]d{1,3} with f < 15
+    digits after the point (%17.9e and %13.5E among them), and a finite value."""
+    from ._numpy import np
+    out, pos = array("d"), 0
+    while pos < len(body):
+        stop = pos + _WINDOW
+        if stop < len(body):
+            stop = max(body.rfind(space, pos, stop) for space in b" \t\r\n") + 1
+            if stop <= pos:
+                return None
+        window = b"".join((b" ", memoryview(body)[pos:stop], b" " * 24))  # spaces around
+        pos = stop
+        if window.translate(None, _BODY_BYTES):
+            return None
+        if tokens := window.split(None, 1):
+            values = _window_values(np.frombuffer(window, np.uint8),
+                                    tokens[0].lower().find(b"e") - tokens[0].find(b".") - 1)
+            if values is None:
+                return None
+            out.frombytes(values.tobytes())
+    return np.frombuffer(out)
+
+
+def _window_values(buf, f: int):
+    """float(token) of each token of buf, spaces around; None if one is off layout f or infinite."""
+    from ._numpy import np
+    if not 0 <= f < 15:
+        return None
+    solid = buf > 32
+    starts = np.flatnonzero(solid[1:] > solid[:-1]) + 1
+    lead = buf[starts]
+    first = starts + ((lead == 43) | (lead == 45))  # each token's leading digit
+    # row j holds byte j of every token from its leading digit, gathered
+    # through a view whose row i is the f + 8 bytes from offset i
+    rows = np.ndarray((buf.size - f - 7, f + 8), np.uint8, buf, strides=(1, 1))[first].T.copy()
+    digits = rows - 48  # wraps below "0": a digit is below 10
+    space = rows[f + 5:] <= 32  # after the exponent's first, second or third digit
+    mantissa = digits[[0, *range(2, f + 2)]]
+    if not ((mantissa < 10).all(axis=0) & (digits[f + 4] < 10) & (rows[1] == 46)
+            & ((rows[f + 2] | 32) == 101) & ((rows[f + 3] == 43) | (rows[f + 3] == 45))
+            & (space[0] | ((digits[f + 5] < 10) & (space[1] | ((digits[f + 6] < 10) & space[2]))))
+            ).all():
+        return None
+    # exact: each product and partial sum is an integer below 2**53
+    mantissa = np.array([10 ** j for j in range(f, -1, -1)], float) @ mantissa
+    exponent = digits[f + 4].astype(np.int64)
+    exponent = np.where(space[0], exponent, exponent * 10 + digits[f + 5])
+    exponent = np.where(space[0] | space[1], exponent, exponent * 10 + digits[f + 6])
+    values, exact = _times_power_of_ten(
+        mantissa, np.where(rows[f + 3] == 45, -exponent, exponent) - f)
+    np.negative(values, out=values, where=lead == 45)
+    for i in np.flatnonzero(~exact):
+        values[i] = _token_float(buf[starts[i]:first[i] + f + 8].tobytes().split()[0])
+        if not math.isfinite(values[i]):
+            return None
+    return values
+
+
+def _split(a):
+    """Dekker's split of floats a into halves of 26 bits each, a = hi + lo exactly."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@cache
+def _powers_of_ten():
+    """Rows (hi, lo, hi's two halves) over _POWERS: hi + lo is 10**k within 10**k * 2**-106."""
+    from ._numpy import np
+    pairs = []
+    for k in _POWERS:  # an int / int rounds to the nearest float
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        a, b = (num / den).as_integer_ratio()
+        pairs.append((num / den, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(pairs).T
+    return np.stack([hi, lo, *_split(hi)])
+
+
+def _times_power_of_ten(mantissa, k):
+    """(m * 10**k, exact): the product is float()'s where exact, for integers m below 2**53.
+
+    Dekker's two-product gives m * (hi + lo) as r + t within |r| * 2**-103,
+    so r is m * 10**k correctly rounded (Clinger 1990; Lemire 2021) for k
+    in _POWERS, unless r is a power of two or |t| comes within |r| * 2**-98
+    of half r's ulp, as at an exact tie such as 1e23.  A zero m is exact.
+    """
+    from ._numpy import np
+    row = np.clip(k - _POWERS[0], 0, len(_POWERS) - 1)
+    hi, lo, hi_a, hi_b = _powers_of_ten()[:, row]
+    m_a, m_b = _split(mantissa)
+    p = mantissa * hi
+    e = ((m_a * hi_a - p) + m_a * hi_b + m_b * hi_a) + m_b * hi_b + mantissa * lo
+    r = p + e
+    t = (p - r) + e
+    exact = ((row == k - _POWERS[0]) & ((r.view(np.int64) & ((1 << 52) - 1)) != 0)
+             & (np.abs(t) < np.spacing(r) / 2 - r * 2.0 ** -98)) | (mantissa == 0)
+    return r, exact
 
 
 def _lines(text: str):

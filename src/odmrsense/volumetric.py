@@ -20,7 +20,7 @@ from pathlib import Path
 from ._numpy import np
 from .constants import BOHR_RADIUS_ANGSTROM
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
-from .textio import number_block, numbers, open_input, read_text, write_lines
+from .textio import number_block, numbers, open_input, read_bytes, write_lines
 
 # Largest cube load_cube reads.  zfs pads an n-sample cube to an FFT mesh
 # of about 8n points.  A fresh one-phase run peaks above its bare 30 MB
@@ -271,10 +271,11 @@ def load_cube(path) -> OrbitalGrid:
         first_value_line = 7 + abs(natoms)
         for lineno in range(7, first_value_line):
             record(lineno, 5)
+        body = read_bytes(path, CubeParseError, 64 * expected + (1 << 20), "this cube", stream)
         # a line read past the atom records (one line of the file that
         # splitlines() splits at a form feed, say) opens the body
-        body = "".join(line + "\n" for line in lines[first_value_line - 1:]) + read_text(
-            path, CubeParseError, 64 * expected + (1 << 20), "this cube", stream)
+        if head := "".join(line + "\n" for line in lines[first_value_line - 1:]):
+            body = head.encode() + body
 
     values = number_block(path, first_value_line, body, CubeParseError)
     if values.size != expected:

@@ -128,6 +128,27 @@ class TestFit:
                                       f"2**500 in magnitude\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160])
+    def test_frequency_span_floor(self, tmp_path, capsys, scale):
+        """The default spectrum at frequencies x 1e-150 fits quietly; at x 1e-160 its span
+        is below 2**-500 and ends in one error line."""
+        spec, path, out = tmp_path / "spec.csv", tmp_path / "scaled.csv", tmp_path / "fit.json"
+        assert run("simulate", "--out", spec) == 0
+        table = np.loadtxt(spec, delimiter=",", skiprows=1)
+        path.write_text("frequency_mhz,signal\n"
+                        + "".join(f"{f * scale!r},{s!r}\n" for f, s in table.tolist()))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", "--input", path, "--out", out)
+        err = capsys.readouterr().err
+        if scale == 1e-150:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: {path}: frequency grid must span at least "
+                                      f"2**-500 MHz\n")
+            assert not out.exists()
+
     def test_flat_spectrum_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(64))
@@ -373,17 +394,15 @@ OVERSIZE_HEADER = "a\nb\n0 0 0 0\n1000 1 0 0\n1000 0 1 0\n1000 0 0 1\n"
 
 
 class TestZfsCubePairs:
-    """A phase's LUMO of at least _FORK_MIN_BYTES is parsed in a forked child on two
-    usable CPUs; on one, or when smaller, it is parsed in turn."""
+    """Each phase's HOMO and LUMO cubes are parsed in turn: a cube error is the first
+    cube's in that order."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Sets the usable CPU count and counts forks, with no LUMO too small to fork;
-        no child may outlive the test."""
+        """Sets the usable CPU count and counts forks; no child may outlive the test."""
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
 
         def usable(n):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
@@ -394,66 +413,7 @@ class TestZfsCubePairs:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def two_phase(self, tmp_path, tag):
-        homo, lumo = write_cubes(tmp_path)
-        homo_b, lumo_b = write_cubes(tmp_path, shifted=True)
-        out, table = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
-        assert run("zfs", "--homo", homo, "--lumo", lumo, "--homo-b", homo_b,
-                   "--lumo-b", lumo_b, "--out", out, "--table", table) == 0
-        return out.read_bytes(), table.read_bytes()
-
-    def test_forked_and_in_turn_bytes_identical(self, tmp_path, cpus):
-        forks = cpus(2)
-        forked = self.two_phase(tmp_path, "forked")
-        assert len(forks) == 2  # one child per phase
-        forks = cpus(1)
-        assert self.two_phase(tmp_path, "in_turn") == forked
-        assert forks == []
-
-    @pytest.mark.parametrize("over, n_forks", [(0, 1), (1, 0)], ids=["at-size", "below-size"])
-    def test_lumo_below_the_fork_size_parsed_in_turn(self, tmp_path, cpus, monkeypatch,
-                                                     over, n_forks):
-        homo, lumo = write_cubes(tmp_path)
-        forks = cpus(2)
-        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", lumo.stat().st_size + over)
-        assert run("zfs", "--homo", homo, "--lumo", lumo, "--out", tmp_path / "zfs.json") == 0
-        assert len(forks) == n_forks
-
-    def test_child_without_result_falls_back(self, tmp_path, cpus, monkeypatch):
-        cpus(1)
-        in_turn = self.two_phase(tmp_path, "in_turn")
-        parent, loads = os.getpid(), []
-        load_cube = volumetric.load_cube
-
-        def dies_in_child(path):
-            if os.getpid() != parent:
-                os._exit(3)
-            loads.append(path.rsplit(os.sep, 1)[-1])
-            return load_cube(path)
-        monkeypatch.setattr(volumetric, "load_cube", dies_in_child)
-        forks = cpus(2)
-        assert self.two_phase(tmp_path, "fallback") == in_turn
-        assert len(forks) == 2
-        assert loads == ["homo.cube", "lumo.cube", "homo_b.cube", "lumo_b.cube"]
-
-    def test_faulty_lumo_parsed_again_in_turn(self, tmp_path, capsys, cpus, monkeypatch):
-        """The child reports no cube error: this process parses a faulty LUMO itself."""
-        homo, lumo = write_cubes(tmp_path)
-        spoil_line(lumo, 10)
-        parent, loads = os.getpid(), []
-        load_cube = volumetric.load_cube
-
-        def recorded(path):
-            if os.getpid() == parent:
-                loads.append(os.path.basename(path))
-            return load_cube(path)
-        monkeypatch.setattr(volumetric, "load_cube", recorded)
-        forks = cpus(2)
-        assert run("zfs", "--homo", homo, "--lumo", lumo) == 2
-        assert capsys.readouterr().err == f"error: {lumo}:10: bad number 'x'\n"
-        assert len(forks) == 1
-        assert loads == ["homo.cube", "lumo.cube"]
-
+    # two usable CPUs (id "forked") or one (id "in-turn"): no child is forked either way
     @pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "in-turn"])
     @pytest.mark.parametrize("spoil, message", [
         (lambda homo, lumo: spoil_line(lumo, 10), "lumo.cube:10: bad number 'x'"),
@@ -472,7 +432,7 @@ class TestZfsCubePairs:
         forks = cpus(n_cpus)
         assert run("zfs", "--homo", homo, "--lumo", lumo) == 2
         assert capsys.readouterr().err == f"error: {tmp_path}{os.sep}{message}\n"
-        assert len(forks) == (n_cpus > 1)
+        assert forks == []
 
     @pytest.mark.parametrize("phase_b, message", [
         (("--homo-b", "", "--lumo-b", ""), "error: : cannot read: "),

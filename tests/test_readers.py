@@ -81,33 +81,73 @@ def _token_path(text):
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# tokens in save_cube's %17.9e layout that the exact pass must leave to
+# float(): powers of ten past 1e22 (1e23 is an exact tie), its exponent
+# edges, subnormals, an overflow; and a signed zero and a leading +
+EDGE_TOKENS = ([f"1.000000000e+{k}" for k in range(22, 31)]
+               + [f"{m}e{sign}{k}" for m in ("1.000000000", "9.876543210")
+                  for sign in "+-" for k in (269, 270, 271)]
+               + ["1.000000000e-320", "4.900000000e-324", "1.800000000e+308",
+                  "-0.000000000e+00", "+1.500000000e+00"])
 BODY_TOKEN = st.one_of(
-    FLOATS.map(repr), FLOATS.map("%17.9e".__mod__),
+    FLOATS.map(repr), FLOATS.map("%17.9e".__mod__), FLOATS.map("%13.5E".__mod__),
+    st.sampled_from(EDGE_TOKENS),
     st.sampled_from(["nan", "-inf", "1e999", "1_0", "0x10", "1,5", "\u0661\u0662", "\0",
-                     "1\0", "-", "."]))
-BODY_LINE = st.one_of(
-    st.just(""), st.just("  \t"),
-    st.lists(BODY_TOKEN, max_size=6).flatmap(
+                     "1\0", "-", ".", "1e-320", "4.9e-324", "1.8e+308"]))
+
+
+def bodies(tokens, ends=("\n",)):
+    """Lines of 0 to 6 tokens, split by runs of spaces, each ended by one of ends."""
+    line = st.one_of(st.just(""), st.just("  \t"), st.lists(tokens, max_size=6).flatmap(
         lambda tokens: st.sampled_from([" ", "  ", "\t"]).map(lambda sep: sep.join(tokens))))
-# what ends a body line: a newline, nothing (the last line), or another
-# character str.splitlines() breaks at, which the file reader keeps
-LINE_END = st.sampled_from(["\n", "\n", "", "\x0b", "\x0c", "\x1c", "\x1e", "\x85"])
-BODY = st.lists(st.tuples(BODY_LINE, LINE_END), max_size=8).map(
-    lambda pairs: "".join(line + end for line, end in pairs))
+    return st.lists(st.tuples(line, st.sampled_from(ends)), max_size=8).map(
+        lambda pairs: "".join(line + end for line, end in pairs))
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=BODY)
+# what ends a body line: a newline, CRLF, nothing (the last line), or
+# another character str.splitlines() breaks at, which the file reader keeps
+LINE_ENDS = ("\n", "\n", "\r\n", "", "\x0b", "\x0c", "\x1c", "\x1e", "\x85")
+# bodies of one layout, which the exact pass reads, with LF or CRLF lines
+LAYOUT = st.sampled_from(["%17.9e", "%13.5E", "%+.3e"]).flatmap(
+    lambda layout: bodies(st.one_of(FLOATS.map(layout.__mod__),
+                                    *[st.sampled_from(EDGE_TOKENS)] * (layout == "%17.9e")),
+                          ("\n", "\r\n")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(bodies(BODY_TOKEN, LINE_ENDS), LAYOUT))
 def test_number_block_matches_token_path(text):
     want, message = _token_path(text)
     try:
-        got = number_block("o.cube", 7, text, CubeParseError)
+        got = number_block("o.cube", 7, text.encode(), CubeParseError)
     except CubeParseError as exc:
         assert str(exc) == message
     else:
         assert message is None
         assert got.dtype == np.float64
-        assert got.tolist() == want
+        # bit for bit, so a zero keeps its sign
+        assert got.view(np.int64).tolist() == np.array(want, float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("layout", ["%17.9e", "%13.5E"])
+def test_exact_pass_reads_a_gaussian_body_alone(monkeypatch, layout):
+    # a cube body of save_cube's or Gaussian's layout takes no float() per
+    # token and no walk, so the exact pass cannot go quietly unused
+    dims = (48, 48, 48)
+    origin, axes = volumetric.make_grid(dims, (18.0, 18.0, 18.0))
+    flat = volumetric.gaussian_orbital(origin, axes, dims, (0.0, 0.0, 5.0), 0.75,
+                                       node_axis=0).values.ravel().tolist()
+    text = "".join(" ".join([layout] * 6) % tuple(flat[i:i + 6]) + "\n"
+                   for i in range(0, len(flat), 6))
+    fallbacks = []
+    token_float = textio._token_float
+    monkeypatch.setattr(textio, "_token_float", lambda token: fallbacks.append(token)
+                        or token_float(token))
+    monkeypatch.setattr(textio, "numbers", None)  # the walk fails if it runs
+    got = number_block("o.cube", 7, text.encode(), CubeParseError)
+    assert fallbacks == []
+    want = np.array([float(token) for token in text.split()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 _FROMSTRING = np.fromstring
@@ -127,15 +167,18 @@ def _older_fromstring(text, sep):
         return values
 
 
-@pytest.mark.parametrize("body, where", [("1 2 3 4 5 6 7 8 x\n", ":7: bad number 'x'"),
-                                         ("1 2 3 4\nx 5 6 7 8\n", ":8: bad number 'x'")],
-                         ids=["trailing", "inner"])
+@pytest.mark.parametrize("body, where", [
+    ("1 2 3 4 5 6 7 8 x\n", ":7: bad number 'x'"),
+    ("1 2 3 4\nx 5 6 7 8\n", ":8: bad number 'x'"),
+    ("1.0e+00 " * 8 + "x\n", ":7: bad number 'x'"),
+    ("1.0e+00 " * 4 + "\nx" + " 1.0e+00" * 4 + "\n", ":8: bad number 'x'"),
+], ids=["trailing", "inner", "exponent-trailing", "exponent-inner"])
 @pytest.mark.parametrize("fromstring", [_FROMSTRING, _older_fromstring],
                          ids=["numpy", "older-numpy"])
 def test_bad_token_names_its_line(tmp_path, monkeypatch, fromstring, body, where):
-    # the C pass must not return the numbers before a bad token, whether
-    # NumPy raises there or only warns (with the warning hidden); textio
-    # takes numpy.fromstring as it parses, so the patch is numpy's own
+    # in exponent notation the exact pass returns no values before a bad token;
+    # nor does any pass lean on numpy.fromstring, whether NumPy raises at a bad
+    # token or only warns (with the warning hidden) and returns those before it
     monkeypatch.setattr(np, "fromstring", fromstring)
     path = tmp_path / "o.cube"
     path.write_text(CUBE_HEADER + body)

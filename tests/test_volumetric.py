@@ -222,6 +222,22 @@ class TestCubeIO:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_parse_peak_is_one_body_and_the_values(self, tmp_path, n):
+        # the body is held once and parsed a bounded window at a time: no
+        # temporary grows with the cube
+        dims = (n, n, n)
+        origin, axes = make_grid(dims, (18.0, 18.0, 18.0))
+        path = save_cube(gaussian_orbital(origin, axes, dims, (0, 0, 5), 0.75),
+                         tmp_path / "g.cube")
+        tracemalloc.start()
+        try:
+            load_cube(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 8 * n ** 3 + (4 << 20)
+
     @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c"], ids=["vt", "ff", "fs"])
     def test_line_breaks_are_those_of_splitlines(self, tmp_path, brk):
         # a header line broken by a character str.splitlines() breaks at:
