@@ -6,9 +6,9 @@ tool is an exact segmented linear fit: for a given number of segments it
 minimizes the total (weighted) squared error over all possible breakpoint
 placements, which makes the optimum reproducible and the residual
 provably non-increasing in the segment count.  A dynamic program over
-span costs finds the optimum for any segment count; for three segments
-a branch-and-bound search finds the same breakpoints first and falls
-back on the program when pruning fails.
+span costs finds the optimum for any segment count.  For three segments
+a branch-and-bound search prunes the breakpoint pairs and the program
+evaluates what is left, or every pair when pruning fails.
 
 On top of that sits inversion of a piecewise fit back to the control
 parameter with uncertainty propagation.  The shot-noise sensitivity
@@ -199,7 +199,8 @@ def _weighted_line_fit(x, y, w, known_sigma: bool):
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     intercept, slope = float(coef[0]), float(coef[1])
     resid = y - (intercept + slope * x)
-    sse = float(np.sum(w * resid * resid))
+    with np.errstate(over="ignore"):  # an SSE past the float range is inf (null in JSON)
+        sse = float(np.sum(w * resid * resid))
     gram_inv = np.linalg.inv(design.T @ design)
     if known_sigma:
         cov = gram_inv
@@ -221,18 +222,22 @@ _MIN_TILE_ENDS = 4
 
 
 def _moment_sums(x, y, w):
-    """(6, n + 1) prefix sums of the centred, weighted moments w, w x, w y,
-    w x^2, w x y and w y^2: column b minus column a sums samples a..b-1.
+    """(sums, xc, yc): (6, n + 1) prefix sums of the weighted moments w,
+    w xc, w yc, w xc^2, w xc yc and w yc^2 of the centred samples xc, yc:
+    column b minus column a sums samples a..b-1.
 
     They make every span sum O(1); centring keeps them well conditioned
-    even when the raw second moments dwarf the residuals.
+    even when the raw second moments dwarf the residuals.  Centred samples
+    beyond 2**±200 are brought to a power-of-two scale, so their squares
+    neither over- nor underflow: exact, so no cost's argmin moves.
     """
-    xc = x - np.average(x, weights=w)
-    yc = y - np.average(y, weights=w)
+    xc, yc = (v - np.average(v, weights=w) for v in (x, y))
+    ex, ey = (math.frexp(np.abs(v).max())[1] for v in (xc, yc))
+    xc, yc = (np.ldexp(v, -e) if abs(e) > 200 else v for v, e in ((xc, ex), (yc, ey)))
     sums = np.zeros((6, x.size + 1))
     np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
               axis=1, out=sums[:, 1:])
-    return sums
+    return sums, xc, yc
 
 
 def _line_costs(upper, lower, work):
@@ -287,73 +292,88 @@ def _span_costs(sums, j0, j1, s0, s1, scratch):
     return a, b
 
 
+def _triangle_tiles(n, n_segments):
+    """(j0, j1, s0, s1) tiles of the spans the DP's rows between the first
+    and the last read: blocks of ends j0..j1-1 before the final sample by
+    ascending end, each in tiles of starts s0..s1-1 by ascending start."""
+    j0 = 3 if n_segments > 2 else n
+    while j0 < n - 1:
+        # as many ends as leave room for their j0 + ends starts
+        ends = min(j0, max(_MIN_TILE_ENDS, _TILE_SPANS // (j0 + _TILE_SPANS // j0)))
+        j1 = min(j0 + ends, n - 1)
+        width = _TILE_SPANS // ends
+        for s0 in range(2, j1 - 1, width):
+            yield j0, j1, s0, min(s0 + width, j1 - 1)
+        j0 = j1
+
+
 def _segment_dp(x, y, w, n_segments):
     """(dp, parent) of the exact segmentation dynamic program.
 
     dp[k, j] is the best SSE covering samples 0..j with k segments of at
     least two samples each, and parent[k, j] the first sample of the last
-    of them (inf and 0 where no such split exists).  The last row is
-    evaluated at the final sample only, the one entry the fit reads, so
-    k = 2 searches a single end.
+    of them (inf and 0 where no such split exists or none is evaluated).
+    The last row is evaluated at the final sample only, the one entry the
+    fit reads, and the rows between everywhere else; so k = 2 is O(n).
+    The search prunes, the program evaluates: at k = 3 the rows between
+    take the tiles of span costs that _three_segment_tiles leaves, else
+    the full triangle's, in one relaxation loop and to the same last-row
+    argmin.
     """
     n = x.size
-    sums = _moment_sums(x, y, w)
+    sums, xc, yc = _moment_sums(x, y, w)
     dp = np.full((n_segments + 1, n), np.inf)
     parent = np.zeros((n_segments + 1, n), dtype=int)
     # one segment spans every sample, so k = 1 has no breakpoint to search
     if n_segments == 1:
         return dp, parent
     scratch = np.empty(8 * _TILE_SPANS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # row 1 is the span from sample 0
-        for j0 in range(1, n, _TILE_SPANS):
-            j1 = min(j0 + _TILE_SPANS, n)
-            dp[1, j0:j1] = _span_costs(sums, j0, j1, 0, 1, scratch)[0][:, 0]
-        # Row k takes the first start of the least candidate sum: tiles of
-        # an end block come by ascending start, and a tile's np.argmin
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # row 1 is the span from sample 0, and last[s] the span from s on
+        last = np.full(n, np.inf)
+        for a in range(0, n - 1, _TILE_SPANS):
+            b = min(a + _TILE_SPANS, n - 1)
+            dp[1, a + 1:b + 1] = _span_costs(sums, a + 1, b + 1, 0, 1, scratch)[0][:, 0]
+            last[a:b] = _span_costs(sums, n - 1, n, a, b, scratch)[0][0]
+        tiles = None
+        if n_segments == 3:
+            tiles = _three_segment_tiles(sums, dp[1], last, xc, yc, scratch)
+        # Row k takes the first start of the least candidate sum: the tiles
+        # that reach an end come by ascending start, and a tile's np.argmin
         # replaces the running best only when strictly less.  Rows of inf
         # sums keep the first start, set here.
-        for k in range(2, n_segments + 1):
+        for k in range(2, n_segments):
             parent[k, 2 * k - 1:] = 2 * k - 2
         # Row k of a tile reads row k - 1 at ends before the tile's last
         # start; their own starts lie in this tile or earlier ones, and the
         # rows go in ascending order, so what row k reads is final.
-        j0 = 3 if n_segments > 2 else n - 1
-        while j0 < n:
-            # as many ends as leave room for their j0 + ends starts
-            ends = min(j0, max(_MIN_TILE_ENDS, _TILE_SPANS // (j0 + _TILE_SPANS // j0)))
-            j1 = min(j0 + ends, n)
-            width = _TILE_SPANS // ends
-            for s0 in range(2, j1 - 1, width):
-                s1 = min(s0 + width, j1 - 1)
-                cost, cand = _span_costs(sums, j0, j1, s0, s1, scratch)
-                for k in range(2, n_segments + 1):
-                    lo = max(2 * k - 2, s0)
-                    if k < n_segments:  # the ends with room for k segments
-                        e0, e1 = max(2 * k - 1 - j0, 0), j1 - j0
-                    elif j1 == n:
-                        e0, e1 = n - 1 - j0, n - j0
-                    else:
-                        continue
-                    if lo >= s1 or e0 >= e1:
-                        continue
-                    sums_k = cand[e0:e1, lo - s0:]
-                    np.add(dp[k - 1, lo - 1:s1 - 1], cost[e0:e1, lo - s0:], out=sums_k)
-                    best = np.argmin(sums_k, axis=1)
-                    value = sums_k[np.arange(e1 - e0), best]
-                    running = slice(j0 + e0, j0 + e1)
-                    better = value < dp[k, running]
-                    np.copyto(dp[k, running], value, where=better)
-                    np.copyto(parent[k, running], best + lo, where=better)
-            j0 = j1
+        for j0, j1, s0, s1 in _triangle_tiles(n, n_segments) if tiles is None else tiles:
+            cost, cand = _span_costs(sums, j0, j1, s0, s1, scratch)
+            for k in range(2, n_segments):
+                # the ends with room for k segments
+                lo, e0, e1 = max(2 * k - 2, s0), max(2 * k - 1 - j0, 0), j1 - j0
+                if lo >= s1 or e0 >= e1:
+                    continue
+                sums_k = cand[e0:e1, lo - s0:]
+                np.add(dp[k - 1, lo - 1:s1 - 1], cost[e0:e1, lo - s0:], out=sums_k)
+                best = np.argmin(sums_k, axis=1)
+                value = sums_k[np.arange(e1 - e0), best]
+                running = slice(j0 + e0, j0 + e1)
+                better = value < dp[k, running]
+                np.copyto(dp[k, running], value, where=better)
+                np.copyto(parent[k, running], best + lo, where=better)
+        # the last row at the final sample, by the same first-start rule
+        lo = 2 * n_segments - 2
+        sums_k = dp[n_segments - 1, lo - 1:n - 2] + last[lo:n - 1]
+        best = int(np.argmin(sums_k))
+        dp[n_segments, n - 1], parent[n_segments, n - 1] = sums_k[best], lo + best
     return dp, parent
 
 
 # The three-segment search splits boxes of breakpoint pairs down to
-# _LEAF_SIDE on a side and evaluates the leaves left in full.  It hands the
-# fit to the DP when its leaves would hold more pairs than _search_budget
-# allows, or when a level would hold more than _MAX_BOXES_PER_POINT boxes
-# per sample, which keeps its memory O(n).
+# _LEAF_SIDE on a side.  It gives up when its leaves would hold more pairs
+# than _search_budget allows, or when a level would hold more than
+# _MAX_BOXES_PER_POINT boxes per sample, which keeps its memory O(n).
 _LEAF_SIDE = 16
 _BUDGET_SHARE = 20
 _MIN_BUDGET = 1 << 16
@@ -361,138 +381,105 @@ _MAX_BOXES_PER_POINT = 1
 
 
 def _search_budget(n):
-    """Pairs the three-segment search may evaluate on an n-point series:
-    one in _BUDGET_SHARE of the (i, j) with 2 <= i, i + 2 <= j <= n - 2,
-    and never fewer than _MIN_BUDGET."""
+    """Pairs the three-segment search may leave on an n-point series: one
+    in _BUDGET_SHARE of the (i, j) with 2 <= i, i + 2 <= j <= n - 2, and
+    never fewer than _MIN_BUDGET."""
     return max((n - 4) * (n - 5) // 2 // _BUDGET_SHARE, _MIN_BUDGET)
 
 
-def _three_segment_bounds(x, y, w):
-    """Segment bounds [0, i, j, n] of the exact three-segment fit, or None.
+def _three_segment_tiles(sums, row1, last, xc, yc, scratch):
+    """The DP's row-2 tiles (j0, j1, s0, s1) for three segments, or None.
 
-    Branch and bound over the second and third segment starts (i, j) that
-    returns what _segment_dp's parent walk returns.  With C(a, b) the cost
-    of samples a..b-1, which cannot fall as its span grows, every pair of a
-    box i0 <= i < i1, j0 <= j < j1 costs at least C(0, i0) + C(i1 - 1, j0)
-    + C(j1 - 1, n).  The outer terms come from two O(n) vectors as running
-    minima, so they bound the computed costs exactly.  The inner term is
-    lowered by a margin that bounds its rounding to first order, 64 n u W
-    Y^2 (1 + W^2 X^2 / det): prefix sums of n terms err by n u times their
-    magnitudes (u the unit roundoff, W the total weight, X the control
-    range, which bounds every centred |x|, and Y the largest centred |y|),
-    and a span's determinant det = sw sxx - sx^2 amplifies the error by
-    W^2 X^2 / det.
+    Branch and bound over the second and third segment starts (i, j).
+    With C(a, b) the cost of samples a..b-1, which cannot fall as its span
+    grows, every pair of a box i0 <= i < i1, j0 <= j < j1 costs at least
+    C(0, i0) + C(i1 - 1, j0) + C(j1 - 1, n).  The outer terms are running
+    minima of the DP's row 1 and last spans, so they bound the computed
+    costs exactly.  The inner term is lowered by a first-order bound on its
+    rounding, 64 n u W Y^2 (1 + W^2 X^2 / det): prefix sums of n terms err
+    by n u (the unit roundoff) times their magnitudes, set by the total
+    weight W, the centred control range X and the largest |yc| Y, and a
+    span's determinant det = sw sxx - sx^2 amplifies the error.
 
-    The first upper bound is the best pair of a grid of starts.  Boxes
-    whose bound exceeds it go, the others split four ways, level by level,
-    and the leaves left are evaluated with _span_costs, so every cost and
-    sum is bitwise the DP's.  Ties fall as in the DP: for each j the first
-    i of least C(0, i) + C(i, j), then the first j of least total.  None
-    hands the fit to the DP: when the leaves would exceed _search_budget(n)
-    pairs, a level would hold more than _MAX_BOXES_PER_POINT n boxes, or no
-    total is finite.
+    The first upper bound is the best pair of a grid of starts; boxes whose
+    bound exceeds it go, the others split four ways.  A run of leaves left,
+    i in [r0, r1) and j in [e0, e1), becomes tiles (e0 - 1, e1 - 1, s0, s1)
+    by ascending j and i, the triangle's order.  The grid's best pair
+    survives its own box's bound, so the DP's last row finds a finite total.
+    None leaves the DP the full triangle: when the grid has no finite
+    total, the leaves would exceed _search_budget(n) pairs, or a level
+    would hold more than _MAX_BOXES_PER_POINT n boxes.
     """
-    n = x.size
-    sums = _moment_sums(x, y, w)
-    scratch = np.empty(8 * _TILE_SPANS)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # c0[i] = C(0, i), the DP's row 1, and cn[j] = C(j, n)
-        c0 = np.full(n + 1, np.inf)
-        for j0 in range(1, n, _TILE_SPANS):
-            j1 = min(j0 + _TILE_SPANS, n)
-            c0[j0 + 1:j1 + 1] = _span_costs(sums, j0, j1, 0, 1, scratch)[0][:, 0]
-        cn = np.full(n + 1, np.inf)
-        for s0 in range(0, n - 1, _TILE_SPANS):
-            s1 = min(s0 + _TILE_SPANS, n - 1)
-            cn[s0:s1] = _span_costs(sums, n - 1, n, s0, s1, scratch)[0][0]
+    n = xc.size
+    # every pair of an m-cell grid of starts, from one tile of the spans
+    # between grid points: total[r, c] is the cost at i = grid[c + 1],
+    # j = grid[r + 1] (inf where a span would cover a single cell)
+    m = min(math.isqrt(_TILE_SPANS), n)
+    grid = np.arange(m + 1) * n // m
+    cost, total = _span_costs(sums[:, grid], 0, m, 0, m, scratch)
+    total = total[:m - 1, :m - 1]
+    np.add(cost[None, :m - 1, 0], cost[:m - 1, 1:], out=total)
+    np.add(total, cost[m - 1, 1:, None], out=total)
+    best = total.min()
+    if not best < np.inf:
+        return None
 
-        # every pair of an m-cell grid of starts, from one tile of the spans
-        # between grid points: total[r, c] is the cost at i = grid[c + 1],
-        # j = grid[r + 1] (inf where a span would cover a single cell)
-        m = min(math.isqrt(_TILE_SPANS), n)
-        grid = np.arange(m + 1) * n // m
-        cost, total = _span_costs(sums[:, grid], 0, m, 0, m, scratch)
-        total = total[:m - 1, :m - 1]
-        np.add(cost[None, :m - 1, 0], cost[:m - 1, 1:], out=total)
-        np.add(total, cost[m - 1, 1:, None], out=total)
-        best = total.min()
-        if not best < np.inf:
+    row1_floor = np.minimum.accumulate(row1[::-1])[::-1]  # at i - 1: least C(0, i') for i' >= i
+    last_floor = np.minimum.accumulate(last)  # least C(j', n) for j' <= j
+    weight = sums[0, n]
+    slack = 2.0 ** -47 * n * weight * np.abs(yc).max() ** 2
+    amplified = slack * (weight * (xc[-1] - xc[0])) ** 2
+    # boxes per bound pass, whose two gathers of six moments each stay
+    # within one and a half tiles
+    chunk = max(_TILE_SPANS // 8, 1)
+
+    def box_ranges(p, q, side):
+        i0, j0 = np.maximum(p * side, 2), np.maximum(q * side, 4)
+        return i0, np.minimum(p * side + side, n - 3), j0, np.minimum(q * side + side, n - 1)
+
+    side = _LEAF_SIDE
+    while side < n:
+        side *= 2
+    p = q = np.zeros(1, dtype=np.int64)
+    while True:
+        i0, i1, j0, j1 = box_ranges(p, q, side)
+        valid = (i0 < i1) & (j0 < j1) & (i0 + 2 < j1)  # some j >= i + 2
+        p, q, i0, i1, j0, j1 = (a[valid] for a in (p, q, i0, i1, j0, j1))
+        keep = np.empty(p.size, dtype=bool)
+        for b in range(0, p.size, chunk):
+            box = slice(b, b + chunk)
+            bi1, bj0 = i1[box], j0[box]
+            # the inner span [i1 - 1, j0), where it has two samples
+            work = scratch[:8 * bi1.size].reshape(8, bi1.size)
+            mid, _ = _line_costs(sums[:, bj0], sums[:, np.minimum(bi1 - 1, bj0)], work)
+            np.subtract(mid, slack + amplified / work[3], out=mid)
+            mid[~((mid > 0) & (mid < np.inf) & (work[3] > 0) & (bj0 > bi1))] = 0.0
+            keep[box] = row1_floor[i0[box] - 1] + mid + last_floor[j1[box] - 1] <= best
+        p, q = p[keep], q[keep]
+        if side == _LEAF_SIDE:
+            break
+        if 4 * p.size > _MAX_BOXES_PER_POINT * n:
             return None
+        side //= 2
+        p = (2 * p[:, None] + (0, 1, 0, 1)).ravel()
+        q = (2 * q[:, None] + (0, 0, 1, 1)).ravel()
 
-        c0_floor = np.minimum.accumulate(c0[::-1])[::-1]  # least C(0, i') for i' >= i
-        cn_floor = np.minimum.accumulate(cn)  # least C(j', n) for j' <= j
-        weight = sums[0, n]
-        slack = 2.0 ** -47 * n * weight * np.abs(y - np.average(y, weights=w)).max() ** 2
-        amplified = slack * (weight * (x[-1] - x[0])) ** 2
-        # boxes per bound pass, whose two gathers of six moments each stay
-        # within one and a half tiles
-        chunk = max(_TILE_SPANS // 8, 1)
-
-        def box_ranges(p, q, side):
-            i0, j0 = np.maximum(p * side, 2), np.maximum(q * side, 4)
-            return i0, np.minimum(p * side + side, n - 3), j0, np.minimum(q * side + side, n - 1)
-
-        side = _LEAF_SIDE
-        while side < n:
-            side *= 2
-        p = q = np.zeros(1, dtype=np.int64)
-        while True:
-            i0, i1, j0, j1 = box_ranges(p, q, side)
-            valid = (i0 < i1) & (j0 < j1) & (i0 + 2 < j1)  # some j >= i + 2
-            p, q, i0, i1, j0, j1 = (a[valid] for a in (p, q, i0, i1, j0, j1))
-            keep = np.empty(p.size, dtype=bool)
-            for b in range(0, p.size, chunk):
-                box = slice(b, b + chunk)
-                bi1, bj0 = i1[box], j0[box]
-                # the inner span [i1 - 1, j0), where it has two samples
-                work = scratch[:8 * bi1.size].reshape(8, bi1.size)
-                mid, _ = _line_costs(sums[:, bj0], sums[:, np.minimum(bi1 - 1, bj0)], work)
-                np.subtract(mid, slack + amplified / work[3], out=mid)
-                mid[~((mid > 0) & (mid < np.inf) & (work[3] > 0) & (bj0 > bi1))] = 0.0
-                keep[box] = c0_floor[i0[box]] + mid + cn_floor[j1[box] - 1] <= best
-            p, q = p[keep], q[keep]
-            if side == _LEAF_SIDE:
-                break
-            if 4 * p.size > _MAX_BOXES_PER_POINT * n:
-                return None
-            side //= 2
-            p = (2 * p[:, None] + (0, 1, 0, 1)).ravel()
-            q = (2 * q[:, None] + (0, 0, 1, 1)).ravel()
-
-        # leaves of one row that touch merge into runs of starts
-        order = np.lexsort((p, q))
-        p, q = p[order], q[order]
-        new_run = np.ones(p.size, dtype=bool)
-        new_run[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1] + 1)
-        heads = np.flatnonzero(new_run)
-        tails = np.append(heads[1:], p.size) - 1
-        i0, _, j0, j1 = box_ranges(p[heads], q[heads], side)
-        i1 = np.minimum(np.minimum(p[tails] * side + side, n - 3), j1 - 2)
-        if np.sum((j1 - j0) * np.maximum(i1 - i0, 0)) > _search_budget(n):
-            return None
-
-        # per third start j, the least C(0, i) + C(i, j) found and its first
-        # i: runs come by ascending j and i, so as in the DP the running best
-        # is replaced only when strictly less
-        inner = np.full(n + 1, np.inf)
-        start = np.zeros(n + 1, dtype=np.int64)
-        for r0, r1, e0, e1 in zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist()):
-            width = max(_TILE_SPANS // (e1 - e0), 1)
-            for s0 in range(r0, r1, width):
-                s1 = min(s0 + width, r1)
-                cost, sums_ij = _span_costs(sums, e0 - 1, e1 - 1, s0, s1, scratch)
-                np.add(c0[s0:s1], cost, out=sums_ij)
-                at = np.argmin(sums_ij, axis=1)
-                value = sums_ij[np.arange(e1 - e0), at]
-                at += s0
-                better = value < inner[e0:e1]
-                np.copyto(inner[e0:e1], value, where=better)
-                np.copyto(start[e0:e1], at, where=better)
-        total = inner[4:n - 1] + cn[4:n - 1]
-        j = int(np.argmin(total))
-        if not total[j] < np.inf:
-            return None
-        return [0, int(start[j + 4]), j + 4, n]
+    # leaves of one row that touch merge into runs of starts
+    order = np.lexsort((p, q))
+    p, q = p[order], q[order]
+    new_run = np.ones(p.size, dtype=bool)
+    new_run[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1] + 1)
+    heads = np.flatnonzero(new_run)
+    tails = np.append(heads[1:], p.size) - 1
+    i0, _, j0, j1 = box_ranges(p[heads], q[heads], side)
+    i1 = np.minimum(np.minimum(p[tails] * side + side, n - 3), j1 - 2)
+    if np.sum((j1 - j0) * np.maximum(i1 - i0, 0)) > _search_budget(n):
+        return None
+    tiles = []
+    for r0, r1, e0, e1 in zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist()):
+        width = max(_TILE_SPANS // (e1 - e0), 1)
+        tiles += ((e0 - 1, e1 - 1, s0, min(s0 + width, r1)) for s0 in range(r0, r1, width))
+    return tiles
 
 
 def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinearFit:
@@ -500,18 +487,17 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
 
     The returned SSE is the exact minimum over all breakpoint placements
     (each segment gets at least two samples) for the requested segment
-    count.  One or two segments skip the full triangle of span costs and
-    take O(n) time.  Three segments are searched by branch and bound
-    (_three_segment_bounds), which returns the dynamic program's
-    breakpoints bit for bit: on a kinked or curved n-point log it prunes
-    all but a small share of the breakpoint pairs, and takes about 3 ms
-    for n = 3,000, 10 ms for 20,000 and 65-130 ms for 100,000 on a 2-vCPU
-    machine.  Where pruning fails, as on pure noise, it hands the fit to
-    the dynamic program (_segment_dp) before evaluating more than about
-    5 % of the pairs, so the worst case is the program's own: O(k n^2)
-    time and O(k n) memory, at k = 3 about 0.10 s for n = 3,000 and 3.8 s
-    for 20,000.  Four or more segments always take the program.  No size
-    is refused.
+    count, found by one dynamic program (_segment_dp) and read back by one
+    parent walk.  One or two segments skip the full triangle of span costs
+    and take O(n) time.  For three segments the search prunes and the
+    program evaluates: branch and bound (_three_segment_tiles) rules out
+    all but a small share of the breakpoint pairs of a kinked or curved
+    log, and the program evaluates the rest, which takes about 2 ms for
+    n = 3,000 on a 2-vCPU machine.  Where pruning fails, as on pure
+    noise, the search gives up before leaving more than about 5 % of the
+    pairs, and the program evaluates the full triangle: O(k n^2) time and
+    O(k n) memory, at k = 3 about 0.065 s for n = 3,000.  Four or more
+    segments always take the full triangle.  No size is refused.
     """
     if n_segments < 1:
         raise InvalidParameterError("n_segments must be >= 1")
@@ -530,18 +516,12 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     e = math.frexp(w.max())[1]
     shift = e - e % 2 if abs(e) > 200 else 0
     w = np.ldexp(w, -shift)
-    bounds = _three_segment_bounds(x, y, w) if n_segments == 3 else None
-    if bounds is None:
-        _, parent = _segment_dp(x, y, w, n_segments)
-        # recover segment start indices
-        bounds = [n]
-        j = n - 1
-        for k in range(n_segments, 1, -1):
-            start = int(parent[k, j])
-            bounds.append(start)
-            j = start - 1
-        bounds.append(0)
-        bounds.reverse()
+    _, parent = _segment_dp(x, y, w, n_segments)
+    # recover segment start indices
+    bounds = [n]
+    for k in range(n_segments, 1, -1):
+        bounds.append(int(parent[k, bounds[-1] - 1]))
+    bounds = [0, *bounds[::-1]]
 
     segments = []
     total_sse = 0.0

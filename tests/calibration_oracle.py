@@ -10,6 +10,8 @@ comparison is exact.  Quadratic cost in calls as well as arithmetic:
 modest lengths only.
 """
 
+import math
+
 import numpy as np
 
 from odmrsense import (
@@ -32,6 +34,11 @@ def segment_dp(x, y, w, n_segments):
     n = x.size
     xc = x - np.average(x, weights=w)
     yc = y - np.average(y, weights=w)
+    # centred samples past 2**±200 on a power-of-two scale, as the library
+    # forms its moment sums
+    ex, ey = (math.frexp(np.abs(v).max())[1] for v in (xc, yc))
+    xc = np.ldexp(xc, -ex) if abs(ex) > 200 else xc
+    yc = np.ldexp(yc, -ey) if abs(ey) > 200 else yc
     sums = np.zeros((6, n + 1))
     np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
               axis=1, out=sums[:, 1:])

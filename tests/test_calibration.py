@@ -2,9 +2,9 @@
 
 The dynamic-programming fit claims global optimality; the oracle for
 that is exhaustive enumeration of every breakpoint placement on a small
-series.  The tiled DP, the three-segment branch-and-bound search and the
-float readout must equal the per-end forms in calibration_oracle bit for
-bit.  Per-segment uncertainties are checked against scipy.stats.linregress,
+series.  The tiled DP over the full triangle and the float readout must
+equal the per-end forms in calibration_oracle bit for bit, and the DP on
+the three-segment search's tiles must give the full triangle's fit.  Per-segment uncertainties are checked against scipy.stats.linregress,
 an independent implementation of the same regression formulas.
 """
 
@@ -236,19 +236,18 @@ class TestSegmentedFit:
         assert fit.predict(np.array([15.0]))[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_searched_path_in_one_tile_buffer(self):
-        # the twin of the bound above on a kinked log, which the three-segment
-        # search fits without the DP: its boxes, O(n) vectors and leaves stay
-        # in the same budget (1.5 MB measured at n = 3,000)
-        calls = []
+        # the twin of the bound above on a kinked log, whose three-segment
+        # search leaves the DP only its tiles: its boxes, O(n) vectors and
+        # tiles share the DP's buffer and stay in the same budget
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calibration, "_segment_dp", lambda *a: calls.append(a))
+            searches = spy(patch, "_three_segment_tiles")
             tracemalloc.start()
             try:
                 segmented_fit(temperature_series(seed=3, n=3000), 3)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert not calls, "the kinked log fell back to the DP"
+        assert searches[0][1] is not None, "the search on the kinked log gave up"
         assert peak < 2.5e6, f"segmented_fit peaked at {peak / 1e6:.1f} MB"
 
     def test_index_ranges_are_python_ints(self):
@@ -302,18 +301,26 @@ def assert_same_readout(fit, oracle_fit, *args):
         assert_same_bits(got, want)
 
 
+def triangle_dp(x, y, w, n_segments):
+    """_segment_dp on the full triangle, with the three-segment search off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calibration, "_three_segment_tiles", lambda *args: None)
+        return calibration._segment_dp(x, y, w, n_segments)
+
+
 def assert_matches_oracle(series, n_segments):
     """The DP tables, segmented_fit and invert_readout equal the oracle's bit for bit.
 
-    The DP's last row is compared at the final sample, the one entry the
-    library evaluates.
+    The tables come from the full triangle.  The DP's last row is compared
+    at the final sample and the others at every sample but that one: the
+    entries the library evaluates.
     """
     asc = series.ascending()
     w = np.ones(len(asc)) if asc.freq_sigma is None else 1.0 / asc.freq_sigma ** 2
-    tables = calibration._segment_dp(asc.control, asc.freq_mhz, w, n_segments)
+    tables = triangle_dp(asc.control, asc.freq_mhz, w, n_segments)
     oracle_tables = calibration_oracle.segment_dp(asc.control, asc.freq_mhz, w, n_segments)
     for table, oracle_table in zip(tables, oracle_tables):
-        assert_same_bits(table[:n_segments], oracle_table[:n_segments])
+        assert_same_bits(table[:n_segments, :-1], oracle_table[:n_segments, :-1])
         assert_same_bits(table[n_segments, -1], oracle_table[n_segments, -1])
 
     got = segmented_fit(series, n_segments)
@@ -379,16 +386,21 @@ class TestOracleEquivalence:
             patch.setattr(calibration, "_MIN_TILE_ENDS", SMALL_TILES[1])
             assert_matches_oracle(series, n_segments)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the line fit's matmul
     @pytest.mark.parametrize("scale", [1e150, 3e153, 1e155])
     def test_overflowing_moments_match_oracle(self, scale):
-        # squared controls past the float range make some span costs NaN,
-        # which must lose to every finite cost, and at 1e155 every candidate
-        # sum inf: each DP row then keeps its first start
+        # controls whose squares leave the float range are centred on a
+        # power-of-two scale before the moment sums, so every span cost is
+        # finite and the segments are the unscaled log's
         x = np.linspace(-scale, scale, 40)
         y = np.random.default_rng(1).normal(0.0, 1.0, 40)
         for n_segments in (2, 3, 4):
             assert_matches_oracle(CalibrationSeries(x, y), n_segments)
+            ranges = [seg.index_range for seg in
+                      segmented_fit(CalibrationSeries(x, y), n_segments).segments]
+            unscaled = segmented_fit(CalibrationSeries(np.linspace(-1.0, 1.0, 40), y),
+                                     n_segments)
+            assert ranges == [seg.index_range for seg in unscaled.segments]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("slope, intercept", [(0.0, 100.0), (np.nan, 100.0),
@@ -433,12 +445,56 @@ def structured_series(n, seed, shape, weighted, ties, sigma_scale):
     return CalibrationSeries(x, y, None if sigma is None else sigma * sigma_scale)
 
 
-def dp_bounds(x, y, w):
-    """Segment bounds from the three-segment DP's parent walk."""
-    n = x.size
-    _, parent = calibration._segment_dp(x, y, w, 3)
-    third = int(parent[3, n - 1])
-    return [0, int(parent[2, third - 1]), third, n]
+def spy(patch, name):
+    """Record each (args, result) of calibration's function name in the list returned."""
+    real, calls = getattr(calibration, name), []
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    patch.setattr(calibration, name, wrapper)
+    return calls
+
+
+def parent_walk(parent, n_segments):
+    """Segment bounds from the DP's parent table."""
+    bounds, j = [parent.shape[1]], parent.shape[1] - 1
+    for k in range(n_segments, 1, -1):
+        bounds.append(int(parent[k, j]))
+        j = bounds[-1] - 1
+    return [0, *bounds[::-1]]
+
+
+def fit_both_ways(series):
+    """(searched, triangle, tiles): the three-segment DP's last total, its
+    parent walk and segmented_fit, on the search's tiles and on the full
+    triangle, and the tiles the search returned."""
+    runs, tiles = [], []
+    for search_on in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not search_on:
+                patch.setattr(calibration, "_three_segment_tiles", lambda *args: None)
+            searches, dps = spy(patch, "_three_segment_tiles"), spy(patch, "_segment_dp")
+            fit = segmented_fit(series, 3)
+        [(_, result)], [(_, (dp, parent))] = searches, dps
+        runs.append((dp[3, -1], parent_walk(parent, 3), fit))
+        tiles.append(result)
+    return runs[0], runs[1], tiles[0]
+
+
+def assert_same_fit(got, want):
+    assert_same_bits(got.breakpoints, want.breakpoints)
+    assert_same_bits(got.total_sse, want.total_sse)
+    assert len(got.segments) == len(want.segments)
+    for seg_got, seg_want in zip(got.segments, want.segments):
+        assert seg_got.index_range == seg_want.index_range
+        for field in dataclasses.fields(SegmentFit):
+            assert_same_bits(getattr(seg_got, field.name), getattr(seg_want, field.name))
+
+
+def tile_pairs(tiles):
+    return sum((j1 - j0) * (s1 - s0) for j0, j1, s0, s1 in tiles)
 
 
 class TestThreeSegmentSearch:
@@ -449,52 +505,137 @@ class TestThreeSegmentSearch:
     @example(n=2500, seed=1, shape="curved", weighted=True, ties=True, sigma_scale=1e150)
     @example(n=150, seed=2, shape="kinked", weighted=False, ties=True, sigma_scale=1e-150)
     def test_search_matches_dp(self, n, seed, shape, weighted, ties, sigma_scale):
-        # the search sees the weights segmented_fit scaled, so the DP is run
-        # on its very arguments; ordinary sigmas also match the per-end oracle
+        # on structured logs the search prunes to within its budget, and the
+        # DP on its tiles walks the full triangle's parents; ordinary sigmas
+        # also match the per-end oracle
         series = structured_series(n, seed, shape, weighted, ties, sigma_scale)
-        search = calibration._three_segment_bounds
-        calls = []
-
-        def spy(*args):
-            calls.append((args, search(*args)))
-            return calls[-1][1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calibration, "_three_segment_bounds", spy)
-            fit = segmented_fit(series, 3)
-        [(args, bounds)] = calls
-        assert bounds is not None, "the search fell back to the DP"
-        assert bounds == dp_bounds(*args)
-        assert [seg.index_range for seg in fit.segments] == list(zip(bounds[:-1], bounds[1:]))
+        searched, triangle, tiles = fit_both_ways(series)
+        assert tiles is not None, "the search gave up"
+        assert tile_pairs(tiles) <= calibration._search_budget(n)
+        assert searched[1] == triangle[1]
+        fit = searched[2]
+        assert [seg.index_range for seg in fit.segments] == list(
+            zip(searched[1][:-1], searched[1][1:]))
         if sigma_scale == 1.0:
             want = calibration_oracle.segmented_fit(series, 3)
             assert_same_bits(fit.breakpoints, want.breakpoints)
             assert_same_bits(fit.total_sse, want.total_sse)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 400), seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["kinked", "curved", "noisy", "rounded", "flat"]),
+           weighted=st.booleans(), ties=st.booleans(),
+           sigma_scale=st.sampled_from([1.0, 1e-150, 1e150]), small_tiles=st.booleans())
+    @example(n=9, seed=153, shape="flat", weighted=True, ties=False, sigma_scale=1.0,
+             small_tiles=False)
+    @example(n=40, seed=6, shape="flat", weighted=False, ties=False, sigma_scale=1.0,
+             small_tiles=True)
+    @example(n=300, seed=4, shape="kinked", weighted=True, ties=True, sigma_scale=1e-150,
+             small_tiles=True)
+    @example(n=301, seed=5, shape="curved", weighted=False, ties=True, sigma_scale=1e150,
+             small_tiles=False)
+    def test_search_tiles_and_triangle_agree(self, n, seed, shape, weighted, ties,
+                                             sigma_scale, small_tiles):
+        # the differential: the DP on the search's tiles and on the full
+        # triangle reach the same last total by the same parent walk, and
+        # segmented_fit gives the same bits, tied and duplicated rows
+        # included; small tiles split each end's starts over several tiles
+        if shape in ("kinked", "curved"):
+            series = structured_series(n, seed, shape, weighted, ties, sigma_scale)
+        else:
+            series = drawn_series(n, seed, weighted, seed % 3 == 0, shape)
+            if ties:
+                series = CalibrationSeries(series.control, np.repeat(
+                    series.freq_mhz[::2], 2)[:n], series.freq_sigma)
+            if series.freq_sigma is not None:
+                series = CalibrationSeries(series.control, series.freq_mhz,
+                                           series.freq_sigma * sigma_scale)
+        with pytest.MonkeyPatch.context() as patch:
+            if small_tiles:
+                patch.setattr(calibration, "_TILE_SPANS", SMALL_TILES[0])
+                patch.setattr(calibration, "_MIN_TILE_ENDS", SMALL_TILES[1])
+            searched, triangle, _ = fit_both_ways(series)
+        assert_same_bits(searched[0], triangle[0])
+        assert searched[1] == triangle[1]
+        assert_same_fit(searched[2], triangle[2])
+
+    @pytest.mark.parametrize("n", [60, 90, 150])
+    def test_exact_ties_across_tiles(self, n):
+        # a noiseless log of three integer lines that meet at samples: moving
+        # the second start across a meeting point ties exactly, and small
+        # tiles put the tied starts in different tiles, which the DP must
+        # visit in the triangle's order to keep the first
+        x = np.arange(float(n))
+        a, b = n // 3, 2 * n // 3
+        y = np.where(x <= a, x, np.where(x <= b, a - 2 * (x - a), a - 2 * (b - a) + 3 * (x - b)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_TILE_SPANS", SMALL_TILES[0])
+            patch.setattr(calibration, "_MIN_TILE_ENDS", SMALL_TILES[1])
+            searched, triangle, tiles = fit_both_ways(CalibrationSeries(x, y))
+        assert tiles is not None, "the search gave up"
+        assert searched[1] == triangle[1]
+        assert_same_fit(searched[2], triangle[2])
+
     def test_noise_falls_back_within_budget(self):
-        # pure noise leaves too many boxes to prune: the search hands over
-        # to the DP before its leaves pass the budget.  Counted: every span
-        # cost formed on the full prefix sums before the DP starts
+        # pure noise leaves too many boxes to prune: the search gives up
+        # before its tiles pass the budget.  Counted: every span cost formed
+        # on the full prefix sums before the DP takes the full triangle
         n = 3000
         t = np.linspace(77.0, 330.0, n)
         series = CalibrationSeries(t, 1445.0 + np.random.default_rng(5).normal(0, 0.05, n))
-        span_costs, segment_dp = calibration._span_costs, calibration._segment_dp
-        searched, dp_calls = [], []
+        span_costs = calibration._span_costs
+        searched = []
 
         def counting_span_costs(sums, j0, j1, s0, s1, scratch):
-            if sums.shape[1] == n + 1 and not dp_calls:
+            if sums.shape[1] == n + 1 and not triangles:
                 searched.append((j1 - j0) * (s1 - s0))
             return span_costs(sums, j0, j1, s0, s1, scratch)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(calibration, "_span_costs", counting_span_costs)
-            patch.setattr(calibration, "_segment_dp",
-                          lambda *args: dp_calls.append(args) or segment_dp(*args))
+            triangles, searches = spy(patch, "_triangle_tiles"), spy(patch, "_three_segment_tiles")
             fit = segmented_fit(series, 3)
-        assert len(dp_calls) == 1
-        assert sum(searched) <= calibration._search_budget(n)
+        assert [tiles for _, tiles in searches] == [None]
+        assert [args for args, _ in triangles] == [(n, 3)]
+        assert 0 < sum(searched) <= calibration._search_budget(n)
         want = calibration_oracle.segmented_fit(series, 3)
         assert_same_bits(fit.breakpoints, want.breakpoints)
+
+
+class TestInputScale:
+    """Breakpoints do not depend on the scale of frequencies or controls."""
+
+    @staticmethod
+    def kinked_log():
+        series = temperature_series(seed=4, n=60)
+        return series.control, series.freq_mhz
+
+    @pytest.mark.parametrize("n_segments", [2, 3])
+    @pytest.mark.parametrize("freq_scale, control_exp", [
+        (2.0 ** 700, 0), (2.0 ** -700, 0), (1.0, 520), (1.0, -480)],
+        ids=["freq-2^700", "freq-2^-700", "control-2^520", "control-2^-480"])
+    def test_power_of_two_scale_keeps_bits(self, n_segments, freq_scale, control_exp):
+        # an exact rescaling: the same index ranges, and breakpoints that are
+        # the unscaled log's times the same power of two
+        t, f = self.kinked_log()
+        want = segmented_fit(CalibrationSeries(t, f), n_segments)
+        with np.errstate(over="ignore"):  # the line fit's own products
+            got = segmented_fit(CalibrationSeries(np.ldexp(t, control_exp), f * freq_scale),
+                                n_segments)
+        assert ([seg.index_range for seg in got.segments]
+                == [seg.index_range for seg in want.segments])
+        assert_same_bits(np.ldexp(got.breakpoints, -control_exp), want.breakpoints)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_segments", [2, 3])
+    @pytest.mark.parametrize("freq_scale", [1e297, 1e-300])
+    def test_extreme_frequencies_keep_breakpoints(self, n_segments, freq_scale):
+        t, f = self.kinked_log()
+        want = segmented_fit(CalibrationSeries(t, f), n_segments)
+        got = segmented_fit(CalibrationSeries(t, f * freq_scale), n_segments)
+        assert_same_bits(got.breakpoints, want.breakpoints)
+        assert ([seg.index_range for seg in got.segments]
+                == [seg.index_range for seg in want.segments])
 
 
 class TestInvertReadout:

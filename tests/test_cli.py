@@ -270,6 +270,25 @@ class TestCalibrate:
                    for key in ("slope_sigma", "intercept_sigma"))
         assert payload["breakpoints"] == pytest.approx([193.0, 260.0], abs=2.0)
 
+    @pytest.mark.parametrize("freq_scale", [1e297, 1e-300])
+    def test_extreme_scale_keeps_the_split(self, tmp_path, capsys, freq_scale):
+        """The 12-point log-spaced log with its frequencies scaled splits where
+        the unscaled log does, and nothing warns; SSEs past the float range
+        are written null."""
+        t = np.geomspace(77.0, 330.0, 12)
+        f = np.where(t <= 200.0, 1445.0 - 0.04 * (t - 77.0), 1440.08 - 0.2 * (t - 200.0))
+        f += np.random.default_rng(0).normal(0.0, 0.05, t.size)
+        ranges = []
+        for scale in (1.0, freq_scale):
+            path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
+            write_calibration(CalibrationSeries(t, f * scale), path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run("calibrate", "--input", path, "--segments", 2, "--out", out)
+            assert (code, capsys.readouterr().err) == (0, "")
+            ranges.append([seg["index_range"] for seg in strict_json(out)["segments"]])
+        assert ranges[1] == ranges[0]
+
     def test_ambiguous_frequency_names_segments(self, tmp_path, capsys):
         assert run(*write_overlapping_calibration(tmp_path)) == 2
         err = capsys.readouterr().err
