@@ -191,25 +191,6 @@ class PiecewiseLinearFit:
         return out if out.ndim else float(out)
 
 
-def _weighted_line_fit(x, y, w, known_sigma: bool):
-    """Slope/intercept with covariance for one segment (lstsq refit)."""
-    sqw = np.sqrt(w)
-    design = np.column_stack([np.ones_like(x), x]) * sqw[:, None]
-    target = y * sqw
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
-    resid = y - (intercept + slope * x)
-    with np.errstate(over="ignore"):  # an SSE past the float range is inf (null in JSON)
-        sse = float(np.sum(w * resid * resid))
-    gram_inv = np.linalg.inv(design.T @ design)
-    if known_sigma:
-        cov = gram_inv
-    else:
-        dof = x.size - 2
-        cov = gram_inv * (sse / dof) if dof > 0 else np.full((2, 2), np.nan)
-    return slope, intercept, cov, sse
-
-
 # Span costs are formed in tiles of _TILE_SPANS (end, start) pairs: small
 # enough that a tile's eight work arrays (1 MB) stay in a core's cache,
 # large enough that numpy's per-call overhead does not dominate.  A block
@@ -221,23 +202,57 @@ _TILE_SPANS = 16384
 _MIN_TILE_ENDS = 4
 
 
+def _centred(v, w):
+    """(mean, vc, e): v's weighted mean and vc = (v - mean) * 2**-e, e the
+    exponent of the largest |v - mean| if beyond 2**±200, else 0: sums of
+    products of vc stay well conditioned and neither over- nor underflow."""
+    mean = np.average(v, weights=w)
+    vc = v - mean
+    e = math.frexp(np.abs(vc).max())[1]
+    return (mean, np.ldexp(vc, -e), e) if abs(e) > 200 else (mean, vc, 0)
+
+
 def _moment_sums(x, y, w):
     """(sums, xc, yc): (6, n + 1) prefix sums of the weighted moments w,
-    w xc, w yc, w xc^2, w xc yc and w yc^2 of the centred samples xc, yc:
-    column b minus column a sums samples a..b-1.
-
-    They make every span sum O(1); centring keeps them well conditioned
-    even when the raw second moments dwarf the residuals.  Centred samples
-    beyond 2**±200 are brought to a power-of-two scale, so their squares
-    neither over- nor underflow: exact, so no cost's argmin moves.
-    """
-    xc, yc = (v - np.average(v, weights=w) for v in (x, y))
-    ex, ey = (math.frexp(np.abs(v).max())[1] for v in (xc, yc))
-    xc, yc = (np.ldexp(v, -e) if abs(e) > 200 else v for v, e in ((xc, ex), (yc, ey)))
+    w xc, w yc, w xc^2, w xc yc and w yc^2 of the _centred samples xc, yc:
+    column b minus column a sums samples a..b-1, so every span sum is O(1)."""
+    (_, xc, _), (_, yc, _) = _centred(x, w), _centred(y, w)
     sums = np.zeros((6, x.size + 1))
     np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
               axis=1, out=sums[:, 1:])
     return sums, xc, yc
+
+
+def _segment_line(x, y, w, shift, known_sigma):
+    """SegmentFit's slope, intercept, sigmas, covariance and SSE for one
+    segment, its weights w scaled by 2**-shift.  On the _centred samples the
+    slope takes the span costs' formula, the value at the centred origin
+    absorbs the rounding of the means, and the SSE sums residuals (two
+    passes).  Sigmas are square roots in scaled units, unscaled by ldexp:
+    exact, so controls x 2**k scale slope and slope sigma by 2**-k and keep
+    intercept and intercept sigma; an SSE or covariance past the float
+    range is inf."""
+    (xbar, xc, ex), (ybar, yc, ey) = _centred(x, w), _centred(y, w)
+    sw, sx, sy, sxx, sxy = (np.sum(w * v) for v in (1.0, xc, yc, xc * xc, xc * yc))
+    det = sw * sxx - sx * sx
+    slope = (sw * sxy - sx * sy) / det
+    centre = (sy - slope * sx) / sw
+    sse = np.sum(w * (yc - (centre + slope * xc)) ** 2)
+    # var(slope) = Sw/det, var(intercept) = (Sxx + 2 m Sx + m^2 Sw)/det and
+    # their covariance -(Sx + m Sw)/det, m the scaled mean control, each
+    # times the residual variance when unweighted
+    factor, h = (1.0, -shift // 2) if known_sigma else (
+        sse / (x.size - 2) if x.size > 2 else np.nan, ey)
+    m = np.ldexp(xbar, -ex)
+    with np.errstate(over="ignore"):
+        slope = np.ldexp(slope, ey - ex)
+        return {"slope": float(slope),
+                "intercept": float(ybar + np.ldexp(centre, ey) - slope * xbar),
+                "slope_sigma": float(np.ldexp(np.sqrt(factor * sw / det), h - ex)),
+                "intercept_sigma": float(np.ldexp(
+                    np.sqrt(factor * (sxx + m * (2.0 * sx + m * sw)) / det), h)),
+                "cov_slope_intercept": float(np.ldexp(-factor * (sx + m * sw) / det, 2 * h - ex)),
+                "sse": float(np.ldexp(sse, shift + 2 * ey))}
 
 
 def _line_costs(upper, lower, work):
@@ -488,12 +503,13 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     The returned SSE is the exact minimum over all breakpoint placements
     (each segment gets at least two samples) for the requested segment
     count, found by one dynamic program (_segment_dp) and read back by one
-    parent walk.  One or two segments skip the full triangle of span costs
-    and take O(n) time.  For three segments the search prunes and the
-    program evaluates: branch and bound (_three_segment_tiles) rules out
-    all but a small share of the breakpoint pairs of a kinked or curved
-    log, and the program evaluates the rest, which takes about 2 ms for
-    n = 3,000 on a 2-vCPU machine.  Where pruning fails, as on pure
+    parent walk; _segment_line fits each segment's line, centred and scaled
+    as the span costs are.  One or two segments skip the full triangle of
+    span costs and take O(n) time.  For three segments the search prunes
+    and the program evaluates: branch and bound (_three_segment_tiles)
+    rules out all but a small share of the breakpoint pairs of a kinked or
+    curved log, and the program evaluates the rest, which takes about 2 ms
+    for n = 3,000 on a 2-vCPU machine.  Where pruning fails, as on pure
     noise, the search gives up before leaving more than about 5 % of the
     pairs, and the program evaluates the full triangle: O(k n^2) time and
     O(k n) memory, at k = 3 about 0.065 s for n = 3,000.  Four or more
@@ -526,27 +542,10 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     segments = []
     total_sse = 0.0
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        slope, intercept, cov, sse = _weighted_line_fit(
-            x[start:stop], y[start:stop], w[start:stop], known_sigma)
-        # the sigmas are unscaled after their square roots, by half the even
-        # shift: exact, and finite where the variances would overflow.  An
-        # SSE or a covariance whose true value leaves the float range
-        # overflows silently to inf (null in JSON)
-        with np.errstate(over="ignore"):
-            sigmas = np.ldexp(np.sqrt(cov.diagonal()), -shift // 2)
-            sse = float(np.ldexp(sse, shift))
-            cov_slope_intercept = float(np.ldexp(cov[0, 1], -shift))
-        total_sse += sse
-        segments.append(SegmentFit(
-            slope=slope,
-            intercept=intercept,
-            slope_sigma=float(sigmas[1]),
-            intercept_sigma=float(sigmas[0]),
-            cov_slope_intercept=cov_slope_intercept,
-            index_range=(start, stop),
-            control_range=(float(x[start]), float(x[stop - 1])),
-            sse=sse,
-        ))
+        line = _segment_line(x[start:stop], y[start:stop], w[start:stop], shift, known_sigma)
+        total_sse += line["sse"]
+        segments.append(SegmentFit(**line, index_range=(start, stop),
+                                   control_range=(float(x[start]), float(x[stop - 1]))))
     breakpoints = np.array([
         0.5 * (x[b - 1] + x[b]) for b in bounds[1:-1]
     ])
@@ -596,15 +595,17 @@ def invert_readout(
     if not in_range(seg):
         raise ReadoutRangeError(
             f"{frequency_mhz} MHz is outside segment {segment}'s calibrated range")
-    if abs(seg.slope) < 1e-12:
+    if seg.slope == 0:
         raise DivisionDomainError("segment slope is zero; readout is undefined")
-
     control = (frequency_mhz - seg.intercept) / seg.slope
+    if not math.isfinite(control):
+        raise DivisionDomainError("readout control leaves the float range")
     f_sigma, i_sigma, s_sigma, cov = (frequency_sigma, seg.intercept_sigma,
-                                      seg.slope_sigma, seg.cov_slope_intercept)
-    calibrated = math.isfinite(s_sigma) and math.isfinite(i_sigma)
-    # The squares of sigmas past 2**200 can leave the float range, so the
-    # variance is then summed in units of 2**(2 h): exact for a power of two.
+                                      abs(control) * seg.slope_sigma, seg.cov_slope_intercept)
+    calibrated = math.isfinite(seg.slope_sigma) and math.isfinite(i_sigma) and math.isfinite(cov)
+    # s_sigma is the slope's share, in frequency.  Squares of sigmas past
+    # 2**200 can leave the float range, so the variance is then summed in
+    # units of 2**(2 h): exact for a power of two.
     h = 0
     if (f_sigma > _SQUARE_SAFE
             or calibrated and (i_sigma > _SQUARE_SAFE or s_sigma > _SQUARE_SAFE)):
@@ -613,9 +614,7 @@ def invert_readout(
         cov = math.ldexp(cov, -2 * h)
     var = f_sigma ** 2
     if calibrated:
-        var += (i_sigma ** 2
-                + control ** 2 * s_sigma ** 2
-                + 2.0 * control * cov)
+        var += i_sigma ** 2 + s_sigma ** 2 + 2.0 * control * cov
     sigma = math.sqrt(max(var, 0.0)) / abs(seg.slope)
     if h:
         try:

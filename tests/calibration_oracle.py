@@ -6,11 +6,14 @@ tests compare them against: one span-cost column and one numpy argmin
 per end index and segment count, and a readout that takes each
 segment's frequency range from SegmentFit.predict.  Both do the same
 floating-point operations in the same order as the library, so the
-comparison is exact.  Quadratic cost in calls as well as arithmetic:
-modest lengths only.
+comparison is exact.  Each segment's line comes from the library's own
+_segment_line; exact_line is the reference for that, in rational
+arithmetic.  Quadratic cost in calls as well as arithmetic: modest
+lengths only.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from odmrsense import (
     ReadoutRangeError,
     SegmentFit,
 )
-from odmrsense.calibration import _weighted_line_fit
+from odmrsense.calibration import _segment_line
 
 
 def segment_dp(x, y, w, n_segments):
@@ -76,6 +79,11 @@ def segmented_fit(series, n_segments):
     y = asc.freq_mhz
     known_sigma = asc.freq_sigma is not None
     w = 1.0 / asc.freq_sigma ** 2 if known_sigma else np.ones(n)
+    # weights past 2**±200 on an even power-of-two scale, as the library
+    # weighs the points
+    e = math.frexp(w.max())[1]
+    shift = e - e % 2 if abs(e) > 200 else 0
+    w = np.ldexp(w, -shift)
     _, parent = segment_dp(x, y, w, n_segments)
 
     bounds = [n]
@@ -90,24 +98,34 @@ def segmented_fit(series, n_segments):
     segments = []
     total_sse = 0.0
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        slope, intercept, cov, sse = _weighted_line_fit(
-            x[start:stop], y[start:stop], w[start:stop], known_sigma)
-        total_sse += sse
-        segments.append(SegmentFit(
-            slope=slope,
-            intercept=intercept,
-            slope_sigma=float(np.sqrt(cov[1, 1])),
-            intercept_sigma=float(np.sqrt(cov[0, 0])),
-            cov_slope_intercept=float(cov[0, 1]),
-            index_range=(start, stop),
-            control_range=(float(x[start]), float(x[stop - 1])),
-            sse=sse,
-        ))
+        line = _segment_line(x[start:stop], y[start:stop], w[start:stop], shift, known_sigma)
+        total_sse += line["sse"]
+        segments.append(SegmentFit(**line, index_range=(start, stop),
+                                   control_range=(float(x[start]), float(x[stop - 1]))))
     breakpoints = np.array([
         0.5 * (x[b - 1] + x[b]) for b in bounds[1:-1]
     ])
     return PiecewiseLinearFit(segments, breakpoints, total_sse, n,
                               asc.control_unit, asc.label)
+
+
+def exact_line(x, y):
+    """The unweighted least-squares line of float samples, in exact rational
+    arithmetic: a dict of Fractions slope, intercept and sse, the means
+    xbar and ybar, and the variances var_slope = s2 / Sxx and var_intercept
+    = s2 (1 / n + xbar^2 / Sxx), s2 = sse / (n - 2) (None for n = 2).
+    """
+    x, y = ([Fraction(float(v)) for v in vs] for vs in (x, y))
+    n = len(x)
+    xbar, ybar = sum(x) / n, sum(y) / n
+    sxx = sum((a - xbar) ** 2 for a in x)
+    slope = sum((a - xbar) * (b - ybar) for a, b in zip(x, y)) / sxx
+    intercept = ybar - slope * xbar
+    sse = sum((b - intercept - slope * a) ** 2 for a, b in zip(x, y))
+    s2 = sse / (n - 2) if n > 2 else None
+    return {"slope": slope, "intercept": intercept, "sse": sse, "xbar": xbar, "ybar": ybar,
+            "var_slope": s2 and s2 / sxx,
+            "var_intercept": s2 and s2 * (Fraction(1, n) + xbar ** 2 / sxx)}
 
 
 def freq_range(seg):
@@ -143,14 +161,16 @@ def invert_readout(fit, frequency_mhz, segment=None, frequency_sigma=0.0):
     if not in_range(seg):
         raise ReadoutRangeError(
             f"{frequency_mhz} MHz is outside segment {segment}'s calibrated range")
-    if abs(seg.slope) < 1e-12:
+    if seg.slope == 0:
         raise DivisionDomainError("segment slope is zero; readout is undefined")
-
     control = (frequency_mhz - seg.intercept) / seg.slope
+    if not np.isfinite(control):
+        raise DivisionDomainError("readout control leaves the float range")
     var = frequency_sigma ** 2
-    if np.isfinite(seg.slope_sigma) and np.isfinite(seg.intercept_sigma):
+    cov = seg.cov_slope_intercept
+    if np.isfinite(seg.slope_sigma) and np.isfinite(seg.intercept_sigma) and np.isfinite(cov):
         var += (seg.intercept_sigma ** 2
-                + control ** 2 * seg.slope_sigma ** 2
-                + 2.0 * control * seg.cov_slope_intercept)
+                + (abs(control) * seg.slope_sigma) ** 2
+                + 2.0 * control * cov)
     sigma = float(np.sqrt(max(var, 0.0))) / abs(seg.slope)
     return float(control), sigma

@@ -11,6 +11,7 @@ an independent implementation of the same regression formulas.
 import dataclasses
 import itertools
 import json
+import math
 import time
 import tracemalloc
 
@@ -386,7 +387,7 @@ class TestOracleEquivalence:
             patch.setattr(calibration, "_MIN_TILE_ENDS", SMALL_TILES[1])
             assert_matches_oracle(series, n_segments)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the line fit's matmul
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e150, 3e153, 1e155])
     def test_overflowing_moments_match_oracle(self, scale):
         # controls whose squares leave the float range are centred on a
@@ -619,12 +620,36 @@ class TestInputScale:
         # the unscaled log's times the same power of two
         t, f = self.kinked_log()
         want = segmented_fit(CalibrationSeries(t, f), n_segments)
-        with np.errstate(over="ignore"):  # the line fit's own products
-            got = segmented_fit(CalibrationSeries(np.ldexp(t, control_exp), f * freq_scale),
-                                n_segments)
+        got = segmented_fit(CalibrationSeries(np.ldexp(t, control_exp), f * freq_scale),
+                            n_segments)
         assert ([seg.index_range for seg in got.segments]
                 == [seg.index_range for seg in want.segments])
         assert_same_bits(np.ldexp(got.breakpoints, -control_exp), want.breakpoints)
+        # and lines whose slopes and slope sigmas carry 2^-control_exp, and
+        # all four the frequency scale
+        for seg_got, seg_want in zip(got.segments, want.segments):
+            assert_same_bits(
+                np.ldexp([seg_got.slope, seg_got.slope_sigma], control_exp) / freq_scale,
+                [seg_want.slope, seg_want.slope_sigma])
+            assert_same_bits(np.array([seg_got.intercept, seg_got.intercept_sigma]) / freq_scale,
+                             [seg_want.intercept, seg_want.intercept_sigma])
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_power_of_two_control_scale_keeps_line_bits(self):
+        # every k whose controls CalibrationSeries accepts and whose weighted
+        # mean fits the float range, on the 12-point log-spaced probe log
+        i = np.arange(12)
+        t = np.geomspace(77.0, 330.0, 12)
+        f = 1445.0 - 0.1 * i - 0.5 * np.maximum(i - 8, 0) + 0.01 * np.sin(7 * i)
+        want = [(seg.index_range, seg.slope, seg.slope_sigma, seg.intercept, seg.intercept_sigma)
+                for seg in segmented_fit(CalibrationSeries(t, f), 2).segments]
+        for k in range(-518, 1012):
+            got = [(seg.index_range, math.ldexp(seg.slope, k), math.ldexp(seg.slope_sigma, k),
+                    seg.intercept, seg.intercept_sigma)
+                   for seg in segmented_fit(CalibrationSeries(np.ldexp(t, k), f), 2).segments]
+            assert got == want, k
+        with pytest.raises(InvalidParameterError, match="too narrow"):
+            CalibrationSeries(np.ldexp(t, -519), f)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_segments", [2, 3])
@@ -685,6 +710,13 @@ class TestInvertReadout:
         fit = PiecewiseLinearFit([seg], np.array([]), 0.0, 4)
         with pytest.raises(DivisionDomainError):
             invert_readout(fit, 100.0, segment=0)
+
+    def test_control_past_float_range(self):
+        # a slope too small for the frequency offset is refused, not inf
+        seg = SegmentFit(5e-324, 0.0, 0.0, 0.0, 0.0, (0, 4), (0.0, 3.0), 0.0)
+        fit = PiecewiseLinearFit([seg], np.array([]), 0.0, 4)
+        with pytest.raises(DivisionDomainError, match="float range"):
+            invert_readout(fit, 1e-10, segment=0)
 
     def test_bad_segment_index(self):
         fit = self.two_segment_fit()

@@ -9,11 +9,14 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
+
+import calibration_oracle
 
 from odmrsense import (CalibrationSeries, LineModel, OrbitalGrid, cli, dipolar,
                        gaussian_orbital, make_grid, save_cube, synthesize, volumetric,
@@ -286,8 +289,65 @@ class TestCalibrate:
                 warnings.simplefilter("error")
                 code = run("calibrate", "--input", path, "--segments", 2, "--out", out)
             assert (code, capsys.readouterr().err) == (0, "")
-            ranges.append([seg["index_range"] for seg in strict_json(out)["segments"]])
+            payload = strict_json(out)
+            ranges.append([seg["index_range"] for seg in payload["segments"]])
+            # lines and sigmas fit the float range at either scale; an SSE
+            # or a covariance (~7e588 at frequencies x 1e297) may not
+            assert all(0.0 < seg[key] < math.inf for seg in payload["segments"]
+                       for key in ("slope_sigma", "intercept_sigma"))
+            assert all(seg[key] is not None for seg in payload["segments"]
+                       for key in ("slope", "intercept"))
         assert ranges[1] == ranges[0]
+
+    @pytest.mark.parametrize("control_scale, segments", [
+        *(pytest.param(10.0 ** k, 2, id=f"control-1e{k}")
+          for k in (-150, -100, -17, -16, 0, 12, 14, 100, 154, 200, 300)),
+        pytest.param(None, 1, id="offset-1e12-k1"), pytest.param(None, 2, id="offset-1e12-k2")])
+    def test_lines_match_exact_least_squares(self, tmp_path, capsys, control_scale, segments):
+        """Each segment's line is the exact least-squares line of its stored
+        samples, to a few units of rounding, on the probe log with controls
+        x 10^k and on a log whose controls are offset by 1e12."""
+        def within(got, want, tol, scale=None):
+            # in Fractions throughout: a float product would underflow
+            return abs(Fraction(got) - want) <= Fraction(tol) * abs(want if scale is None else scale)
+
+        if control_scale is None:
+            t, f = offset_log()
+        else:
+            t, f = probe_log()
+            t = t * control_scale
+        for seg in run_calibrate(tmp_path, capsys, t, f, segments)["segments"]:
+            a, b = seg["index_range"]
+            exact = calibration_oracle.exact_line(t[a:b], f[a:b])
+            assert within(seg["slope"], exact["slope"], 1e-14)
+            assert within(seg["intercept"], exact["intercept"], 1e-14,
+                          abs(exact["ybar"]) + abs(exact["slope"] * exact["xbar"]))
+            assert within(seg["sse"], exact["sse"], 1e-12)
+            for key in ("slope", "intercept"):
+                assert within(Fraction(seg[f"{key}_sigma"]) ** 2, exact[f"var_{key}"], 1e-12)
+
+    @pytest.mark.parametrize("k", [-518, -510, -300, -201, -200, 1, 200, 201, 520, 900, 1011])
+    def test_power_of_two_controls_keep_line_bits(self, tmp_path, capsys, k):
+        """Controls x 2^k give slopes and slope sigmas x 2^-k and the same
+        intercepts and intercept sigmas, bit for bit."""
+        t, f = probe_log()
+        want = run_calibrate(tmp_path, capsys, t, f, 2)["segments"]
+        got = run_calibrate(tmp_path, capsys, np.ldexp(t, k), f, 2)["segments"]
+        for a, b in zip(got, want):
+            assert a["index_range"] == b["index_range"]
+            assert (math.ldexp(a["slope"], k), math.ldexp(a["slope_sigma"], k),
+                    a["intercept"], a["intercept_sigma"]) == (
+                b["slope"], b["slope_sigma"], b["intercept"], b["intercept_sigma"])
+
+    @pytest.mark.parametrize("scale", [1e10, 1e12])
+    def test_readout_at_large_control_scale(self, tmp_path, capsys, scale):
+        """A slope of ~6e-13 MHz per control unit is a slope, not zero: the
+        readout lands where the unscaled log's does, times the scale."""
+        t, f = probe_log()
+        want = run_calibrate(tmp_path, capsys, t, f, 2, "--invert-frequency", 1444.8)
+        got = run_calibrate(tmp_path, capsys, t * scale, f, 2, "--invert-frequency", 1444.8)
+        for key in ("control", "control_sigma"):
+            assert got["readout"][key] == pytest.approx(want["readout"][key] * scale, rel=1e-12)
 
     def test_ambiguous_frequency_names_segments(self, tmp_path, capsys):
         assert run(*write_overlapping_calibration(tmp_path)) == 2
@@ -528,6 +588,34 @@ def write_narrow_calibration(tmp_path, scale):
     return ("calibrate", "--input", path, "--segments", "2")
 
 
+def probe_log():
+    """The 12-point log-spaced 77-330 K log with a kink after sample 8."""
+    i = np.arange(12)
+    f = 1445.0 - 0.1 * i - 0.5 * np.maximum(i - 8, 0) + 0.01 * np.sin(7 * i)
+    return np.geomspace(77.0, 330.0, 12), f
+
+
+def offset_log():
+    """A 20-point 77-330 K log kinked after sample 13, on controls offset by 1e12."""
+    i = np.arange(20)
+    t = np.linspace(77.0, 330.0, 20)
+    f = 1445.0 - 0.247 * (t - 77.0) - 0.5 * np.maximum(i - 13, 0) + 0.01 * np.sin(7 * i)
+    return 1e12 + t, f
+
+
+def run_calibrate(tmp_path, capsys, control, freq, segments, *extra):
+    """calibrate on these samples, written exactly: its JSON, after exit 0,
+    an empty stderr and no warning."""
+    path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
+    path.write_text("control_value,frequency_mhz\n" + "".join(
+        f"{c!r},{v!r}\n" for c, v in zip(control.tolist(), freq.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("calibrate", "--input", path, "--segments", segments, "--out", out, *extra)
+    assert (code, capsys.readouterr().err) == (0, "")
+    return strict_json(out)
+
+
 def write_fit_centers(tmp_path, centers):
     path = tmp_path / "spec.csv"
     rows = "\n".join(f"{100.0 + 0.5 * i},0.0" for i in range(16))
@@ -626,6 +714,7 @@ BIG = 10 ** 400  # a JSON integer no float can hold
     lambda tmp: write_spectrum_with_sidecar(tmp, '{"seed": -5}'),
     lambda tmp: write_narrow_calibration(tmp, 1e-200),
     lambda tmp: write_narrow_calibration(tmp, 1e-160),
+    lambda tmp: write_narrow_calibration(tmp, 2.0 ** -520),
 ], ids=["amplitudes-not-a-number", "step-zero", "spectrum-sidecar-list",
         "spectrum-sidecar-string", "calibration-sidecar-list",
         "calibration-sidecar-string", "zfs-method-config",
@@ -643,7 +732,8 @@ BIG = 10 ** 400  # a JSON integer no float can hold
         "calibration-sidecar-unit-null", "spectrum-sidecar-seed-list",
         "spectrum-sidecar-noise-nan", "spectrum-sidecar-noise-minus-inf",
         "spectrum-sidecar-noise-negative", "spectrum-sidecar-seed-negative",
-        "control-spread-squared-zero", "control-spread-squared-subnormal"])
+        "control-spread-squared-zero", "control-spread-squared-subnormal",
+        "controls-times-2^-520"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
