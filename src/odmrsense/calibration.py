@@ -77,12 +77,15 @@ class CalibrationSeries:
             raise InvalidParameterError("control and freq_mhz lengths differ")
         if ctrl.size < 4:
             raise InvalidParameterError("calibration series needs at least 4 points")
-        steps = np.diff(ctrl)
+        with np.errstate(over="ignore"):  # a step past the float range is inf
+            steps = np.diff(ctrl)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise InvalidParameterError("control must be strictly monotone")
+        spread = abs(float(ctrl[-1]) - float(ctrl[0]))
+        if spread == math.inf:
+            raise InvalidParameterError("control spread is past the float range")
         # a fit squares control offsets: a spread whose square underflows
         # leaves every segment's normal equations singular or imprecise
-        spread = abs(float(ctrl[-1] - ctrl[0]))
         if spread * spread < sys.float_info.min:
             raise InvalidParameterError(
                 f"control spread {spread:g} is too narrow: its square underflows")
@@ -205,8 +208,12 @@ _MIN_TILE_ENDS = 4
 def _centred(v, w):
     """(mean, vc, e): v's weighted mean and vc = (v - mean) * 2**-e, e the
     exponent of the largest |v - mean| if beyond 2**±200, else 0: sums of
-    products of vc stay well conditioned and neither over- nor underflow."""
-    mean = np.average(v, weights=w)
+    products of vc stay well conditioned and neither over- nor underflow.
+    Samples beyond 2**200 are averaged scaled by a power of two, which is
+    exact and keeps the weighted sum inside the float range."""
+    big = math.frexp(np.abs(v).max())[1]
+    big = big if big > 200 else 0
+    mean = np.ldexp(np.average(np.ldexp(v, -big), weights=w), big)
     vc = v - mean
     e = math.frexp(np.abs(vc).max())[1]
     return (mean, np.ldexp(vc, -e), e) if abs(e) > 200 else (mean, vc, 0)
@@ -546,9 +553,8 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
         total_sse += line["sse"]
         segments.append(SegmentFit(**line, index_range=(start, stop),
                                    control_range=(float(x[start]), float(x[stop - 1]))))
-    breakpoints = np.array([
-        0.5 * (x[b - 1] + x[b]) for b in bounds[1:-1]
-    ])
+    # halved before the sum, which cannot overflow
+    breakpoints = np.array([0.5 * x[b - 1] + 0.5 * x[b] for b in bounds[1:-1]])
     return PiecewiseLinearFit(segments, breakpoints, total_sse, n,
                               asc.control_unit, asc.label)
 

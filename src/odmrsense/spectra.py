@@ -76,33 +76,77 @@ def _pack(lines) -> np.ndarray:
                      for ln in lines], dtype=float).reshape(-1, 5)
 
 
-def _profile(params: np.ndarray, f: np.ndarray, jac: bool = False):
+def _profile(params: np.ndarray, f: np.ndarray, jac: bool = False, work=None, jac_out=None):
     """Summed asymmetric pseudo-Voigt of the lines in the rows of params.
 
     params is a (n_lines, 5) array in _pack's column order and f a 1-D
     grid.  With jac=True the analytic (f.size, 5 * n_lines) Jacobian with
     respect to params.ravel() is returned too.  The profile keeps the
     operation order m / (1 + u2) + (1 - m) exp(-ln2 u2), times amplitude,
-    summed over lines, so synthesized spectra do not change by a bit.
+    summed over lines, and each Jacobian column the expression that
+    reference_profile in tests/test_spectra.py spells out, so synthesized
+    spectra and fits do not change by a bit.
+
+    Every step writes through out= into work, the scratch arrays of
+    _profile_work(n_lines, f.size), and the Jacobian columns into jac_out,
+    an (n_lines, 5, f.size) array the returned Jacobian is a view of.  Left
+    None, both are allocated here and the arrays returned are the caller's;
+    given, they are a fit's per-fit buffers, and the profile returned is
+    work's, overwritten by the next call.
     """
+    if work is None:
+        work = _profile_work(params.shape[0], f.size)
+    left, (u, u2, gauss, lor, tmp), total = work
     c, wl, wr, a, m = (col[:, None] for col in params.T)
-    left = f < c
-    width = np.where(left, wl, wr)
-    u = (f - c) / width
-    u2 = u ** 2
-    gauss = np.exp(-_LN2 * u2)
-    profile = m / (1.0 + u2) + (1.0 - m) * gauss
-    total = (a * profile).sum(axis=0)
+    np.less(f, c, out=left)
+    np.copyto(tmp, wr)
+    np.copyto(tmp, wl, where=left)  # each sample's half-width
+    np.subtract(f, c, out=u)
+    np.divide(u, tmp, out=u)
+    np.square(u, out=u2)
+    np.multiply(-_LN2, u2, out=tmp)
+    np.exp(tmp, out=gauss)
+    np.add(1.0, u2, out=lor)
+    if jac and jac_out is None:
+        jac_out = np.empty((params.shape[0], 5, f.size))
+    # the value-only call has no use for u once it is squared
+    profile = jac_out[:, 3] if jac else u
+    np.divide(m, lor, out=profile)
+    np.multiply(1.0 - m, gauss, out=tmp)
+    np.add(profile, tmp, out=profile)
+    np.multiply(a, profile, out=tmp)
+    tmp.sum(axis=0, out=total)
     if not jac:
         return total
-    lor = 1.0 / (1.0 + u2)
-    # g = -2 (dS/du2) / w, so dS/dcenter = g u and dS/dwidth = g u2
-    g = a * (m * lor ** 2 + (1.0 - m) * _LN2 * gauss) * (2.0 / width)
-    d_width = g * u2
-    columns = (g * u, np.where(left, d_width, 0.0), np.where(left, 0.0, d_width),
-               profile, a * (lor - gauss))
+    d_c, d_wl, d_wr, _, d_m = (jac_out[:, k] for k in range(5))
+    np.divide(1.0, lor, out=lor)
+    # g = -2 (dS/du2) / w, so dS/dcenter = g u and dS/dwidth = g u2; g is
+    # formed in the d_wr column, and 2 / w picked per side like the width
+    g = d_wr
+    np.square(lor, out=g)
+    np.multiply(m, g, out=g)
+    np.multiply((1.0 - m) * _LN2, gauss, out=tmp)
+    np.add(g, tmp, out=g)
+    np.multiply(a, g, out=g)
+    np.copyto(tmp, 2.0 / wr)
+    np.copyto(tmp, 2.0 / wl, where=left)
+    np.multiply(g, tmp, out=g)
+    np.multiply(g, u, out=d_c)
+    np.multiply(g, u2, out=d_wr)
+    d_wl.fill(0.0)
+    np.copyto(d_wl, d_wr, where=left)
+    np.copyto(d_wr, 0.0, where=left)
+    np.subtract(lor, gauss, out=d_m)
+    np.multiply(a, d_m, out=d_m)
     # (n_lines, 5, n_samples) in memory: the transpose is a Fortran-ordered view
-    return total, np.stack(columns, axis=1).reshape(-1, f.size).T
+    return total, jac_out.reshape(-1, f.size).T
+
+
+def _profile_work(n_lines: int, n_samples: int):
+    """_profile's scratch: the left-side mask, five (n_lines, n_samples)
+    float arrays and the summed profile."""
+    return (np.empty((n_lines, n_samples), dtype=bool), np.empty((5, n_lines, n_samples)),
+            np.empty(n_samples))
 
 
 @dataclass(frozen=True)
@@ -320,32 +364,38 @@ def _unpack(vec: np.ndarray) -> list[LineModel]:
 def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
     """Projected Levenberg-Marquardt least squares on the box [lower, upper].
 
-    residuals_jac(x) returns the residual vector and its Jacobian.  Each
+    residuals_jac(x, slot) returns the residual vector and its Jacobian,
+    written into the buffers of slot 0 or 1, which the next call on that
+    slot overwrites.  Each trial step is evaluated into the slot that does
+    not hold the accepted point's, and the two swap on acceptance, so the
+    search allocates no array of the Jacobian's size (MINPACK's lmder
+    evaluates into caller-supplied arrays for the same reason).  Each
     step freezes the variables that sit on a bound with the cost gradient
     pointing out of the box, solves the Marquardt-scaled damped normal
     equations (J^T J + mu D) h = -J^T r on the others by Cholesky and
     clips x + h onto the box.  mu follows Nielsen's gain-ratio update
     (IMM-REP-1999-05); the ftol, xtol and gtol tests follow MINPACK, all
-    at tol.  Returns x with its residuals and Jacobian, and whether a
-    tolerance test, not the max_nfev budget, ended the search.
+    at tol.  Returns x with its residuals, Jacobian and J^T J, and whether
+    a tolerance test, not the max_nfev budget, ended the search.
     """
-    r, jac = residuals_jac(x)
+    slot = 0
+    r, jac = residuals_jac(x, slot)
     nfev = 1
     cost = 0.5 * (r @ r)
     grad, hess = jac.T @ r, jac.T @ jac
-    scale = np.diag(hess).copy()
+    scale = hess.diagonal().copy()
     mu, nu = 1e-3, 2.0
     while True:
         free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
         # gtol: no free Jacobian column is correlated with the residuals
-        norms = np.sqrt(np.diag(hess))[free]
+        norms = np.sqrt(hess.diagonal())[free]
         if np.all(np.abs(grad[free]) <= tol * norms * np.sqrt(2.0 * cost)):
-            return x, r, jac, True
+            return x, r, jac, hess, True
         if nfev >= max_nfev:
-            return x, r, jac, False
+            return x, r, jac, hess, False
         damping = mu * np.where(scale > 0.0, scale, 1.0)[free]
         try:
-            chol = np.linalg.cholesky(hess[np.ix_(free, free)] + np.diag(damping))
+            chol = np.linalg.cholesky(hess[free][:, free] + np.diag(damping))
         except np.linalg.LinAlgError:
             mu, nu = mu * nu, 2.0 * nu
             continue
@@ -353,7 +403,7 @@ def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
         h[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
         x_new = np.clip(x + h, lower, upper)
         step = x_new - x
-        r_new, jac_new = residuals_jac(x_new)
+        r_new, jac_new = residuals_jac(x_new, 1 - slot)
         nfev += 1
         cost_new = 0.5 * (r_new @ r_new)
         actual = cost - cost_new
@@ -363,17 +413,17 @@ def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
         # (MINPACK: 100 %): in a flat width/shape_mix valley the Gauss-Newton
         # model undershoots, and a small step there does not mean the end
         done = ((abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 1.5)
-                or np.linalg.norm(step) <= tol * (tol + np.linalg.norm(x)))
+                or np.sqrt(step @ step) <= tol * (tol + np.sqrt(x @ x)))
         if ratio > 0.0:
-            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            x, r, jac, cost, slot = x_new, r_new, jac_new, cost_new, 1 - slot
             grad, hess = jac.T @ r, jac.T @ jac
-            scale = np.maximum(scale, np.diag(hess))
+            scale = np.maximum(scale, hess.diagonal())
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
             nu = 2.0
         else:
             mu, nu = mu * nu, 2.0 * nu
         if done:
-            return x, r, jac, True
+            return x, r, jac, hess, True
 
 
 def fit_peaks(
@@ -414,17 +464,25 @@ def fit_peaks(
     upper = np.asarray(upper)
     x0 = np.clip(_pack(guesses).ravel(), lower, upper)
 
-    def residuals_jac(vec):
-        total, jac = _profile(vec.reshape(-1, 5), f, jac=True)
-        return total - s, jac
+    # the per-fit buffers: one scratch set, and the residuals and Jacobian
+    # of two points, the accepted one and the trial step
+    work = _profile_work(len(guesses), f.size)
+    residuals = np.empty((2, f.size))
+    jacs = np.empty((2, len(guesses), 5, f.size))
 
-    x, r, jac, converged = _solve_box(residuals_jac, x0, lower, upper,
-                                      max_nfev=max_iter * (x0.size + 1), tol=1e-8)
+    def residuals_jac(vec, slot=None):
+        # without a slot, fresh arrays that the caller may keep
+        bufs = () if slot is None else (work, jacs[slot])
+        total, jac = _profile(vec.reshape(-1, 5), f, True, *bufs)
+        return np.subtract(total, s, out=None if slot is None else residuals[slot]), jac
+
+    x, r, jac, hess, converged = _solve_box(residuals_jac, x0, lower, upper,
+                                            max_nfev=max_iter * (x0.size + 1), tol=1e-8)
     rms = float(np.sqrt(np.mean(r ** 2)))
 
     dof = max(f.size - x0.size, 1)
     try:
-        cov = np.linalg.pinv(jac.T @ jac) * ((r @ r) / dof)
+        cov = np.linalg.pinv(hess) * ((r @ r) / dof)
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         sigmas = np.full(x0.size, np.inf)

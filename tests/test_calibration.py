@@ -108,6 +108,13 @@ class TestSeriesValidation:
         CalibrationSeries(np.arange(4.0) * 1e155, y)
         CalibrationSeries(np.arange(4.0) * 1e-150, y)
 
+    @pytest.mark.filterwarnings("error")
+    def test_control_spread_must_fit_the_float_range(self):
+        y = [0.0, 1.0, 0.0, 1.0]
+        with pytest.raises(InvalidParameterError, match="spread is past the float range"):
+            CalibrationSeries([-1.7e308, -1e308, 1e308, 1.7e308], y)
+        CalibrationSeries([-0.8e308, -1e307, 1e307, 0.8e308], y)
+
     def test_min_length(self):
         with pytest.raises(InvalidParameterError):
             CalibrationSeries([1, 2, 3], [0, 0, 0])
@@ -636,8 +643,9 @@ class TestInputScale:
 
     @pytest.mark.filterwarnings("error")
     def test_every_power_of_two_control_scale_keeps_line_bits(self):
-        # every k whose controls CalibrationSeries accepts and whose weighted
-        # mean fits the float range, on the 12-point log-spaced probe log
+        # every k whose controls CalibrationSeries accepts and whose slope
+        # sigma x 2^-k stays a normal number, on the 12-point log-spaced
+        # probe log; past k = 1011 that sigma loses bits as a subnormal
         i = np.arange(12)
         t = np.geomspace(77.0, 330.0, 12)
         f = 1445.0 - 0.1 * i - 0.5 * np.maximum(i - 8, 0) + 0.01 * np.sin(7 * i)

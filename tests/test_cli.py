@@ -339,6 +339,34 @@ class TestCalibrate:
                     a["intercept"], a["intercept_sigma"]) == (
                 b["slope"], b["slope_sigma"], b["intercept"], b["intercept_sigma"])
 
+    @pytest.mark.parametrize("k", [1012, 1013, 1014, 1015])
+    def test_controls_up_to_the_float_limit(self, tmp_path, capsys, k):
+        """Controls x 2^k up to the largest the float range holds: exit 0 and
+        an empty stderr, breakpoints x 2^k and the lines of the unscaled log,
+        bit for bit, but for the slope sigma, subnormal once x 2^-k."""
+        t, f = probe_log()
+        want = run_calibrate(tmp_path, capsys, t, f, 2, "--invert-frequency", 1444.8)
+        got = run_calibrate(tmp_path, capsys, np.ldexp(t, k), f, 2, "--invert-frequency", 1444.8)
+        assert [math.ldexp(b, -k) for b in got["breakpoints"]] == want["breakpoints"]
+        for a, b in zip(got["segments"], want["segments"]):
+            assert a["index_range"] == b["index_range"]
+            assert (math.ldexp(a["slope"], k), a["intercept"], a["intercept_sigma"]) == (
+                b["slope"], b["intercept"], b["intercept_sigma"])
+            assert math.ldexp(a["slope_sigma"], k) == pytest.approx(b["slope_sigma"], rel=1e-15)
+        assert math.ldexp(got["readout"]["control"], -k) == pytest.approx(
+            want["readout"]["control"], rel=1e-15)
+
+    def test_control_spread_past_float_range_refused(self, tmp_path, capsys):
+        path = tmp_path / "cal.csv"
+        path.write_text("control_value,frequency_mhz\n" + "".join(
+            f"{c!r},{1445.0 - 0.1 * i!r}\n"
+            for i, c in enumerate((1.5e308 * np.linspace(-1.0, 1.0, 12)).tolist())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("calibrate", "--input", path, "--out", tmp_path / "cal.json") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: control spread is past the float range\n")
+
     @pytest.mark.parametrize("scale", [1e10, 1e12])
     def test_readout_at_large_control_scale(self, tmp_path, capsys, scale):
         """A slope of ~6e-13 MHz per control unit is a slope, not zero: the

@@ -1,6 +1,8 @@
 """Lineshape, synthesis, noise-estimation, peak-finding and fitting tests."""
 
 import json
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from odmrsense import (
     transitions_from_zfs,
     write_spectrum,
 )
-from odmrsense.spectra import _find_peaks, _profile
+from odmrsense.spectra import _find_peaks, _profile, _profile_work
 
 
 class TestLineModel:
@@ -60,6 +62,37 @@ def reference_line(line, f):
     profile = (line.shape_mix / (1.0 + u2)
                + (1.0 - line.shape_mix) * np.exp(-np.log(2.0) * u2))
     return line.amplitude * profile
+
+
+def reference_profile(params, f):
+    """Summed profile and (lines, 5, samples) Jacobian of the rows of params,
+    each column in the fresh-array expression chain the buffered evaluation
+    must reproduce bit for bit."""
+    c, wl, wr, a, m = (col[:, None] for col in params.T)
+    left = f < c
+    width = np.where(left, wl, wr)
+    u = (f - c) / width
+    u2 = u ** 2
+    gauss = np.exp(-np.log(2.0) * u2)
+    profile = m / (1.0 + u2) + (1.0 - m) * gauss
+    lor = 1.0 / (1.0 + u2)
+    g = a * (m * lor ** 2 + (1.0 - m) * np.log(2.0) * gauss) * (2.0 / width)
+    d_width = g * u2
+    columns = (g * u, np.where(left, d_width, 0.0), np.where(left, 0.0, d_width),
+               profile, a * (lor - gauss))
+    return (a * profile).sum(axis=0), np.stack(columns, axis=1)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def random_lines(rng, n_lines, mix):
+    """(n_lines, 5) parameters on a 0-200 MHz grid, widths set per side."""
+    mixes = rng.uniform(0.0, 1.0, n_lines) if mix is None else np.full(n_lines, mix)
+    return np.column_stack([rng.uniform(0.0, 200.0, n_lines), rng.uniform(0.05, 20.0, n_lines),
+                            rng.uniform(0.05, 20.0, n_lines), rng.uniform(-1.0, 1.0, n_lines),
+                            mixes])
 
 
 class TestProfile:
@@ -100,6 +133,39 @@ class TestProfile:
                 assert np.array_equal(line.evaluate(f), expected)
                 total += expected
             assert np.array_equal(evaluate_lines(lines, f), total)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_buffered_jacobian_bits_match_expression_chain(self, seed):
+        # fresh arrays, fresh buffers, and buffers last filled for other lines
+        # (other centres move every sample's side): the same bits each time
+        rng = np.random.default_rng(seed)
+        cases = [(np.array([[100.0, 1.3, 2.9, 0.8, 0.37]]), np.linspace(90.0, 110.0, 8)),
+                 (np.array([[100.0, 2.0, 2.0, -0.5, 1.0], [150.0, 0.7, 3.1, 0.25, 0.0]]),
+                  np.linspace(0.0, 200.0, 3000))]
+        for k in range(40):
+            n_lines = k % 5 + 1
+            params = random_lines(rng, n_lines, (0.0, 1.0, None)[k % 3])
+            # samples that fall exactly on each centre
+            f = np.sort(np.concatenate([rng.uniform(0.0, 200.0, int(rng.integers(8, 3001))),
+                                        params[:, 0]]))
+            cases.append((params, f))
+        for params, f in cases:
+            n_lines, n = params.shape[0], f.size
+            want_total, want_jac = reference_profile(params, f)
+            work, jac_out = _profile_work(n_lines, n), np.empty((n_lines, 5, n))
+            other = random_lines(rng, n_lines, None)
+            calls = [_profile(params, f, jac=True), _profile(params, f, True, work, jac_out)]
+            calls[1] = tuple(v.copy(order="K") for v in calls[1])
+            _profile(other, f, True, work, jac_out)
+            calls.append(_profile(params, f, True, work, jac_out))
+            for total, jac in calls:
+                assert same_bits(total, want_total)
+                # the Jacobian is the (samples, 5 * lines) transpose of a C-ordered stack
+                assert jac.T.flags.c_contiguous
+                assert same_bits(jac.T.reshape(n_lines, 5, n), want_jac)
+            _profile(other, f, False, work)
+            assert same_bits(_profile(params, f, False, work), want_total)
+            assert same_bits(_profile(params, f), want_total)
 
 
 class TestSynthesis:
@@ -281,6 +347,56 @@ class TestSolver:
         assert fit.amplitude == 0.0
         assert fit.center_sigma == np.inf
         assert not fit.converged
+
+    def test_trial_step_leaves_the_accepted_point(self, monkeypatch):
+        # the buffered fit against one whose every evaluation hands the solver
+        # fresh copies.  The last case's guess overshoots and its budget ends
+        # after five trials, so the fit returns its starting point's residuals
+        # and Jacobian after writing every trial into the other buffers
+        truth = LineModel.symmetric(50.0, 4.3, 0.01)
+        overshoot = (synthesize([truth], np.arange(25.0, 75.0, 0.1), noise_sigma=0.002, seed=0),
+                     [LineModel.symmetric(53.7, 9.9, 0.001, 1.0)], 1)
+        cases = [(*three_line_case(seed), 200) for seed in range(20)] + [overshoot]
+        costs = []  # each fit's evaluations, the starting point first
+        copying = False
+        solve = spectra._solve_box
+
+        def recording(fun, *args, **kwargs):
+            def evaluate(x, slot=None):
+                r, jac = fun(x, slot)
+                costs[-1].append(0.5 * (r @ r))
+                return (r.copy(), jac.copy(order="K")) if copying else (r, jac)
+            costs.append([])
+            return solve(evaluate, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_solve_box", recording)
+        buffered = [[astuple(p) for p in fit_peaks(*case)] for case in cases]
+        # accepted costs only fall, so a trial costing at least the starting
+        # point's was rejected
+        start, *trials = costs[-1]
+        assert len(trials) == 5 and all(cost >= start for cost in trials)
+        copying = True
+        copied = [[astuple(p) for p in fit_peaks(*case)] for case in cases]
+        assert repr(buffered) == repr(copied)
+
+    def test_fit_memory_is_its_buffers(self):
+        # a windowed 3-line, 3,003-sample fit: its peak is the per-fit buffers
+        # (two Jacobians and residual vectors, five (lines, samples) scratch
+        # arrays, their side mask and the summed profile) plus 256 KiB, which
+        # a fresh Jacobian or temporaries per evaluation would exceed
+        spectrum, guesses = three_line_case(0)
+        n_lines, n = len(guesses), len(spectrum)
+        assert (n_lines, n) == (3, 3003)
+        buffers = 8 * (2 * 5 * n_lines * n + 2 * n + 5 * n_lines * n + n) + n_lines * n
+        fit_peaks(spectrum, guesses)
+        tracemalloc.start()
+        try:
+            fits = fit_peaks(spectrum, guesses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.converged for p in fits)
+        assert peak <= buffers + 256 * 1024, (peak, buffers)
 
 
 class TestAutoGuesses:
