@@ -101,9 +101,11 @@ def _profile(params: np.ndarray, f: np.ndarray, jac: bool = False, work=None, ja
     np.less(f, c, out=left)
     np.copyto(tmp, wr)
     np.copyto(tmp, wl, where=left)  # each sample's half-width
-    np.subtract(f, c, out=u)
-    np.divide(u, tmp, out=u)
-    np.square(u, out=u2)
+    # far past a narrow line u or u2 overflows to inf: the profile's limit, 0
+    with np.errstate(over="ignore"):
+        np.subtract(f, c, out=u)
+        np.divide(u, tmp, out=u)
+        np.square(u, out=u2)
     np.multiply(-_LN2, u2, out=tmp)
     np.exp(tmp, out=gauss)
     np.add(1.0, u2, out=lor)
@@ -361,28 +363,24 @@ def _unpack(vec: np.ndarray) -> list[LineModel]:
     return out
 
 
-def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
+def _solve_box(cost_at, normal_equations, x, lower, upper, max_nfev: int, tol: float):
     """Projected Levenberg-Marquardt least squares on the box [lower, upper].
 
-    residuals_jac(x, slot) returns the residual vector and its Jacobian,
-    written into the buffers of slot 0 or 1, which the next call on that
-    slot overwrites.  Each trial step is evaluated into the slot that does
-    not hold the accepted point's, and the two swap on acceptance, so the
-    search allocates no array of the Jacobian's size (MINPACK's lmder
-    evaluates into caller-supplied arrays for the same reason).  Each
-    step freezes the variables that sit on a bound with the cost gradient
+    cost_at(x) evaluates the model at x and returns the cost r.r / 2, and
+    normal_equations(), called at the start and after each accepted step,
+    returns (J^T r, J^T J) at the point evaluated last: the solver never
+    sees r or J (MINPACK's lmstr keeps them apart the same way).  Each step
+    freezes the variables that sit on a bound with the cost gradient
     pointing out of the box, solves the Marquardt-scaled damped normal
-    equations (J^T J + mu D) h = -J^T r on the others by Cholesky and
-    clips x + h onto the box.  mu follows Nielsen's gain-ratio update
-    (IMM-REP-1999-05); the ftol, xtol and gtol tests follow MINPACK, all
-    at tol.  Returns x with its residuals, Jacobian and J^T J, and whether
-    a tolerance test, not the max_nfev budget, ended the search.
+    equations (J^T J + mu D) h = -J^T r on the others by Cholesky and clips
+    x + h onto the box.  mu follows Nielsen's gain-ratio update
+    (IMM-REP-1999-05); the ftol, xtol and gtol tests follow MINPACK, all at
+    tol.  Returns x, J^T J at x and whether a tolerance test, not the
+    max_nfev budget, ended the search; x may not be the point evaluated last.
     """
-    slot = 0
-    r, jac = residuals_jac(x, slot)
+    cost = cost_at(x)
     nfev = 1
-    cost = 0.5 * (r @ r)
-    grad, hess = jac.T @ r, jac.T @ jac
+    grad, hess = normal_equations()
     scale = hess.diagonal().copy()
     mu, nu = 1e-3, 2.0
     while True:
@@ -390,9 +388,9 @@ def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
         # gtol: no free Jacobian column is correlated with the residuals
         norms = np.sqrt(hess.diagonal())[free]
         if np.all(np.abs(grad[free]) <= tol * norms * np.sqrt(2.0 * cost)):
-            return x, r, jac, hess, True
+            return x, hess, True
         if nfev >= max_nfev:
-            return x, r, jac, hess, False
+            return x, hess, False
         damping = mu * np.where(scale > 0.0, scale, 1.0)[free]
         try:
             chol = np.linalg.cholesky(hess[free][:, free] + np.diag(damping))
@@ -403,9 +401,8 @@ def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
         h[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
         x_new = np.clip(x + h, lower, upper)
         step = x_new - x
-        r_new, jac_new = residuals_jac(x_new, 1 - slot)
+        cost_new = cost_at(x_new)
         nfev += 1
-        cost_new = 0.5 * (r_new @ r_new)
         actual = cost - cost_new
         predicted = -(grad @ step + 0.5 * (step @ hess @ step))
         ratio = actual / predicted if predicted > 0.0 else -1.0
@@ -415,15 +412,15 @@ def _solve_box(residuals_jac, x, lower, upper, max_nfev: int, tol: float):
         done = ((abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 1.5)
                 or np.sqrt(step @ step) <= tol * (tol + np.sqrt(x @ x)))
         if ratio > 0.0:
-            x, r, jac, cost, slot = x_new, r_new, jac_new, cost_new, 1 - slot
-            grad, hess = jac.T @ r, jac.T @ jac
+            x, cost = x_new, cost_new
+            grad, hess = normal_equations()
             scale = np.maximum(scale, hess.diagonal())
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
             nu = 2.0
         else:
             mu, nu = mu * nu, 2.0 * nu
         if done:
-            return x, r, jac, hess, True
+            return x, hess, True
 
 
 def fit_peaks(
@@ -434,7 +431,8 @@ def fit_peaks(
     """Fit a sum of asymmetric pseudo-Voigt lines to a spectrum.
 
     guesses is a sequence of LineModel starting points; None triggers
-    auto_guesses.  All lines are refined jointly.  Non-convergence is
+    auto_guesses.  All lines are refined jointly, and every evaluation
+    overwrites the fit's one residual vector and Jacobian.  Non-convergence is
     reported through the converged flag of every returned PeakFit, not as
     an exception, so partial results stay inspectable.
     """
@@ -464,20 +462,22 @@ def fit_peaks(
     upper = np.asarray(upper)
     x0 = np.clip(_pack(guesses).ravel(), lower, upper)
 
-    # the per-fit buffers: one scratch set, and the residuals and Jacobian
-    # of two points, the accepted one and the trial step
     work = _profile_work(len(guesses), f.size)
-    residuals = np.empty((2, f.size))
-    jacs = np.empty((2, len(guesses), 5, f.size))
+    jac_out = np.empty((len(guesses), 5, f.size))
+    jac = jac_out.reshape(-1, f.size).T  # the view _profile returns
+    r = np.empty(f.size)
+    evaluated = None
 
-    def residuals_jac(vec, slot=None):
-        # without a slot, fresh arrays that the caller may keep
-        bufs = () if slot is None else (work, jacs[slot])
-        total, jac = _profile(vec.reshape(-1, 5), f, True, *bufs)
-        return np.subtract(total, s, out=None if slot is None else residuals[slot]), jac
+    def cost_at(vec):
+        nonlocal evaluated
+        np.subtract(_profile(vec.reshape(-1, 5), f, True, work, jac_out)[0], s, out=r)
+        evaluated = vec
+        return 0.5 * (r @ r)
 
-    x, r, jac, hess, converged = _solve_box(residuals_jac, x0, lower, upper,
-                                            max_nfev=max_iter * (x0.size + 1), tol=1e-8)
+    x, hess, converged = _solve_box(cost_at, lambda: (jac.T @ r, jac.T @ jac), x0, lower,
+                                    upper, max_nfev=max_iter * (x0.size + 1), tol=1e-8)
+    if evaluated is not x:  # the buffers hold a rejected trial step
+        cost_at(x)
     rms = float(np.sqrt(np.mean(r ** 2)))
 
     dof = max(f.size - x0.size, 1)

@@ -67,6 +67,21 @@ class TestSimulate:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize("args", [
+        ("--linewidth", "1e-308"),
+        ("--linewidth", "1e-300", "--fmin", "0", "--fmax", "1", "--step", "0.1"),
+        ("--d-mhz", "1e300", "--e-mhz", "1", "--windows")],
+        ids=["linewidth-1e-308", "linewidth-1e-300-unit-band", "d-1e300-windows"])
+    def test_overflowing_line_offsets_are_quiet(self, tmp_path, capsys, args):
+        """Samples so far from a line that (f - c) / w or its square overflows
+        take the profile's limit, 0, and nothing warns."""
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("simulate", *args, "--out", out)
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+
     def test_bad_amplitudes(self, tmp_path):
         code = run("simulate", "--amplitudes", "1,2", "--windows",
                    "--out", tmp_path / "x.csv")

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -293,20 +292,24 @@ def three_line_case(seed):
 class TestSolver:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scipy_least_squares(self, seed, monkeypatch):
-        # the same box problem handed to SciPy's bounded trust-region solver
+        # the same box problem handed to SciPy's bounded trust-region solver,
+        # with residuals and Jacobian from _profile on the case's spectrum
         from scipy.optimize import least_squares
 
         problems = []
         solve = spectra._solve_box
 
-        def recording(fun, x0, lower, upper, max_nfev, tol):
-            problems.append((fun, x0, lower, upper, max_nfev, tol))
-            return solve(fun, x0, lower, upper, max_nfev, tol)
+        def recording(cost_at, normal_equations, x0, lower, upper, max_nfev, tol):
+            problems.append((x0, lower, upper, max_nfev, tol))
+            return solve(cost_at, normal_equations, x0, lower, upper, max_nfev, tol)
 
         monkeypatch.setattr(spectra, "_solve_box", recording)
-        fits = fit_peaks(*three_line_case(seed))
-        fun, x0, lower, upper, max_nfev, tol = problems[0]
-        ref = least_squares(lambda v: fun(v)[0], x0, jac=lambda v: fun(v)[1],
+        spectrum, guesses = three_line_case(seed)
+        fits = fit_peaks(spectrum, guesses)
+        x0, lower, upper, max_nfev, tol = problems[0]
+        f, s = spectrum.freqs_mhz, spectrum.signal
+        ref = least_squares(lambda v: _profile(v.reshape(-1, 5), f) - s, x0,
+                            jac=lambda v: _profile(v.reshape(-1, 5), f, jac=True)[1],
                             bounds=(lower, upper), method="trf", xtol=tol, ftol=tol,
                             gtol=tol, max_nfev=max_nfev)
         assert ref.success and all(p.converged for p in fits)
@@ -316,6 +319,36 @@ class TestSolver:
         sigma = np.array([p.center_sigma for p in fits])
         assert np.all(np.abs(got - ref.x[0::5]) <= 0.05 * ref_sigma)
         assert np.allclose(sigma, ref_sigma, rtol=1e-2, atol=0.0)
+
+    def test_box_solver_matches_scipy_lsq_linear(self):
+        # the normal equations of a linear least-squares problem whose
+        # unconstrained optimum puts the third variable above its bound
+        from scipy.optimize import lsq_linear
+
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(40, 4))
+        b = a @ np.array([0.5, -1.0, 2.0, 0.3]) + rng.normal(0.0, 0.01, 40)
+        lower, upper = np.full(4, -5.0), np.array([5.0, 5.0, 1.0, 5.0])
+        assert np.linalg.lstsq(a, b, rcond=None)[0][2] > upper[2]
+        point = []
+
+        def cost_at(x):
+            point[:] = [x, a @ x - b]
+            return 0.5 * (point[1] @ point[1])
+
+        def normal_equations():
+            return a.T @ point[1], a.T @ a
+
+        x, hess, converged = spectra._solve_box(cost_at, normal_equations, np.zeros(4),
+                                                lower, upper, max_nfev=100, tol=1e-8)
+        ref = lsq_linear(a, b, bounds=(lower, upper), tol=1e-12)
+        assert converged and ref.success
+        assert x[2] == upper[2] and ref.active_mask[2] == 1
+        # ftol stops the search once the cost is within tol of its minimum,
+        # which leaves x within about sqrt(tol) of it
+        assert cost_at(x) - ref.cost <= 1e-8 * ref.cost
+        assert np.allclose(x, ref.x, rtol=0.0, atol=1e-6)
+        assert np.array_equal(hess, a.T @ a)
 
     def test_lorentzian_pinned_at_mix_one(self, monkeypatch):
         calls = []
@@ -348,46 +381,52 @@ class TestSolver:
         assert fit.center_sigma == np.inf
         assert not fit.converged
 
-    def test_trial_step_leaves_the_accepted_point(self, monkeypatch):
-        # the buffered fit against one whose every evaluation hands the solver
-        # fresh copies.  The last case's guess overshoots and its budget ends
-        # after five trials, so the fit returns its starting point's residuals
-        # and Jacobian after writing every trial into the other buffers
+    def test_fit_statistics_are_the_returned_lines(self, monkeypatch):
+        # residual_rms and center_sigma match those recomputed from a fresh
+        # _profile at the returned lines, bit for bit.  The last case's guess
+        # overshoots and its budget ends after five rejected trials, so the
+        # buffers hold a trial step when the search returns its start
         truth = LineModel.symmetric(50.0, 4.3, 0.01)
         overshoot = (synthesize([truth], np.arange(25.0, 75.0, 0.1), noise_sigma=0.002, seed=0),
                      [LineModel.symmetric(53.7, 9.9, 0.001, 1.0)], 1)
         cases = [(*three_line_case(seed), 200) for seed in range(20)] + [overshoot]
-        costs = []  # each fit's evaluations, the starting point first
-        copying = False
+        costs = []  # the overshoot fit's evaluations, the starting point first
         solve = spectra._solve_box
 
-        def recording(fun, *args, **kwargs):
-            def evaluate(x, slot=None):
-                r, jac = fun(x, slot)
-                costs[-1].append(0.5 * (r @ r))
-                return (r.copy(), jac.copy(order="K")) if copying else (r, jac)
-            costs.append([])
-            return solve(evaluate, *args, **kwargs)
+        def recording(cost_at, *args, **kwargs):
+            def counting(x):
+                costs.append(cost_at(x))
+                return costs[-1]
+            costs.clear()
+            return solve(counting, *args, **kwargs)
 
         monkeypatch.setattr(spectra, "_solve_box", recording)
-        buffered = [[astuple(p) for p in fit_peaks(*case)] for case in cases]
+        for spectrum, guesses, max_iter in cases:
+            fits = fit_peaks(spectrum, guesses, max_iter)
+            f, s = spectrum.freqs_mhz, spectrum.signal
+            params = spectra._pack([p.line for p in fits])
+            total, jac = _profile(params, f, jac=True)
+            r = total - s
+            cov = np.linalg.pinv(jac.T @ jac) * ((r @ r) / max(f.size - params.size, 1))
+            sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))[0::5]
+            sigmas[~jac[:, 0::5].any(axis=0)] = np.inf
+            assert [p.residual_rms for p in fits] == [float(np.sqrt(np.mean(r ** 2)))] * len(fits)
+            assert [p.center_sigma for p in fits] == sigmas.tolist()
         # accepted costs only fall, so a trial costing at least the starting
         # point's was rejected
-        start, *trials = costs[-1]
+        start, *trials = costs
         assert len(trials) == 5 and all(cost >= start for cost in trials)
-        copying = True
-        copied = [[astuple(p) for p in fit_peaks(*case)] for case in cases]
-        assert repr(buffered) == repr(copied)
 
     def test_fit_memory_is_its_buffers(self):
         # a windowed 3-line, 3,003-sample fit: its peak is the per-fit buffers
-        # (two Jacobians and residual vectors, five (lines, samples) scratch
+        # (one Jacobian and residual vector, five (lines, samples) scratch
         # arrays, their side mask and the summed profile) plus 256 KiB, which
-        # a fresh Jacobian or temporaries per evaluation would exceed
+        # a second Jacobian (360,360 B) or a fresh one per evaluation exceeds
         spectrum, guesses = three_line_case(0)
         n_lines, n = len(guesses), len(spectrum)
         assert (n_lines, n) == (3, 3003)
-        buffers = 8 * (2 * 5 * n_lines * n + 2 * n + 5 * n_lines * n + n) + n_lines * n
+        buffers = 8 * (5 * n_lines * n + n + 5 * n_lines * n + n) + n_lines * n
+        assert buffers == 777_777
         fit_peaks(spectrum, guesses)
         tracemalloc.start()
         try:
