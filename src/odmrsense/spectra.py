@@ -144,11 +144,14 @@ def _profile(params: np.ndarray, f: np.ndarray, jac: bool = False, work=None, ja
     return total, jac_out.reshape(-1, f.size).T
 
 
-def _profile_work(n_lines: int, n_samples: int):
+def _profile_work(n_lines: int, n_samples: int, jac: bool = False):
     """_profile's scratch: the left-side mask, five (n_lines, n_samples)
-    float arrays and the summed profile."""
-    return (np.empty((n_lines, n_samples), dtype=bool), np.empty((5, n_lines, n_samples)),
-            np.empty(n_samples))
+    float arrays and the summed profile; with jac, a jac_out buffer too, in
+    one block with the five: as most of a fit's memory, it keeps glibc from
+    trimming the heap as each fit ends and the next fit faulting it back in."""
+    floats = np.empty((1 + jac, 5, n_lines, n_samples))
+    work = (np.empty((n_lines, n_samples), dtype=bool), floats[0], np.empty(n_samples))
+    return (work, floats[1].reshape(n_lines, 5, n_samples)) if jac else work
 
 
 @dataclass(frozen=True)
@@ -462,8 +465,7 @@ def fit_peaks(
     upper = np.asarray(upper)
     x0 = np.clip(_pack(guesses).ravel(), lower, upper)
 
-    work = _profile_work(len(guesses), f.size)
-    jac_out = np.empty((len(guesses), 5, f.size))
+    work, jac_out = _profile_work(len(guesses), f.size, jac=True)
     jac = jac_out.reshape(-1, f.size).T  # the view _profile returns
     r = np.empty(f.size)
     evaluated = None

@@ -1,7 +1,11 @@
 """Lineshape, synthesis, noise-estimation, peak-finding and fitting tests."""
 
 import json
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,6 +440,24 @@ class TestSolver:
             tracemalloc.stop()
         assert all(p.converged for p in fits)
         assert peak <= buffers + 256 * 1024, (peak, buffers)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc's heap trim")
+    def test_fits_reuse_the_freed_heap(self):
+        # in a fresh process, so no earlier test has raised malloc's mmap and
+        # trim thresholds: with the scratch floats and the Jacobian allocated
+        # apart, each 3,003-sample fit faulted about 160 pages back in
+        code = ("import resource, sys; sys.path[:0] = sys.argv[1:]\n"
+                "from test_spectra import three_line_case\n"
+                "from odmrsense import fit_peaks\n"
+                "spectrum, guesses = three_line_case(0)\n"
+                "for _ in range(3): fit_peaks(spectrum, guesses)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(20): fit_peaks(spectrum, guesses)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        here = Path(__file__).resolve().parent
+        done = subprocess.run([sys.executable, "-c", code, str(here), str(here.parent / "src")],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert int(done.stdout) < 20 * 20, done.stdout
 
 
 class TestAutoGuesses:
