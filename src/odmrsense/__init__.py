@@ -63,7 +63,7 @@ _EXPORTS = {
         "zfs_pair_tensor"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("calibration", "dipolar", "kinetics", "spectra", "spin", "textio", "volumetric")
+_SUBMODULES = (*_EXPORTS, "textio")
 
 __version__ = "0.1.0"
 

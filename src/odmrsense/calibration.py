@@ -19,11 +19,11 @@ shotnoise module and is re-exported here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from ._numpy import np
+from .constants import AT_LEAST, AT_MOST, MAX_MAGNITUDE, WITHIN
 from .errors import (
     DataFormatError,
     DivisionDomainError,
@@ -39,19 +39,18 @@ def _validated_1d(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidParameterError(f"{name} must be 1-D")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} contains non-finite values")
+    # the comparison refuses NaN and infinities too
+    if not max(arr.max(initial=0.0), -arr.min(initial=0.0)) <= MAX_MAGNITUDE:
+        raise InvalidParameterError(f"{name} entries must be finite and {AT_MOST}")
     return arr
 
 
-_SIGMA_RULE = "must be positive, with 1/sigma^2 finite and non-zero"
+_SIGMA_RULE = f"must be positive and {WITHIN}"
 
 
 def _sigma_ok(sig: np.ndarray) -> np.ndarray:
     """Per entry, whether a 1-sigma uncertainty keeps _SIGMA_RULE."""
-    with np.errstate(over="ignore", divide="ignore"):
-        weight = 1.0 / sig ** 2  # as segmented_fit weighs the points
-    return (sig > 0) & (weight > 0) & (weight < np.inf)
+    return (sig >= 1.0 / MAX_MAGNITUDE) & (sig <= MAX_MAGNITUDE)
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,10 @@ class CalibrationSeries:
 
     control must be strictly monotone (either direction); freq_sigma, when
     given, holds per-point 1-sigma frequency uncertainties in MHz and
-    turns downstream fits into weighted fits.
+    turns downstream fits into weighted fits.  In the declared range
+    (constants.MAX_MAGNITUDE) every entry is at most 2**100 in magnitude,
+    and control steps, sigmas and a non-zero frequency spread are at least
+    2**-100.
     """
 
     control: np.ndarray
@@ -77,18 +79,13 @@ class CalibrationSeries:
             raise InvalidParameterError("control and freq_mhz lengths differ")
         if ctrl.size < 4:
             raise InvalidParameterError("calibration series needs at least 4 points")
-        with np.errstate(over="ignore"):  # a step past the float range is inf
-            steps = np.diff(ctrl)
+        steps = np.diff(ctrl)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise InvalidParameterError("control must be strictly monotone")
-        spread = abs(float(ctrl[-1]) - float(ctrl[0]))
-        if spread == math.inf:
-            raise InvalidParameterError("control spread is past the float range")
-        # a fit squares control offsets: a spread whose square underflows
-        # leaves every segment's normal equations singular or imprecise
-        if spread * spread < sys.float_info.min:
-            raise InvalidParameterError(
-                f"control spread {spread:g} is too narrow: its square underflows")
+        if np.abs(steps).min() < 1.0 / MAX_MAGNITUDE:
+            raise InvalidParameterError(f"control steps must be {AT_LEAST}")
+        if 0.0 < freq.max() - freq.min() < 1.0 / MAX_MAGNITUDE:
+            raise InvalidParameterError(f"a non-zero freq_mhz spread must be {AT_LEAST}")
         sig = None
         if freq_sigma is not None:
             sig = _validated_1d(freq_sigma, "freq_sigma")
@@ -206,60 +203,55 @@ _MIN_TILE_ENDS = 4
 
 
 def _centred(v, w):
-    """(mean, vc, e): v's weighted mean and vc = (v - mean) * 2**-e, e the
-    exponent of the largest |v - mean| if beyond 2**±200, else 0: sums of
-    products of vc stay well conditioned and neither over- nor underflow.
-    Samples beyond 2**200 are averaged scaled by a power of two, which is
-    exact and keeps the weighted sum inside the float range."""
-    big = math.frexp(np.abs(v).max())[1]
-    big = big if big > 200 else 0
-    mean = np.ldexp(np.average(np.ldexp(v, -big), weights=w), big)
-    vc = v - mean
-    e = math.frexp(np.abs(vc).max())[1]
-    return (mean, np.ldexp(vc, -e), e) if abs(e) > 200 else (mean, vc, 0)
+    """(mean, v - mean), mean v's weighted mean: sums of products of the
+    centred values stay well conditioned, and in CalibrationSeries'
+    declared range inside the normal float range, so nothing is scaled.
+
+    Weights 1/sigma^2 lie within 2**±200 and centred values within 2**101,
+    so a moment sum over n rows is at most n 2**402, below 2**422 for the
+    2**20 rows a table may hold.  A span's det = sw sxx - sx^2 is then
+    below 2**642 and at least w_i w_j (x_i - x_j)^2 >= 2**-600 for any two
+    of its samples, as control steps are at least 2**-100.  Its slope, a
+    weighted mean of pairwise slopes, is at most 2**201, and its SSE at
+    most its moment sum.  A non-zero frequency spread of at least 2**-100
+    keeps the largest weighted square of a centred frequency >= 2**-402.
+    """
+    mean = np.average(v, weights=w)
+    return mean, v - mean
 
 
 def _moment_sums(x, y, w):
     """(sums, xc, yc): (6, n + 1) prefix sums of the weighted moments w,
     w xc, w yc, w xc^2, w xc yc and w yc^2 of the _centred samples xc, yc:
     column b minus column a sums samples a..b-1, so every span sum is O(1)."""
-    (_, xc, _), (_, yc, _) = _centred(x, w), _centred(y, w)
+    (_, xc), (_, yc) = _centred(x, w), _centred(y, w)
     sums = np.zeros((6, x.size + 1))
     np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
               axis=1, out=sums[:, 1:])
     return sums, xc, yc
 
 
-def _segment_line(x, y, w, shift, known_sigma):
+def _segment_line(x, y, w, known_sigma):
     """SegmentFit's slope, intercept, sigmas, covariance and SSE for one
-    segment, its weights w scaled by 2**-shift.  On the _centred samples the
-    slope takes the span costs' formula, the value at the centred origin
-    absorbs the rounding of the means, and the SSE sums residuals (two
-    passes).  Sigmas are square roots in scaled units, unscaled by ldexp:
-    exact, so controls x 2**k scale slope and slope sigma by 2**-k and keep
-    intercept and intercept sigma; an SSE or covariance past the float
-    range is inf."""
-    (xbar, xc, ex), (ybar, yc, ey) = _centred(x, w), _centred(y, w)
+    segment.  On the _centred samples the slope takes the span costs'
+    formula, the value at the centred origin absorbs the rounding of the
+    means, and the SSE sums residuals (two passes)."""
+    (xbar, xc), (ybar, yc) = _centred(x, w), _centred(y, w)
     sw, sx, sy, sxx, sxy = (np.sum(w * v) for v in (1.0, xc, yc, xc * xc, xc * yc))
     det = sw * sxx - sx * sx
     slope = (sw * sxy - sx * sy) / det
     centre = (sy - slope * sx) / sw
     sse = np.sum(w * (yc - (centre + slope * xc)) ** 2)
     # var(slope) = Sw/det, var(intercept) = (Sxx + 2 m Sx + m^2 Sw)/det and
-    # their covariance -(Sx + m Sw)/det, m the scaled mean control, each
-    # times the residual variance when unweighted
-    factor, h = (1.0, -shift // 2) if known_sigma else (
-        sse / (x.size - 2) if x.size > 2 else np.nan, ey)
-    m = np.ldexp(xbar, -ex)
-    with np.errstate(over="ignore"):
-        slope = np.ldexp(slope, ey - ex)
-        return {"slope": float(slope),
-                "intercept": float(ybar + np.ldexp(centre, ey) - slope * xbar),
-                "slope_sigma": float(np.ldexp(np.sqrt(factor * sw / det), h - ex)),
-                "intercept_sigma": float(np.ldexp(
-                    np.sqrt(factor * (sxx + m * (2.0 * sx + m * sw)) / det), h)),
-                "cov_slope_intercept": float(np.ldexp(-factor * (sx + m * sw) / det, 2 * h - ex)),
-                "sse": float(np.ldexp(sse, shift + 2 * ey))}
+    # their covariance -(Sx + m Sw)/det, m the mean control, each times the
+    # residual variance when unweighted
+    factor = 1.0 if known_sigma else sse / (x.size - 2) if x.size > 2 else np.nan
+    return {"slope": float(slope),
+            "intercept": float(ybar + centre - slope * xbar),
+            "slope_sigma": float(np.sqrt(factor * sw / det)),
+            "intercept_sigma": float(np.sqrt(factor * (sxx + xbar * (2.0 * sx + xbar * sw)) / det)),
+            "cov_slope_intercept": float(-factor * (sx + xbar * sw) / det),
+            "sse": float(sse)}
 
 
 def _line_costs(upper, lower, work):
@@ -510,17 +502,20 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     The returned SSE is the exact minimum over all breakpoint placements
     (each segment gets at least two samples) for the requested segment
     count, found by one dynamic program (_segment_dp) and read back by one
-    parent walk; _segment_line fits each segment's line, centred and scaled
-    as the span costs are.  One or two segments skip the full triangle of
-    span costs and take O(n) time.  For three segments the search prunes
-    and the program evaluates: branch and bound (_three_segment_tiles)
-    rules out all but a small share of the breakpoint pairs of a kinked or
-    curved log, and the program evaluates the rest, which takes about 2 ms
-    for n = 3,000 on a 2-vCPU machine.  Where pruning fails, as on pure
-    noise, the search gives up before leaving more than about 5 % of the
-    pairs, and the program evaluates the full triangle: O(k n^2) time and
-    O(k n) memory, at k = 3 about 0.065 s for n = 3,000.  Four or more
-    segments always take the full triangle.  No size is refused.
+    parent walk; _segment_line fits each segment's line, centred as the
+    span costs are.  The series' declared range keeps every moment sum,
+    determinant, line, sigma and SSE inside the normal float range (the
+    bound is proved at _centred), so no input is scaled.  One or two
+    segments skip the full triangle of span costs and take O(n) time.  For
+    three segments the search prunes and the program evaluates: branch and
+    bound (_three_segment_tiles) rules out all but a small share of the
+    breakpoint pairs of a kinked or curved log, and the program evaluates
+    the rest, which takes about 2 ms for n = 3,000 on a 2-vCPU machine.
+    Where pruning fails, as on pure noise, the search gives up before
+    leaving more than about 5 % of the pairs, and the program evaluates the
+    full triangle: O(k n^2) time and O(k n) memory, at k = 3 about 0.065 s
+    for n = 3,000.  Four or more segments always take the full triangle.
+    No size is refused.
     """
     if n_segments < 1:
         raise InvalidParameterError("n_segments must be >= 1")
@@ -533,12 +528,6 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     y = asc.freq_mhz
     known_sigma = asc.freq_sigma is not None
     w = 1.0 / asc.freq_sigma ** 2 if known_sigma else np.ones(n)
-    # Weights far from 1 over- or underflow the weighted moments, so the fit
-    # runs on them scaled by an even power of two: exact, and exact for their
-    # square roots too, so the optimum cannot move.  Ordinary weights stay.
-    e = math.frexp(w.max())[1]
-    shift = e - e % 2 if abs(e) > 200 else 0
-    w = np.ldexp(w, -shift)
     _, parent = _segment_dp(x, y, w, n_segments)
     # recover segment start indices
     bounds = [n]
@@ -549,17 +538,13 @@ def segmented_fit(series: CalibrationSeries, n_segments: int) -> PiecewiseLinear
     segments = []
     total_sse = 0.0
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        line = _segment_line(x[start:stop], y[start:stop], w[start:stop], shift, known_sigma)
+        line = _segment_line(x[start:stop], y[start:stop], w[start:stop], known_sigma)
         total_sse += line["sse"]
         segments.append(SegmentFit(**line, index_range=(start, stop),
                                    control_range=(float(x[start]), float(x[stop - 1]))))
-    # halved before the sum, which cannot overflow
-    breakpoints = np.array([0.5 * x[b - 1] + 0.5 * x[b] for b in bounds[1:-1]])
+    breakpoints = np.array([0.5 * (x[b - 1] + x[b]) for b in bounds[1:-1]])
     return PiecewiseLinearFit(segments, breakpoints, total_sse, n,
                               asc.control_unit, asc.label)
-
-
-_SQUARE_SAFE = 2.0 ** 200
 
 
 def invert_readout(
@@ -574,12 +559,14 @@ def invert_readout(
     uncertainty with the segment's slope/intercept covariance.  Without an
     explicit segment index the frequency must fall in exactly one
     segment's calibrated frequency range; zero matches raise
-    ReadoutRangeError and multiple matches ReadoutAmbiguityError.
+    ReadoutRangeError and multiple matches ReadoutAmbiguityError.  The
+    frequency, its sigma and the control lie in the declared range, at
+    most 2**100 in magnitude; a control past it is a DivisionDomainError.
     """
-    if not math.isfinite(frequency_mhz):
-        raise InvalidParameterError("frequency_mhz must be finite")
-    if frequency_sigma < 0 or not math.isfinite(frequency_sigma):
-        raise InvalidParameterError("frequency_sigma must be finite and >= 0")
+    if not abs(frequency_mhz) <= MAX_MAGNITUDE:
+        raise InvalidParameterError(f"frequency_mhz must be {AT_MOST}")
+    if not 0 <= frequency_sigma <= MAX_MAGNITUDE:
+        raise InvalidParameterError(f"frequency_sigma must be >= 0 and {AT_MOST}")
 
     def in_range(seg: SegmentFit) -> bool:
         lo, hi = seg.freq_range
@@ -604,30 +591,15 @@ def invert_readout(
     if seg.slope == 0:
         raise DivisionDomainError("segment slope is zero; readout is undefined")
     control = (frequency_mhz - seg.intercept) / seg.slope
-    if not math.isfinite(control):
-        raise DivisionDomainError("readout control leaves the float range")
-    f_sigma, i_sigma, s_sigma, cov = (frequency_sigma, seg.intercept_sigma,
-                                      abs(control) * seg.slope_sigma, seg.cov_slope_intercept)
-    calibrated = math.isfinite(seg.slope_sigma) and math.isfinite(i_sigma) and math.isfinite(cov)
-    # s_sigma is the slope's share, in frequency.  Squares of sigmas past
-    # 2**200 can leave the float range, so the variance is then summed in
-    # units of 2**(2 h): exact for a power of two.
-    h = 0
-    if (f_sigma > _SQUARE_SAFE
-            or calibrated and (i_sigma > _SQUARE_SAFE or s_sigma > _SQUARE_SAFE)):
-        h = math.frexp(max(f_sigma, i_sigma, s_sigma) if calibrated else f_sigma)[1]
-        f_sigma, i_sigma, s_sigma = (math.ldexp(v, -h) for v in (f_sigma, i_sigma, s_sigma))
-        cov = math.ldexp(cov, -2 * h)
-    var = f_sigma ** 2
-    if calibrated:
-        var += i_sigma ** 2 + s_sigma ** 2 + 2.0 * control * cov
-    sigma = math.sqrt(max(var, 0.0)) / abs(seg.slope)
-    if h:
-        try:
-            sigma = math.ldexp(sigma, h)
-        except OverflowError:  # the readout sigma itself leaves the float range
-            sigma = math.inf
-    return float(control), sigma
+    if not abs(control) <= MAX_MAGNITUDE:
+        raise DivisionDomainError(f"readout control {control} leaves the range: it must be "
+                                  f"{AT_MOST}")
+    var = frequency_sigma ** 2
+    cov = seg.cov_slope_intercept
+    if math.isfinite(seg.slope_sigma) and math.isfinite(seg.intercept_sigma) and math.isfinite(cov):
+        var += (seg.intercept_sigma ** 2 + (abs(control) * seg.slope_sigma) ** 2
+                + 2.0 * control * cov)
+    return float(control), math.sqrt(max(var, 0.0)) / abs(seg.slope)
 
 
 def write_calibration(series: CalibrationSeries, path) -> Path:

@@ -20,3 +20,13 @@ BOHR_RADIUS_ANGSTROM = 0.529177210903  # angstrom per bohr
 # The SI value carries m^3; 1e30 converts to angstrom^3 and 1e-6 Hz to MHz.
 DIPOLAR_PREFACTOR_MHZ_A3 = (MU0 / (4.0 * math.pi) * (G_ELECTRON * BOHR_MAGNETON) ** 2
                             / PLANCK * 1e30 * 1e-6)
+
+# The declared numeric range (README, "Numeric range"): every input is at
+# most MAX_MAGNITUDE in magnitude and every quantity that must be non-zero
+# at least its reciprocal; the data classes refuse anything else.
+MAX_MAGNITUDE = 2.0 ** 100
+# the range in the words of an error message
+_EXPONENT = math.frexp(MAX_MAGNITUDE)[1] - 1
+AT_MOST = f"at most 2**{_EXPONENT} in magnitude"
+AT_LEAST = f"at least 2**-{_EXPONENT} in magnitude"
+WITHIN = f"between 2**-{_EXPONENT} and 2**{_EXPONENT} in magnitude"

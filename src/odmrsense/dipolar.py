@@ -266,36 +266,33 @@ def zfs_pair_tensor(
     # the kernel first, so its build never overlaps the density spectra
     kernel = _kernel_transforms(phi_i.dims, tuple(map(tuple, phi_i.axes)),
                                 float(cutoff_angstrom))
-    psi_i, psi_j = phi_i.normalized().values, phi_j.normalized().values
+    psi_i, psi_j = phi_i.unit_values(), phi_j.unit_values()
     shape = _padded_shape(phi_i.dims)
 
-    # past the float range (a grid scaled by 1e60, say) the pair phase
-    # overflows to inf and NaN silently; ZfsTensor then refuses the tensor
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the whole pair phase runs in two half spectra: f_i's buffer takes
-        # the products and then f_g, and pair overwrites the first half of
-        # f_j's once f_j is spent, so no other mesh-sized array forms
-        f_i = _half_spectrum((p * p for p in psi_i), phi_i.dims, shape)
-        f_j = _half_spectrum((p * p for p in psi_j), phi_i.dims, shape)
-        # Re(conj(f_i) f_j); pair must be C-contiguous, as a strided .real
-        # view would change the order of the einsum sums below
-        pair = f_j.reshape(-1).view(float)[:f_j.size].reshape(f_j.shape)
-        np.add(np.multiply(f_i.real, f_j.real, out=f_i.real),
-               np.multiply(f_i.imag, f_j.imag, out=f_i.imag), out=pair)
-        f_g = _half_spectrum((p * q for p, q in zip(psi_i, psi_j)), phi_i.dims, shape, f_i)
-        # the exchange term whole before it is subtracted, formed like the
-        # direct one, so that a pair of identical orbitals cancels exactly
-        exchange = np.multiply(f_g.real, f_g.real, out=f_g.real)
-        exchange += np.multiply(f_g.imag, f_g.imag, out=f_g.imag)
-        pair -= exchange
-        dv = phi_i.voxel_volume
-        scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
-        comps = scale * _pair_sums(kernel, pair)
-        tensor = np.empty((3, 3))
-        for value, (a, b) in zip(comps, _COMPONENTS):
-            tensor[a, b] = value
-            tensor[b, a] = value
-        tensor[2, 2] = -(comps[0] + comps[1])
+    # the whole pair phase runs in two half spectra: f_i's buffer takes
+    # the products and then f_g, and pair overwrites the first half of
+    # f_j's once f_j is spent, so no other mesh-sized array forms
+    f_i = _half_spectrum((p * p for p in psi_i), phi_i.dims, shape)
+    f_j = _half_spectrum((p * p for p in psi_j), phi_i.dims, shape)
+    # Re(conj(f_i) f_j); pair must be C-contiguous, as a strided .real
+    # view would change the order of the einsum sums below
+    pair = f_j.reshape(-1).view(float)[:f_j.size].reshape(f_j.shape)
+    np.add(np.multiply(f_i.real, f_j.real, out=f_i.real),
+           np.multiply(f_i.imag, f_j.imag, out=f_i.imag), out=pair)
+    f_g = _half_spectrum((p * q for p, q in zip(psi_i, psi_j)), phi_i.dims, shape, f_i)
+    # the exchange term whole before it is subtracted, formed like the
+    # direct one, so that a pair of identical orbitals cancels exactly
+    exchange = np.multiply(f_g.real, f_g.real, out=f_g.real)
+    exchange += np.multiply(f_g.imag, f_g.imag, out=f_g.imag)
+    pair -= exchange
+    dv = phi_i.voxel_volume
+    scale = 0.5 * DIPOLAR_PREFACTOR_MHZ_A3 * dv * dv
+    comps = scale * _pair_sums(kernel, pair)
+    tensor = np.empty((3, 3))
+    for value, (a, b) in zip(comps, _COMPONENTS):
+        tensor[a, b] = value
+        tensor[b, a] = value
+    tensor[2, 2] = -(comps[0] + comps[1])
     return ZfsTensor(tensor)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import MAX_MAGNITUDE, WITHIN
 from .errors import DivisionDomainError, InvalidParameterError
 
 
@@ -29,14 +30,6 @@ class SensitivityReport:
                    - self.sigma * math.sqrt(self.tau_s))
 
 
-def _finite(value) -> bool:
-    """math.isfinite, and False for an integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def sensitivity(
     sigma: float,
     tau_s: float,
@@ -49,21 +42,17 @@ def sensitivity(
     sigma is the per-shot signal noise, tau_s the shot duration in
     seconds, signal_slope the signal change per MHz of detuning, and
     calib_slope the MHz shift per control unit.  eta then carries
-    control-units per sqrt(Hz).  Slopes enter as magnitudes.
+    control-units per sqrt(Hz).  Slopes enter as magnitudes.  Each input
+    lies in the declared range (constants.MAX_MAGNITUDE), between 2**-100
+    and 2**100, so eta lies within 2**±350 and is never refused.
     """
-    for name, val in (("sigma", sigma), ("tau_s", tau_s)):
-        if not _finite(val) or val <= 0:
-            raise InvalidParameterError(f"{name} must be finite and positive")
-    for name, val in (("signal_slope", signal_slope), ("calib_slope", calib_slope)):
-        if not _finite(val) or val < 0:
-            raise InvalidParameterError(f"{name} must be finite and >= 0")
-        if val == 0:
+    # the comparisons refuse NaN, infinities and integers too large for a
+    # float before any arithmetic
+    for name, val in (("sigma", sigma), ("tau_s", tau_s), ("signal_slope", signal_slope),
+                      ("calib_slope", calib_slope)):
+        if val == 0 and name.endswith("slope"):
             raise DivisionDomainError(f"{name} is zero; sensitivity diverges")
-    # an overflow or underflow raises no warning here and is refused below
-    slopes = float(signal_slope) * float(calib_slope)
-    eta = float(sigma) * math.sqrt(tau_s) / slopes if slopes else math.inf
-    if not 0.0 < eta < math.inf:
-        raise InvalidParameterError(
-            f"eta = sigma sqrt(tau) / (signal_slope * calib_slope) is {eta}: "
-            "the inputs' magnitudes leave the float range")
+        if not 1.0 / MAX_MAGNITUDE <= val <= MAX_MAGNITUDE:
+            raise InvalidParameterError(f"{name} must be positive and {WITHIN}")
+    eta = float(sigma) * math.sqrt(tau_s) / (float(signal_slope) * float(calib_slope))
     return SensitivityReport(eta, sigma, tau_s, signal_slope, calib_slope, unit)

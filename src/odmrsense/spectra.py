@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ._numpy import np
+from .constants import AT_LEAST, AT_MOST, MAX_MAGNITUDE
 from .errors import DataFormatError, FitConvergenceError, InvalidParameterError
 from .textio import read_sidecar, read_table, sidecar_path, write_table
 
@@ -191,7 +192,8 @@ _SIDECAR_TYPES = {
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Signal on a strictly increasing grid (MHz) spanning >= 2**-500; every |sample| <= 2**500."""
+    """Signal on a strictly increasing grid (MHz), in the declared range
+    (constants.MAX_MAGNITUDE): every |sample| <= 2**100, a span >= 2**-100."""
 
     freqs_mhz: np.ndarray
     signal: np.ndarray
@@ -204,19 +206,18 @@ class Spectrum:
             raise InvalidParameterError("freqs and signal must be equal-length 1-D arrays")
         if f.size < 8:
             raise InvalidParameterError("spectrum needs at least 8 samples")
-        if not np.all(np.isfinite(f)) or not np.all(np.isfinite(s)):
-            raise InvalidParameterError("spectrum contains non-finite values")
-        # 2**500 keeps a sum of squares over any table's rows (fewer than
-        # 2**20) below 2**1020, so the fit's costs and covariance stay finite
+        # the comparison refuses NaN and infinities too; the range keeps a
+        # sum of squares over any table's rows (fewer than 2**20) below
+        # 2**220, so the fit's costs and covariance stay finite
         for name, values in (("freqs_mhz", f), ("signal", s)):
-            if not np.all(np.abs(values) <= 2.0 ** 500):
-                raise InvalidParameterError(f"{name} entries must be at most 2**500 in magnitude")
+            if not max(values.max(), -values.min()) <= MAX_MAGNITUDE:
+                raise InvalidParameterError(f"{name} entries must be finite and {AT_MOST}")
         if np.any(np.diff(f) <= 0):
             raise InvalidParameterError("frequency grid must be strictly increasing")
-        # a span of at least 2**-500 does the same for the fit's Jacobian,
-        # whose center and width derivatives grow near 1 / span
-        if f[-1] - f[0] < 2.0 ** -500:
-            raise InvalidParameterError("frequency grid must span at least 2**-500 MHz")
+        # and its span does the same for the fit's Jacobian, whose center
+        # and width derivatives grow near 1 / span
+        if f[-1] - f[0] < 1.0 / MAX_MAGNITUDE:
+            raise InvalidParameterError(f"frequency grid span must be {AT_LEAST}")
         object.__setattr__(self, "freqs_mhz", f)
         object.__setattr__(self, "signal", s)
         object.__setattr__(self, "meta", meta)

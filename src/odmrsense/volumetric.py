@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._numpy import np
-from .constants import BOHR_RADIUS_ANGSTROM
+from .constants import AT_LEAST, AT_MOST, BOHR_RADIUS_ANGSTROM, MAX_MAGNITUDE
 from .errors import CubeParseError, GridMismatchError, InvalidParameterError
 from .textio import number_block, numbers, open_input, read_bytes, write_lines
 
@@ -42,7 +42,11 @@ class OrbitalGrid:
 
     origin is the position of values[0, 0, 0] in angstrom; axes rows are
     the three step vectors, so the sample at index (i, j, k) sits at
-    origin + i axes[0] + j axes[1] + k axes[2].
+    origin + i axes[0] + j axes[1] + k axes[2].  In the declared range
+    (constants.MAX_MAGNITUDE), every entry is at most 2**100 in magnitude,
+    every step at least 2**-100 long, the voxel at least 2**-300 and a
+    non-zero grid's largest |value| at least 2**-100, so no square, moment
+    or pair phase formed from it leaves the normal float range.
     """
 
     origin: np.ndarray
@@ -55,14 +59,21 @@ class OrbitalGrid:
         val = np.asarray(values, dtype=float)
         if org.shape != (3,) or axs.shape != (3, 3):
             raise InvalidParameterError("origin must be (3,) and axes (3, 3)")
-        if not (np.all(np.isfinite(org)) and np.all(np.isfinite(axs))):
-            raise InvalidParameterError("grid geometry contains non-finite values")
+        # each comparison refuses NaN and inf too
+        if not max(np.abs(org).max(), np.abs(axs).max()) <= MAX_MAGNITUDE:
+            raise InvalidParameterError(f"grid geometry must be finite and {AT_MOST}")
+        if not np.linalg.norm(axs, axis=1).min() >= 1.0 / MAX_MAGNITUDE:
+            raise InvalidParameterError(f"grid steps must be {AT_LEAST}")
+        if abs(np.linalg.det(axs)) < MAX_MAGNITUDE ** -3:
+            raise InvalidParameterError(
+                f"axes are singular: the voxel volume must be at least {MAX_MAGNITUDE ** -3:.3g}")
         if val.ndim != 3 or min(val.shape) < 1:
             raise InvalidParameterError("values must be a non-empty 3-D array")
-        if not np.all(np.isfinite(val)):
-            raise InvalidParameterError("values contain non-finite entries")
-        if abs(np.linalg.det(axs)) < 1e-300:
-            raise InvalidParameterError("axes are singular")
+        big = max(val.max(), -val.min())  # no grid-sized temporary
+        if not big <= MAX_MAGNITUDE:
+            raise InvalidParameterError(f"values must be finite and {AT_MOST}")
+        if 0.0 < big < 1.0 / MAX_MAGNITUDE:
+            raise InvalidParameterError(f"a non-zero grid's largest value must be {AT_LEAST}")
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "axes", axs)
         object.__setattr__(self, "values", val)
@@ -83,38 +94,20 @@ class OrbitalGrid:
         idx = np.stack([i, j, k], axis=-1).astype(float)
         return self.origin + idx @ self.axes
 
-    def _scaled_norm_squared(self) -> tuple[float, int]:
-        """(nsq, e): the integral of phi^2 is nsq * 4**e, exactly."""
-        squares, e = _scaled_squares(self.values)
-        return float(np.sum(squares) * self.voxel_volume), e
-
     def norm_squared(self) -> float:
-        """Integral of phi^2 over the box (inf or 0.0 past the float range)."""
-        nsq, e = self._scaled_norm_squared()
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(nsq, 2 * e))
+        """Integral of phi^2 over the box."""
+        return float(np.sum(np.square(self.values)) * self.voxel_volume)
+
+    def unit_values(self) -> np.ndarray:
+        """values rescaled to unit norm, as an array: they may pass 2**100."""
+        nsq = self.norm_squared()
+        if nsq <= 0:
+            raise InvalidParameterError("cannot normalize an all-zero orbital")
+        return self.values / np.sqrt(nsq)
 
     def normalized(self) -> "OrbitalGrid":
         """Copy rescaled to unit norm (integral of phi^2 = 1)."""
-        nsq, e = self._scaled_norm_squared()
-        if nsq <= 0:
-            raise InvalidParameterError("cannot normalize an all-zero orbital")
-        return OrbitalGrid(self.origin, self.axes, self.values / np.ldexp(np.sqrt(nsq), e))
-
-
-def _scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(squares, e): (values / 2**e)**2 in one fresh array.
-
-    e is the binary exponent of max |values|, so the squares lie in
-    [0, 1) and neither overflow nor underflow for finite values of any
-    magnitude (Higham 2002, scaling before squaring).  Scaling by a power
-    of two is exact, so where values**2 stays in the float range the
-    squares, and sums and moments formed from them, are those of
-    values**2 times 4**-e bit for bit.
-    """
-    e = int(np.frexp(max(values.max(), -values.min()))[1])
-    squares = np.ldexp(values, -e)
-    return np.square(squares, out=squares), e
+        return OrbitalGrid(self.origin, self.axes, self.unit_values())
 
 
 def assert_commensurate(a: OrbitalGrid, b: OrbitalGrid) -> None:
@@ -194,11 +187,11 @@ def orbital_stats(grid: OrbitalGrid) -> OrbitalStats:
     the index moments of the density's 1-D and 2-D marginals: the
     centroid is origin + mean_index @ axes, and the second moments are
     the diagonal of axes^T C axes for the 3x3 index covariance C.  The
-    moments are formed on _scaled_squares, so they are finite for grids
-    of any finite magnitude; norm, the integral of phi^2 itself, is inf
-    where it overflows (values near 1e300) and 0.0 where it underflows.
+    grid's declared range keeps the largest density phi^2 times the voxel
+    volume within about 2**±500, so norm, the integral of phi^2, and every
+    moment are finite, and norm is non-zero for a non-zero grid.
     """
-    density, e = _scaled_squares(grid.values)
+    density = np.square(grid.values)
     density *= grid.voxel_volume
     total = float(density.sum())
     if total <= 0:
@@ -214,9 +207,7 @@ def orbital_stats(grid: OrbitalGrid) -> OrbitalStats:
     for (a, b), marginal in pairs.items():
         cov[a, b] = cov[b, a] = rel[a] @ marginal @ rel[b] / total
     second = np.einsum("ac,ab,bc->c", grid.axes, cov, grid.axes)
-    with np.errstate(over="ignore"):
-        norm = float(np.ldexp(total, 2 * e))
-    return OrbitalStats(norm=norm, centroid=grid.origin + mean @ grid.axes,
+    return OrbitalStats(norm=total, centroid=grid.origin + mean @ grid.axes,
                         spread=np.sqrt(second))
 
 

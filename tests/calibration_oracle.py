@@ -12,7 +12,6 @@ arithmetic.  Quadratic cost in calls as well as arithmetic: modest
 lengths only.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +25,7 @@ from odmrsense import (
     SegmentFit,
 )
 from odmrsense.calibration import _segment_line
+from odmrsense.constants import AT_MOST, MAX_MAGNITUDE
 
 
 def segment_dp(x, y, w, n_segments):
@@ -37,11 +37,6 @@ def segment_dp(x, y, w, n_segments):
     n = x.size
     xc = x - np.average(x, weights=w)
     yc = y - np.average(y, weights=w)
-    # centred samples past 2**±200 on a power-of-two scale, as the library
-    # forms its moment sums
-    ex, ey = (math.frexp(np.abs(v).max())[1] for v in (xc, yc))
-    xc = np.ldexp(xc, -ex) if abs(ex) > 200 else xc
-    yc = np.ldexp(yc, -ey) if abs(ey) > 200 else yc
     sums = np.zeros((6, n + 1))
     np.cumsum([w, w * xc, w * yc, w * xc * xc, w * xc * yc, w * yc * yc],
               axis=1, out=sums[:, 1:])
@@ -79,11 +74,6 @@ def segmented_fit(series, n_segments):
     y = asc.freq_mhz
     known_sigma = asc.freq_sigma is not None
     w = 1.0 / asc.freq_sigma ** 2 if known_sigma else np.ones(n)
-    # weights past 2**±200 on an even power-of-two scale, as the library
-    # weighs the points
-    e = math.frexp(w.max())[1]
-    shift = e - e % 2 if abs(e) > 200 else 0
-    w = np.ldexp(w, -shift)
     _, parent = segment_dp(x, y, w, n_segments)
 
     bounds = [n]
@@ -98,7 +88,7 @@ def segmented_fit(series, n_segments):
     segments = []
     total_sse = 0.0
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        line = _segment_line(x[start:stop], y[start:stop], w[start:stop], shift, known_sigma)
+        line = _segment_line(x[start:stop], y[start:stop], w[start:stop], known_sigma)
         total_sse += line["sse"]
         segments.append(SegmentFit(**line, index_range=(start, stop),
                                    control_range=(float(x[start]), float(x[stop - 1]))))
@@ -136,10 +126,10 @@ def freq_range(seg):
 
 def invert_readout(fit, frequency_mhz, segment=None, frequency_sigma=0.0):
     """odmrsense.invert_readout with numpy scalars throughout."""
-    if not np.isfinite(frequency_mhz):
-        raise InvalidParameterError("frequency_mhz must be finite")
-    if frequency_sigma < 0 or not np.isfinite(frequency_sigma):
-        raise InvalidParameterError("frequency_sigma must be finite and >= 0")
+    if not abs(frequency_mhz) <= MAX_MAGNITUDE:
+        raise InvalidParameterError(f"frequency_mhz must be {AT_MOST}")
+    if not 0 <= frequency_sigma <= MAX_MAGNITUDE:
+        raise InvalidParameterError(f"frequency_sigma must be >= 0 and {AT_MOST}")
 
     def in_range(seg: SegmentFit) -> bool:
         lo, hi = freq_range(seg)
@@ -164,8 +154,9 @@ def invert_readout(fit, frequency_mhz, segment=None, frequency_sigma=0.0):
     if seg.slope == 0:
         raise DivisionDomainError("segment slope is zero; readout is undefined")
     control = (frequency_mhz - seg.intercept) / seg.slope
-    if not np.isfinite(control):
-        raise DivisionDomainError("readout control leaves the float range")
+    if not abs(control) <= MAX_MAGNITUDE:
+        raise DivisionDomainError(f"readout control {control} leaves the range: it must be "
+                                  f"{AT_MOST}")
     var = frequency_sigma ** 2
     cov = seg.cov_slope_intercept
     if np.isfinite(seg.slope_sigma) and np.isfinite(seg.intercept_sigma) and np.isfinite(cov):

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -40,6 +41,11 @@ from odmrsense import (
 )
 from odmrsense import calibration
 from odmrsense.calibration import _MIN_TILE_ENDS, _TILE_SPANS
+from odmrsense.constants import MAX_MAGNITUDE
+
+TINY = 1.0 / MAX_MAGNITUDE
+PAST = math.nextafter(MAX_MAGNITUDE, math.inf)  # one ulp past the range
+SHORT = math.nextafter(TINY, 0.0)  # one ulp short of it
 
 
 def brute_force_sse(x, y, n_segments, sigma=None):
@@ -93,27 +99,55 @@ class TestSeriesValidation:
 
     @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
     def test_sigma_positive(self):
-        # 0, and sigmas whose weight 1/sigma^2 overflows to inf or falls to 0
+        # 0, and sigmas whose weight 1/sigma^2 would overflow or underflow
         for sigma in (0.0, 1e-155, 1.4e154):
             with pytest.raises(InvalidParameterError):
                 CalibrationSeries([1, 2, 3, 4], [0, 0, 0, 0], [1, 1, sigma, 1])
 
     def test_control_spread_square_must_not_underflow(self):
-        # the fit squares control offsets; squares past the top of the float
-        # range stay accepted (the overflow cases of TestOracleEquivalence)
+        # the fit squares control offsets: steps of at least 2**-100 keep
+        # every span's squares and determinant normal numbers
         y = [0.0, 1.0, 0.0, 1.0]
-        for scale in (1e-160, 1e-200):
-            with pytest.raises(InvalidParameterError, match="its square underflows"):
+        for scale in (1e-200, 1e-160, 1e-150, SHORT):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^control steps must be at least 2\*\*-100 in magnitude$"):
                 CalibrationSeries(np.arange(4.0) * scale, y)
-        CalibrationSeries(np.arange(4.0) * 1e155, y)
-        CalibrationSeries(np.arange(4.0) * 1e-150, y)
+        CalibrationSeries(np.arange(4.0) * TINY, y)
 
     @pytest.mark.filterwarnings("error")
     def test_control_spread_must_fit_the_float_range(self):
         y = [0.0, 1.0, 0.0, 1.0]
-        with pytest.raises(InvalidParameterError, match="spread is past the float range"):
-            CalibrationSeries([-1.7e308, -1e308, 1e308, 1.7e308], y)
-        CalibrationSeries([-0.8e308, -1e307, 1e307, 0.8e308], y)
+        for controls in ([-1.7e308, -1e308, 1e308, 1.7e308], [-0.8e308, -1e307, 1e307, 0.8e308]):
+            with pytest.raises(InvalidParameterError, match=r"^control entries must be finite "
+                                                            r"and at most 2\*\*100 in magnitude$"):
+                CalibrationSeries(controls, y)
+        CalibrationSeries(MAX_MAGNITUDE * np.array([-1.0, -0.5, 0.5, 1.0]), y)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("control, freq, sigma, message", [
+        ([0.0, 1.0, 2.0, PAST], [0.0, 1.0, 0.0, 1.0], None,
+         "control entries must be finite and at most"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, -PAST], None,
+         "freq_mhz entries must be finite and at most"),
+        ([0.0, SHORT, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0], None, "control steps must be at least"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, SHORT, SHORT], None,
+         "a non-zero freq_mhz spread must be at least"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], [1.0, SHORT, 1.0, 1.0],
+         "freq_sigma entries must be positive and between"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], [1.0, PAST, 1.0, 1.0],
+         "freq_sigma entries must be finite and at most"),
+    ], ids=["control", "freq", "step", "freq-spread", "sigma-short", "sigma-past"])
+    def test_one_ulp_past_the_range_refused(self, control, freq, sigma, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}"):
+            CalibrationSeries(control, freq, sigma)
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_edges_accepted(self):
+        # every quantity exactly at its edge, and a flat frequency log
+        CalibrationSeries([-MAX_MAGNITUDE, 0.0, TINY, MAX_MAGNITUDE], [0.0, MAX_MAGNITUDE,
+                          -MAX_MAGNITUDE, TINY], [TINY, MAX_MAGNITUDE, 1.0, 1.0])
+        CalibrationSeries([0.0, 1.0, 2.0, 3.0], [1e-300] * 4)
+        CalibrationSeries([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, TINY, TINY])
 
     def test_min_length(self):
         with pytest.raises(InvalidParameterError):
@@ -395,17 +429,22 @@ class TestOracleEquivalence:
             assert_matches_oracle(series, n_segments)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e150, 3e153, 1e155])
-    def test_overflowing_moments_match_oracle(self, scale):
-        # controls whose squares leave the float range are centred on a
-        # power-of-two scale before the moment sums, so every span cost is
-        # finite and the segments are the unscaled log's
-        x = np.linspace(-scale, scale, 40)
-        y = np.random.default_rng(1).normal(0.0, 1.0, 40)
+    @pytest.mark.parametrize("control_exp, freq_exp, sigma", [
+        (100, 0, None), (-95, 0, None), (0, 98, None), (0, -100, None),
+        (0, 0, TINY), (0, 0, MAX_MAGNITUDE), (100, -100, TINY), (-95, 98, MAX_MAGNITUDE)],
+        ids=["control-2^100", "control-2^-95", "freq-2^98", "freq-2^-100", "sigma-2^-100",
+             "sigma-2^100", "corner-1", "corner-2"])
+    def test_range_corners_match_oracle(self, control_exp, freq_exp, sigma):
+        # logs scaled by powers of two to the corners of the declared range
+        # (largest controls, smallest steps, largest frequencies, smallest
+        # spread, extreme uniform sigmas): the moment sums stay finite
+        # unscaled, and the segments are the unscaled log's
+        x = np.ldexp(np.linspace(-1.0, 1.0, 40), control_exp)
+        y = np.ldexp(np.random.default_rng(1).normal(0.0, 1.0, 40), freq_exp)
+        series = CalibrationSeries(x, y, None if sigma is None else np.full(40, sigma))
         for n_segments in (2, 3, 4):
-            assert_matches_oracle(CalibrationSeries(x, y), n_segments)
-            ranges = [seg.index_range for seg in
-                      segmented_fit(CalibrationSeries(x, y), n_segments).segments]
+            assert_matches_oracle(series, n_segments)
+            ranges = [seg.index_range for seg in segmented_fit(series, n_segments).segments]
             unscaled = segmented_fit(CalibrationSeries(np.linspace(-1.0, 1.0, 40), y),
                                      n_segments)
             assert ranges == [seg.index_range for seg in unscaled.segments]
@@ -428,8 +467,8 @@ def structured_series(n, seed, shape, weighted, ties, sigma_scale):
 
     ties gives each pair of neighbouring rows one frequency, rounded to
     0.01 MHz, so span costs and candidate sums tie; sigma_scale multiplies
-    every sigma (or sets a uniform one), reaching the weights
-    segmented_fit rescales.
+    every sigma (or sets a uniform one), reaching the weights at the
+    corners of the declared range.
     """
     rng = np.random.default_rng(seed)
     x = np.cumsum(rng.uniform(0.5, 2.0, n)) if seed % 2 else np.linspace(77.0, 330.0, n)
@@ -451,6 +490,11 @@ def structured_series(n, seed, shape, weighted, ties, sigma_scale):
     if not weighted and sigma_scale == 1.0:
         sigma = None
     return CalibrationSeries(x, y, None if sigma is None else sigma * sigma_scale)
+
+
+# sigma scales that take structured_series' sigmas (0.005-0.02) and
+# drawn_series' (0.1-2.0) to the corners of the declared range
+SIGMA_SCALES = (1.0, 2.0 ** -92, 2.0 ** 99)
 
 
 def spy(patch, name):
@@ -509,9 +553,9 @@ class TestThreeSegmentSearch:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(150, 2500), seed=st.integers(0, 2 ** 32 - 1),
            shape=st.sampled_from(["kinked", "curved"]), weighted=st.booleans(),
-           ties=st.booleans(), sigma_scale=st.sampled_from([1.0, 1e-150, 1e150]))
-    @example(n=2500, seed=1, shape="curved", weighted=True, ties=True, sigma_scale=1e150)
-    @example(n=150, seed=2, shape="kinked", weighted=False, ties=True, sigma_scale=1e-150)
+           ties=st.booleans(), sigma_scale=st.sampled_from(SIGMA_SCALES))
+    @example(n=2500, seed=1, shape="curved", weighted=True, ties=True, sigma_scale=SIGMA_SCALES[2])
+    @example(n=150, seed=2, shape="kinked", weighted=False, ties=True, sigma_scale=SIGMA_SCALES[1])
     def test_search_matches_dp(self, n, seed, shape, weighted, ties, sigma_scale):
         # on structured logs the search prunes to within its budget, and the
         # DP on its tiles walks the full triangle's parents; ordinary sigmas
@@ -533,14 +577,14 @@ class TestThreeSegmentSearch:
     @given(n=st.integers(6, 400), seed=st.integers(0, 2 ** 32 - 1),
            shape=st.sampled_from(["kinked", "curved", "noisy", "rounded", "flat"]),
            weighted=st.booleans(), ties=st.booleans(),
-           sigma_scale=st.sampled_from([1.0, 1e-150, 1e150]), small_tiles=st.booleans())
+           sigma_scale=st.sampled_from(SIGMA_SCALES), small_tiles=st.booleans())
     @example(n=9, seed=153, shape="flat", weighted=True, ties=False, sigma_scale=1.0,
              small_tiles=False)
     @example(n=40, seed=6, shape="flat", weighted=False, ties=False, sigma_scale=1.0,
              small_tiles=True)
-    @example(n=300, seed=4, shape="kinked", weighted=True, ties=True, sigma_scale=1e-150,
+    @example(n=300, seed=4, shape="kinked", weighted=True, ties=True, sigma_scale=SIGMA_SCALES[1],
              small_tiles=True)
-    @example(n=301, seed=5, shape="curved", weighted=False, ties=True, sigma_scale=1e150,
+    @example(n=301, seed=5, shape="curved", weighted=False, ties=True, sigma_scale=SIGMA_SCALES[2],
              small_tiles=False)
     def test_search_tiles_and_triangle_agree(self, n, seed, shape, weighted, ties,
                                              sigma_scale, small_tiles):
@@ -611,23 +655,35 @@ class TestThreeSegmentSearch:
 
 
 class TestInputScale:
-    """Breakpoints do not depend on the scale of frequencies or controls."""
+    """Inside the declared range breakpoints do not depend on the scale of
+    frequencies or controls; a log scaled past it is refused."""
 
     @staticmethod
     def kinked_log():
         series = temperature_series(seed=4, n=60)
         return series.control, series.freq_mhz
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_segments", [2, 3])
-    @pytest.mark.parametrize("freq_scale, control_exp", [
-        (2.0 ** 700, 0), (2.0 ** -700, 0), (1.0, 520), (1.0, -480)],
-        ids=["freq-2^700", "freq-2^-700", "control-2^520", "control-2^-480"])
-    def test_power_of_two_scale_keeps_bits(self, n_segments, freq_scale, control_exp):
+    @pytest.mark.parametrize("freq_exp, control_exp", [
+        (700, 0), (-700, 0), (0, 520), (0, -480), (89, 0), (-104, 0), (0, 91), (0, -102),
+        (90, 0), (-105, 0), (0, 92), (0, -103)],
+        ids=["freq-2^700", "freq-2^-700", "control-2^520", "control-2^-480",
+             "freq-2^89", "freq-2^-104", "control-2^91", "control-2^-102",
+             "freq-2^90", "freq-2^-105", "control-2^92", "control-2^-103"])
+    def test_power_of_two_scale_keeps_bits(self, n_segments, freq_exp, control_exp):
         # an exact rescaling: the same index ranges, and breakpoints that are
-        # the unscaled log's times the same power of two
+        # the unscaled log's times the same power of two, up to the scales
+        # that bring the log to the range's edges (largest frequency, least
+        # frequency spread, largest control, least step); one power of two
+        # further, the log is refused
         t, f = self.kinked_log()
         want = segmented_fit(CalibrationSeries(t, f), n_segments)
-        got = segmented_fit(CalibrationSeries(np.ldexp(t, control_exp), f * freq_scale),
+        if not (-104 <= freq_exp <= 89 and -102 <= control_exp <= 91):
+            with pytest.raises(InvalidParameterError, match=r"2\*\*-?100 in magnitude$"):
+                CalibrationSeries(np.ldexp(t, control_exp), np.ldexp(f, freq_exp))
+            return
+        got = segmented_fit(CalibrationSeries(np.ldexp(t, control_exp), np.ldexp(f, freq_exp)),
                             n_segments)
         assert ([seg.index_range for seg in got.segments]
                 == [seg.index_range for seg in want.segments])
@@ -636,34 +692,42 @@ class TestInputScale:
         # all four the frequency scale
         for seg_got, seg_want in zip(got.segments, want.segments):
             assert_same_bits(
-                np.ldexp([seg_got.slope, seg_got.slope_sigma], control_exp) / freq_scale,
+                np.ldexp([seg_got.slope, seg_got.slope_sigma], control_exp - freq_exp),
                 [seg_want.slope, seg_want.slope_sigma])
-            assert_same_bits(np.array([seg_got.intercept, seg_got.intercept_sigma]) / freq_scale,
+            assert_same_bits(np.ldexp([seg_got.intercept, seg_got.intercept_sigma], -freq_exp),
                              [seg_want.intercept, seg_want.intercept_sigma])
 
     @pytest.mark.filterwarnings("error")
     def test_every_power_of_two_control_scale_keeps_line_bits(self):
-        # every k whose controls CalibrationSeries accepts and whose slope
-        # sigma x 2^-k stays a normal number, on the 12-point log-spaced
-        # probe log; past k = 1011 that sigma loses bits as a subnormal
+        # every k whose controls CalibrationSeries accepts, on the 12-point
+        # log-spaced probe log: its steps reach 2**-100 at k = -103 and its
+        # controls 2**100 at k = 91
         i = np.arange(12)
         t = np.geomspace(77.0, 330.0, 12)
         f = 1445.0 - 0.1 * i - 0.5 * np.maximum(i - 8, 0) + 0.01 * np.sin(7 * i)
         want = [(seg.index_range, seg.slope, seg.slope_sigma, seg.intercept, seg.intercept_sigma)
                 for seg in segmented_fit(CalibrationSeries(t, f), 2).segments]
-        for k in range(-518, 1012):
+        for k in range(-103, 92):
             got = [(seg.index_range, math.ldexp(seg.slope, k), math.ldexp(seg.slope_sigma, k),
                     seg.intercept, seg.intercept_sigma)
                    for seg in segmented_fit(CalibrationSeries(np.ldexp(t, k), f), 2).segments]
             assert got == want, k
-        with pytest.raises(InvalidParameterError, match="too narrow"):
-            CalibrationSeries(np.ldexp(t, -519), f)
+        with pytest.raises(InvalidParameterError, match="control steps must be at least"):
+            CalibrationSeries(np.ldexp(t, -104), f)
+        with pytest.raises(InvalidParameterError, match="control entries must be finite"):
+            CalibrationSeries(np.ldexp(t, 92), f)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_segments", [2, 3])
-    @pytest.mark.parametrize("freq_scale", [1e297, 1e-300])
+    @pytest.mark.parametrize("freq_scale", [1e297, 1e-300, 1e26, 1e-29])
     def test_extreme_frequencies_keep_breakpoints(self, n_segments, freq_scale):
+        # frequencies x 1e26 reach 1.4e29 and x 1e-29 spread 2.6e-28, inside
+        # the range; x 1e297 and x 1e-300 lie past it and are refused
         t, f = self.kinked_log()
+        if freq_scale in (1e297, 1e-300):
+            with pytest.raises(InvalidParameterError, match="freq_mhz"):
+                CalibrationSeries(t, f * freq_scale)
+            return
         want = segmented_fit(CalibrationSeries(t, f), n_segments)
         got = segmented_fit(CalibrationSeries(t, f * freq_scale), n_segments)
         assert_same_bits(got.breakpoints, want.breakpoints)
@@ -723,8 +787,28 @@ class TestInvertReadout:
         # a slope too small for the frequency offset is refused, not inf
         seg = SegmentFit(5e-324, 0.0, 0.0, 0.0, 0.0, (0, 4), (0.0, 3.0), 0.0)
         fit = PiecewiseLinearFit([seg], np.array([]), 0.0, 4)
-        with pytest.raises(DivisionDomainError, match="float range"):
+        with pytest.raises(DivisionDomainError, match="leaves the range"):
             invert_readout(fit, 1e-10, segment=0)
+
+    def test_range_edges(self):
+        # frequency, its sigma and the control at 2**100 are read out; one
+        # ulp past, each is refused
+        seg = SegmentFit(0.5, 0.0, 0.0, 0.0, 0.0, (0, 4), (0.0, 2 * PAST), 0.0)
+        fit = PiecewiseLinearFit([seg], np.array([]), 0.0, 4)
+        half = MAX_MAGNITUDE / 2
+        assert invert_readout(fit, half, 0, MAX_MAGNITUDE) == (MAX_MAGNITUDE, MAX_MAGNITUDE / 0.5)
+        with pytest.raises(DivisionDomainError,
+                           match=r"leaves the range: it must be at most 2\*\*100 in magnitude$"):
+            invert_readout(fit, math.nextafter(half, math.inf), 0)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^frequency_sigma must be >= 0 and at most 2\*\*100"):
+            invert_readout(fit, half, 0, PAST)
+        seg = SegmentFit(2.0, 0.0, 0.0, 0.0, 0.0, (0, 4), (0.0, MAX_MAGNITUDE), 0.0)
+        fit = PiecewiseLinearFit([seg], np.array([]), 0.0, 4)
+        assert invert_readout(fit, MAX_MAGNITUDE, 0) == (MAX_MAGNITUDE / 2, 0.0)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^frequency_mhz must be at most 2\*\*100 in magnitude$"):
+            invert_readout(fit, PAST, 0)
 
     def test_bad_segment_index(self):
         fit = self.two_segment_fit()
@@ -747,7 +831,7 @@ class TestSensitivity:
     def test_integer_past_float_range_refused(self, position):
         inputs = [1, 1, 1, 1]
         inputs[position] = 10 ** 400
-        with pytest.raises(InvalidParameterError, match="must be finite"):
+        with pytest.raises(InvalidParameterError, match="must be positive and between"):
             sensitivity(*inputs)
 
     def test_homogeneity(self):
@@ -777,8 +861,23 @@ class TestSensitivity:
                                         (1e-300, 1e-300, 1e300, 1e300)],
                              ids=["overflows", "slopes-underflow", "underflows"])
     def test_eta_out_of_float_range(self, inputs):
-        with pytest.raises(InvalidParameterError, match="float range"):
+        # inputs whose eta would leave the float range lie past the
+        # declared range, and are refused before any arithmetic
+        with pytest.raises(InvalidParameterError, match=r"between 2\*\*-100 and 2\*\*100"):
             sensitivity(*inputs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("position", range(4))
+    def test_range_edges(self, position):
+        # each input at 2**-100 or 2**100 gives a finite eta; one ulp past
+        # either edge it is refused
+        for edge, past in ((TINY, SHORT), (MAX_MAGNITUDE, PAST)):
+            inputs = [1.0] * 4
+            inputs[position] = edge
+            assert 0.0 < sensitivity(*inputs).eta < math.inf
+            inputs[position] = past
+            with pytest.raises(InvalidParameterError, match="must be positive and between"):
+                sensitivity(*inputs)
 
 
 class TestCalibrationIO:

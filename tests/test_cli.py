@@ -18,10 +18,11 @@ from jsonschema import Draft202012Validator
 
 import calibration_oracle
 
-from odmrsense import (CalibrationSeries, LineModel, OrbitalGrid, cli, dipolar,
+from odmrsense import (CalibrationSeries, LineModel, cli, dipolar,
                        gaussian_orbital, make_grid, save_cube, synthesize, volumetric,
                        write_calibration)
 from odmrsense.cli import CONFIG_SCHEMA, _plain, build_parser, main
+from odmrsense.constants import MAX_MAGNITUDE
 
 
 def run(*argv):
@@ -117,13 +118,14 @@ class TestFit:
 
     @pytest.mark.parametrize("guesses", [("--centers", "1339,1445"), ()], ids=["centers", "auto"])
     @pytest.mark.parametrize("column, row, value", [
-        ("signal", 200, 2.0 ** 500), ("signal", 200, -2.0 ** 500),
-        ("signal", 200, math.nextafter(2.0 ** 500, math.inf)), ("signal", 200, 1e300),
-        ("freqs_mhz", 399, 2.0 ** 500), ("freqs_mhz", 399, math.nextafter(2.0 ** 500, math.inf))],
+        ("signal", 200, MAX_MAGNITUDE), ("signal", 200, -MAX_MAGNITUDE),
+        ("signal", 200, math.nextafter(MAX_MAGNITUDE, math.inf)), ("signal", 200, 1e300),
+        ("freqs_mhz", 399, MAX_MAGNITUDE),
+        ("freqs_mhz", 399, math.nextafter(MAX_MAGNITUDE, math.inf))],
         ids=["signal-at-bound", "signal-at-minus-bound", "signal-past-bound", "signal-1e300",
              "frequency-at-bound", "frequency-past-bound"])
     def test_sample_magnitude_bound(self, tmp_path, capsys, guesses, column, row, value):
-        """A sample past 2**500 ends in one error line; one at the bound fits quietly."""
+        """A sample past 2**100 ends in one error line; one at the bound fits quietly."""
         lines = [LineModel.symmetric(c, 2.0, a) for c, a in ((1339.0, 0.01), (1445.0, -0.01))]
         spectrum = synthesize(lines, np.linspace(1330.0, 1455.0, 400), noise_sigma=5e-4, seed=7)
         table = np.column_stack([spectrum.freqs_mhz, spectrum.signal])
@@ -135,21 +137,21 @@ class TestFit:
             warnings.simplefilter("error")
             code = run("fit", "--input", path, *guesses, "--out", out)
         err = capsys.readouterr().err
-        if abs(value) <= 2.0 ** 500:
+        if abs(value) <= MAX_MAGNITUDE:
             assert (code, err) == (0, "")
             payload = strict_json(out)
             assert payload["peaks"]
             assert None not in [p[key] for p in payload["peaks"]
                                 for key in ("center_sigma", "residual_rms")]
         else:
-            assert (code, err) == (2, f"error: {path}: {column} entries must be at most "
-                                      f"2**500 in magnitude\n")
+            assert (code, err) == (2, f"error: {path}: {column} entries must be finite and "
+                                      f"at most 2**100 in magnitude\n")
             assert not out.exists()
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-160])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-32, 1e-34])
     def test_frequency_span_floor(self, tmp_path, capsys, scale):
-        """The default spectrum at frequencies x 1e-150 fits quietly; at x 1e-160 its span
-        is below 2**-500 and ends in one error line."""
+        """The default spectrum (50-1500 MHz) at frequencies x 1e-32 fits quietly; at
+        x 1e-34, 1e-150 or 1e-160 its span is below 2**-100 and ends in one error line."""
         spec, path, out = tmp_path / "spec.csv", tmp_path / "scaled.csv", tmp_path / "fit.json"
         assert run("simulate", "--out", spec) == 0
         table = np.loadtxt(spec, delimiter=",", skiprows=1)
@@ -160,11 +162,11 @@ class TestFit:
             warnings.simplefilter("error")
             code = run("fit", "--input", path, "--out", out)
         err = capsys.readouterr().err
-        if scale == 1e-150:
+        if scale == 1e-32:
             assert (code, err) == (0, "")
         else:
-            assert (code, err) == (2, f"error: {path}: frequency grid must span at least "
-                                      f"2**-500 MHz\n")
+            assert (code, err) == (2, f"error: {path}: frequency grid span must be at least "
+                                      f"2**-100 in magnitude\n")
             assert not out.exists()
 
     def test_flat_spectrum_fails_cleanly(self, tmp_path, capsys):
@@ -237,13 +239,21 @@ class TestCalibrate:
     def test_missing_file(self, tmp_path):
         assert run("calibrate", "--input", tmp_path / "nope.csv") == 2
 
-    @pytest.mark.parametrize("sigma", ["1e-153", "1e-76", "1e85", "1e100", "1e153", "1.2e154"])
+    @pytest.mark.parametrize("sigma", ["1e-153", "1e-76", "1e85", "1e100", "1e153", "1.2e154",
+                                       "1e-30", "1e30"])
     def test_uniform_sigma_of_any_magnitude(self, tmp_path, capsys, sigma):
-        """One sigma on every row leaves the breakpoints and the readout where
-        sigma = 1 puts them, and scales the slope and intercept sigmas with it."""
+        """One sigma on every row, inside the declared range (1e-30, 1e30),
+        leaves the breakpoints and the readout where sigma = 1 puts them, and
+        scales the slope and intercept sigmas with it; past the range it ends
+        in one error line that names the row and the range."""
         t = np.geomspace(77.0, 330.0, 12)
         f = np.where(t <= 200.0, 1445.0 - 0.04 * (t - 77.0), 1440.08 - 0.2 * (t - 200.0))
         f += np.random.default_rng(0).normal(0.0, 0.05, t.size)
+        if not 1.0 / MAX_MAGNITUDE <= float(sigma) <= MAX_MAGNITUDE:
+            err = calibrate_refusal(tmp_path, capsys, t, f, [float(sigma)] * t.size)
+            assert err.endswith(":2: sigma_mhz must be positive and between 2**-100 and "
+                                "2**100 in magnitude\n")
+            return
         fits = []
         for cell in ("1", sigma):
             path, out = tmp_path / f"cal_{cell}.csv", tmp_path / f"cal_{cell}.json"
@@ -264,10 +274,10 @@ class TestCalibrate:
             for key in ("slope_sigma", "intercept_sigma"):
                 assert b[key] / float(sigma) == pytest.approx(a[key], rel=1e-9)
 
-    def test_sse_past_float_range_is_null_without_warning(self, tmp_path, capsys):
-        """sigma = 1e-154 on a 3,000-point three-region log: each weighted SSE
-        tops 1e308 and is written null, the fit itself is found, and nothing
-        warns."""
+    def test_sigma_at_the_range_edge_keeps_every_sse(self, tmp_path, capsys):
+        """sigma = 2**-100, the least the range holds, on a 3,000-point
+        three-region log: each weighted SSE (near 1e63) is a number, the fit
+        is found and nothing warns; an ulp less ends in one error line."""
         t = np.linspace(77.0, 330.0, 3000)
         v1 = 1445.0 - 0.040 * (193.0 - 77.0)
         v2 = v1 + 2.0 - 0.247 * (260.0 - 193.0)
@@ -276,26 +286,33 @@ class TestCalibrate:
                               v2 - 0.101 * (t - 260.0)))
         f += np.random.default_rng(7).normal(0.0, 0.05, t.size)
         path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
-        write_calibration(CalibrationSeries(t, f, np.full(t.size, 1e-154)), path)
+        write_calibration(CalibrationSeries(t, f, np.full(t.size, 1.0 / MAX_MAGNITUDE)), path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run("calibrate", "--input", path, "--segments", 3, "--out", out)
         assert (code, capsys.readouterr().err) == (0, "")
         payload = strict_json(out)
-        assert payload["total_sse"] is None
-        assert [seg["sse"] for seg in payload["segments"]] == [None] * 3
-        assert all(0.0 < seg[key] < 1e-150 for seg in payload["segments"]
+        assert 1e60 < payload["total_sse"] < 1e70
+        assert all(1e60 < seg["sse"] < 1e70 for seg in payload["segments"])
+        assert all(0.0 < seg[key] < 1e-30 for seg in payload["segments"]
                    for key in ("slope_sigma", "intercept_sigma"))
         assert payload["breakpoints"] == pytest.approx([193.0, 260.0], abs=2.0)
+        short = math.nextafter(1.0 / MAX_MAGNITUDE, 0.0)
+        assert calibrate_refusal(tmp_path, capsys, t, f, [short] * t.size).endswith(
+            ":2: sigma_mhz must be positive and between 2**-100 and 2**100 in magnitude\n")
 
-    @pytest.mark.parametrize("freq_scale", [1e297, 1e-300])
+    @pytest.mark.parametrize("freq_scale", [1e297, 1e-300, 1e26, 1e-30])
     def test_extreme_scale_keeps_the_split(self, tmp_path, capsys, freq_scale):
-        """The 12-point log-spaced log with its frequencies scaled splits where
-        the unscaled log does, and nothing warns; SSEs past the float range
-        are written null."""
+        """The 12-point log-spaced log with its frequencies scaled to the edges
+        of the declared range (x 1e26 reaches 1.4e29, x 1e-30 spreads 3e-29)
+        splits where the unscaled log does, and nothing warns; x 1e297 and
+        x 1e-300 lie past the range and end in one error line."""
         t = np.geomspace(77.0, 330.0, 12)
         f = np.where(t <= 200.0, 1445.0 - 0.04 * (t - 77.0), 1440.08 - 0.2 * (t - 200.0))
         f += np.random.default_rng(0).normal(0.0, 0.05, t.size)
+        if freq_scale in (1e297, 1e-300):
+            assert "freq_mhz" in calibrate_refusal(tmp_path, capsys, t, f * freq_scale)
+            return
         ranges = []
         for scale in (1.0, freq_scale):
             path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
@@ -306,22 +323,22 @@ class TestCalibrate:
             assert (code, capsys.readouterr().err) == (0, "")
             payload = strict_json(out)
             ranges.append([seg["index_range"] for seg in payload["segments"]])
-            # lines and sigmas fit the float range at either scale; an SSE
-            # or a covariance (~7e588 at frequencies x 1e297) may not
             assert all(0.0 < seg[key] < math.inf for seg in payload["segments"]
                        for key in ("slope_sigma", "intercept_sigma"))
             assert all(seg[key] is not None for seg in payload["segments"]
-                       for key in ("slope", "intercept"))
+                       for key in ("slope", "intercept", "sse", "cov_slope_intercept"))
         assert ranges[1] == ranges[0]
 
     @pytest.mark.parametrize("control_scale, segments", [
         *(pytest.param(10.0 ** k, 2, id=f"control-1e{k}")
-          for k in (-150, -100, -17, -16, 0, 12, 14, 100, 154, 200, 300)),
+          for k in (-150, -100, -17, -16, 0, 12, 14, 100, 154, 200, 300, -31, 27)),
         pytest.param(None, 1, id="offset-1e12-k1"), pytest.param(None, 2, id="offset-1e12-k2")])
     def test_lines_match_exact_least_squares(self, tmp_path, capsys, control_scale, segments):
         """Each segment's line is the exact least-squares line of its stored
         samples, to a few units of rounding, on the probe log with controls
-        x 10^k and on a log whose controls are offset by 1e12."""
+        x 10^k and on a log whose controls are offset by 1e12.  Controls
+        x 10^k lie in the declared range for -31 <= k <= 27; past it the log
+        ends in one error line."""
         def within(got, want, tol, scale=None):
             # in Fractions throughout: a float product would underflow
             return abs(Fraction(got) - want) <= Fraction(tol) * abs(want if scale is None else scale)
@@ -331,6 +348,9 @@ class TestCalibrate:
         else:
             t, f = probe_log()
             t = t * control_scale
+            if not 1e-31 <= control_scale <= 1e27:
+                assert "control" in calibrate_refusal(tmp_path, capsys, t, f)
+                return
         for seg in run_calibrate(tmp_path, capsys, t, f, segments)["segments"]:
             a, b = seg["index_range"]
             exact = calibration_oracle.exact_line(t[a:b], f[a:b])
@@ -341,11 +361,17 @@ class TestCalibrate:
             for key in ("slope", "intercept"):
                 assert within(Fraction(seg[f"{key}_sigma"]) ** 2, exact[f"var_{key}"], 1e-12)
 
-    @pytest.mark.parametrize("k", [-518, -510, -300, -201, -200, 1, 200, 201, 520, 900, 1011])
+    @pytest.mark.parametrize("k", [-518, -510, -300, -201, -200, 1, 200, 201, 520, 900, 1011,
+                                   -104, -103, 91, 92])
     def test_power_of_two_controls_keep_line_bits(self, tmp_path, capsys, k):
         """Controls x 2^k give slopes and slope sigmas x 2^-k and the same
-        intercepts and intercept sigmas, bit for bit."""
+        intercepts and intercept sigmas, bit for bit, for every k that keeps
+        the probe log in the declared range (-103 <= k <= 91); past it the
+        log ends in one error line."""
         t, f = probe_log()
+        if not -103 <= k <= 91:
+            assert "control" in calibrate_refusal(tmp_path, capsys, np.ldexp(t, k), f)
+            return
         want = run_calibrate(tmp_path, capsys, t, f, 2)["segments"]
         got = run_calibrate(tmp_path, capsys, np.ldexp(t, k), f, 2)["segments"]
         for a, b in zip(got, want):
@@ -356,20 +382,12 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("k", [1012, 1013, 1014, 1015])
     def test_controls_up_to_the_float_limit(self, tmp_path, capsys, k):
-        """Controls x 2^k up to the largest the float range holds: exit 0 and
-        an empty stderr, breakpoints x 2^k and the lines of the unscaled log,
-        bit for bit, but for the slope sigma, subnormal once x 2^-k."""
+        """Controls x 2^k up to the largest the float range holds lie past
+        the declared range: exit 2, one error line that names the controls
+        and the range, and no warning."""
         t, f = probe_log()
-        want = run_calibrate(tmp_path, capsys, t, f, 2, "--invert-frequency", 1444.8)
-        got = run_calibrate(tmp_path, capsys, np.ldexp(t, k), f, 2, "--invert-frequency", 1444.8)
-        assert [math.ldexp(b, -k) for b in got["breakpoints"]] == want["breakpoints"]
-        for a, b in zip(got["segments"], want["segments"]):
-            assert a["index_range"] == b["index_range"]
-            assert (math.ldexp(a["slope"], k), a["intercept"], a["intercept_sigma"]) == (
-                b["slope"], b["intercept"], b["intercept_sigma"])
-            assert math.ldexp(a["slope_sigma"], k) == pytest.approx(b["slope_sigma"], rel=1e-15)
-        assert math.ldexp(got["readout"]["control"], -k) == pytest.approx(
-            want["readout"]["control"], rel=1e-15)
+        assert calibrate_refusal(tmp_path, capsys, np.ldexp(t, k), f).endswith(
+            ": control entries must be finite and at most 2**100 in magnitude\n")
 
     def test_control_spread_past_float_range_refused(self, tmp_path, capsys):
         path = tmp_path / "cal.csv"
@@ -380,7 +398,28 @@ class TestCalibrate:
             warnings.simplefilter("error")
             assert run("calibrate", "--input", path, "--out", tmp_path / "cal.json") == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: control spread is past the float range\n")
+            f"error: {path}: control entries must be finite and at most 2**100 in magnitude\n")
+
+    def test_frequencies_past_the_range_refused_when_read(self, tmp_path, capsys):
+        """The 12-point log at frequencies x 1e297, whose segment covariance
+        once overflowed and cost each readout the calibration's share of its
+        sigma, is refused as it is read: exit 2 and one error line that names
+        freq_mhz and the range.  The same log at the range's edge reads out
+        with that share."""
+        t = np.geomspace(77.0, 330.0, 12)
+        f = np.where(t <= 200.0, 1445.0 - 0.04 * (t - 77.0), 1440.08 - 0.2 * (t - 200.0))
+        f += np.random.default_rng(0).normal(0.0, 0.05, t.size)
+        assert calibrate_refusal(tmp_path, capsys, t, f * 1e297).endswith(
+            ": freq_mhz entries must be finite and at most 2**100 in magnitude\n")
+        readouts = []
+        for scale in (1.0, 1e26):
+            got = run_calibrate(tmp_path, capsys, t, f * scale, 2,
+                                "--invert-frequency", 1443.0 * scale)
+            readouts.append(got["readout"])
+        assert readouts[1]["control"] == pytest.approx(readouts[0]["control"], rel=1e-9)
+        assert readouts[1]["control_sigma"] == pytest.approx(readouts[0]["control_sigma"],
+                                                             rel=1e-6)
+        assert readouts[0]["control_sigma"] > 0.0
 
     @pytest.mark.parametrize("scale", [1e10, 1e12])
     def test_readout_at_large_control_scale(self, tmp_path, capsys, scale):
@@ -401,21 +440,30 @@ class TestCalibrate:
 class TestZfs:
     @pytest.mark.parametrize("scale", [1e60, 1e-60])
     def test_tensor_past_float_range_one_error_line(self, tmp_path, capsys, scale):
-        """A grid whose pair phase overflows is refused with one error line and no warning."""
+        """A grid whose pair phase would overflow lies past the declared range:
+        its cube is refused as it is read, with one error line and no warning."""
         dims = (12, 10, 8)
         origin, axes = make_grid(dims, (10.0, 8.0, 6.0))
         paths = []
         for name, node in (("homo", None), ("lumo", 0)):
             grid = gaussian_orbital(origin, axes, dims, (0, 0, 0), (1.5, 0.8, 0.5),
                                     node_axis=node)
-            paths.append(save_cube(OrbitalGrid(grid.origin * scale, grid.axes * scale,
-                                               grid.values), tmp_path / f"{name}.cube"))
+            path = save_cube(grid, tmp_path / f"{name}.cube")
+            lines = path.read_text().splitlines()
+            # the origin and axis records, their geometry scaled
+            lines[2:6] = [" ".join([row.split()[0], *(repr(float(v) * scale)
+                                                      for v in row.split()[1:])])
+                          for row in lines[2:6]]
+            paths.append(path)
+            path.write_text("\n".join(lines) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run("zfs", "--homo", paths[0], "--lumo", paths[1],
                        "--out", tmp_path / "zfs.json")
         err = capsys.readouterr().err
-        assert (code, err) == (2, "error: tensor contains non-finite entries\n")
+        message = ("grid geometry must be finite and at most 2**100 in magnitude" if scale > 1
+                   else "grid steps must be at least 2**-100 in magnitude")
+        assert (code, err) == (2, f"error: {paths[0]}: {message}\n")
 
     def test_single_phase_json(self, tmp_path):
         homo, lumo = write_cubes(tmp_path)
@@ -657,6 +705,23 @@ def run_calibrate(tmp_path, capsys, control, freq, segments, *extra):
         code = run("calibrate", "--input", path, "--segments", segments, "--out", out, *extra)
     assert (code, capsys.readouterr().err) == (0, "")
     return strict_json(out)
+
+
+def calibrate_refusal(tmp_path, capsys, control, freq, sigma=None):
+    """calibrate on these samples, written exactly: its one error line,
+    after exit 2, no warning and no output file."""
+    path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
+    sigma = [""] * len(control) if sigma is None else [repr(v) for v in sigma]
+    path.write_text("control_value,frequency_mhz,sigma_mhz\n" + "".join(
+        f"{c!r},{v!r},{e}\n" for c, v, e in zip(control.tolist(), freq.tolist(), sigma)))
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("calibrate", "--input", path, "--out", out)
+    err = capsys.readouterr().err
+    assert (code, len(err.splitlines()), out.exists()) == (2, 1, False)
+    assert err.startswith(f"error: {path}")
+    return err
 
 
 def write_fit_centers(tmp_path, centers):

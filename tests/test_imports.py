@@ -259,7 +259,7 @@ PUBLIC_NAMES = {
     "make_grid", "odmr_contrast", "orbital_stats", "ordered_eigensystem",
     "parameters_to_tensor", "point_dipole_tensor", "rate_matrix", "read_calibration",
     "read_spectrum", "robust_noise_sigma", "save_cube", "segmented_fit", "sensitivity",
-    "spectra", "spin", "steady_state", "synthesize", "tensor_to_parameters", "textio",
+    "shotnoise", "spectra", "spin", "steady_state", "synthesize", "tensor_to_parameters", "textio",
     "transitions_from_zfs", "volumetric", "write_calibration", "write_spectrum",
     "zfs_from_transitions", "zfs_pair_tensor",
 }
@@ -278,3 +278,21 @@ def test_public_names_unchanged():
     out = subprocess.run([sys.executable, "-c", code], env=package_env(os.environ),
                          capture_output=True, check=True, text=True, timeout=60).stdout
     assert json.loads(out) == dict.fromkeys(PUBLIC_NAMES, True)
+
+
+def test_every_submodule_resolves_lazily():
+    """Each name in _SUBMODULES is an attribute of a freshly imported
+    package before any other import has loaded its module."""
+    code = ("import json, sys\n"
+            "resolved = {}\n"
+            "for name in json.loads(sys.argv[1]):\n"
+            "    for loaded in [m for m in sys.modules if m.partition('.')[0] == 'odmrsense']:\n"
+            "        del sys.modules[loaded]\n"
+            "    import odmrsense\n"
+            "    resolved[name] = getattr(odmrsense, name).__name__\n"
+            "json.dump(resolved, sys.stdout)\n")
+    names = list(odmrsense._SUBMODULES)
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(names)],
+                         env=package_env(os.environ), capture_output=True, check=True,
+                         text=True, timeout=60).stdout
+    assert json.loads(out) == {name: f"odmrsense.{name}" for name in names}

@@ -29,6 +29,7 @@ from odmrsense import (
     transitions_from_zfs,
     write_spectrum,
 )
+from odmrsense.constants import MAX_MAGNITUDE
 from odmrsense.spectra import _find_peaks, _profile, _profile_work
 
 
@@ -234,13 +235,21 @@ class TestSynthesis:
             Spectrum([1, 2, 3], [0, 0, 0])  # too short
         with pytest.raises(InvalidParameterError):
             Spectrum(np.zeros(10), np.zeros(10))  # not increasing
-        bound, grid = 2.0 ** 500, np.linspace(0.1, 1.0, 10)
+        bound, grid = MAX_MAGNITUDE, np.linspace(0.1, 1.0, 10)
         Spectrum(grid * bound, np.full(10, -bound))  # a frequency and signals at the bound
         past = np.nextafter(bound, np.inf)
-        with pytest.raises(InvalidParameterError, match=r"^freqs_mhz entries must be at most"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^freqs_mhz entries must be finite and at most"):
             Spectrum(grid * past, np.zeros(10))
-        with pytest.raises(InvalidParameterError, match=r"^signal entries must be at most"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^signal entries must be finite and at most"):
             Spectrum(grid, np.full(10, -past))
+        # a grid spanning exactly 2**-100 MHz, and one spanning an ulp less
+        span = np.linspace(0.0, 1.0, 10) / bound
+        Spectrum(span, np.zeros(10))
+        with pytest.raises(InvalidParameterError,
+                           match=r"^frequency grid span must be at least 2\*\*-100"):
+            Spectrum(np.nextafter(span, 0.0), np.zeros(10))
 
 
 class TestFitting:

@@ -5,6 +5,7 @@ with standard deviation w/sqrt(2); multiplying the amplitude by x gives a
 density x^2 exp(-x^2/w^2) whose standard deviation is sqrt(3/2) * w.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from odmrsense import (
     save_cube,
     zfs_pair_tensor,
 )
+from odmrsense.constants import MAX_MAGNITUDE
 
 
 def default_orbital(center=(0.0, 0.0, 0.0), widths=(3.0, 1.2, 0.5),
@@ -122,21 +124,51 @@ class TestGaussianOrbital:
 
 class TestExtremeMagnitude:
     @pytest.mark.filterwarnings("error")  # no overflow or underflow warning
-    @pytest.mark.parametrize("scale, norm", [(1e300, np.inf), (1e-300, 0.0)])
-    def test_scaled_grid_gives_unit_results(self, scale, norm):
+    @pytest.mark.parametrize("value_exp", [100, -98], ids=["2^100", "2^-98"])
+    def test_grid_at_the_range_edges_gives_unit_results(self, value_exp):
+        """Values scaled to the edges of the declared range (the largest
+        |value| of the unit-norm Gaussian, about 0.3, to near 2**100 or
+        2**-100) give the unit grid's tensor and moments, and a norm of
+        4**value_exp."""
         dims = (12, 10, 8)
         origin, axes = make_grid(dims, (10.0, 8.0, 6.0))
         homo = gaussian_orbital(origin, axes, dims, (0, 0, 0), (1.5, 0.8, 0.5))
         lumo = gaussian_orbital(origin, axes, dims, (0, 0, 0), (1.5, 0.8, 0.5), node_axis=0)
-        scaled = OrbitalGrid(homo.origin, homo.axes, homo.values * scale)
+        scaled = OrbitalGrid(homo.origin, homo.axes, np.ldexp(homo.values, value_exp))
         unit = zfs_pair_tensor(homo, lumo).tensor
         tensor = zfs_pair_tensor(scaled, lumo).tensor
         assert np.abs(tensor - unit).max() <= 1e-12 * np.abs(unit).max()
         stats, unit_stats = orbital_stats(scaled), orbital_stats(homo)
         assert np.allclose(stats.centroid, unit_stats.centroid, rtol=0, atol=1e-12)
         assert np.allclose(stats.spread, unit_stats.spread, rtol=1e-12, atol=0)
-        # the integral of phi^2, near 1e600 or 1e-600, is out of the float range
-        assert stats.norm == scaled.norm_squared() == norm
+        for norm in (stats.norm, scaled.norm_squared()):
+            assert norm == pytest.approx(4.0 ** value_exp, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_one_ulp_past_the_range_refused(self):
+        origin, axes = make_grid((4, 4, 4), (4.0, 4.0, 4.0))
+        values = np.ones((4, 4, 4))
+        past = np.nextafter(MAX_MAGNITUDE, np.inf)
+        short = np.nextafter(1.0 / MAX_MAGNITUDE, 0.0)
+        OrbitalGrid([MAX_MAGNITUDE] * 3, np.eye(3) / MAX_MAGNITUDE, values * MAX_MAGNITUDE)
+        OrbitalGrid(origin, np.eye(3) * MAX_MAGNITUDE, values / MAX_MAGNITUDE)
+        OrbitalGrid(origin, axes, np.zeros((4, 4, 4)))
+        for grid, message in (
+                ((origin, axes, values * past), "values must be finite and at most 2**100"),
+                ((origin, axes, values * np.nan), "values must be finite and at most 2**100"),
+                ((origin, axes, values * short),
+                 "a non-zero grid's largest value must be at least"),
+                (([0.0, 0.0, -past], axes, values), "grid geometry must be finite and at most"),
+                ((origin, np.eye(3) * past, values), "grid geometry must be finite and at most"),
+                ((origin, np.diag([1.0, short, 1.0]), values), "grid steps must be at least"),
+                ((origin, [[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0], [0.0, 0.0, 1e-300]], values),
+                 "grid steps must be at least"),
+                ((origin, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], values),
+                 "axes are singular"),
+                ((origin, np.ldexp([[1.0, 0.0, 0.0], [1.0, 2.0 ** -10, 0.0], [0.0, 0.0, 1.0]],
+                                   -100), values), "axes are singular")):
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}"):
+                OrbitalGrid(*grid)
 
 
 class TestShiftMetric:
